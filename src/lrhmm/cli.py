@@ -13,6 +13,7 @@ Exit codes: 0 on success, 2 on usage errors, 1 on data or model errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -191,13 +192,7 @@ def _cmd_train(args) -> None:
     pool = _load_training_pool(args, config)
     training = _training_config(config)
     if args.seed is not None:
-        training = TrainingConfig(
-            max_iterations=training.max_iterations,
-            loglik_rel_tolerance=training.loglik_rel_tolerance,
-            covariance_floor_eps=training.covariance_floor_eps,
-            rng_seed=args.seed,
-            band_width=training.band_width,
-        )
+        training = dataclasses.replace(training, rng_seed=args.seed)
     model, trace = baum_welch(pool, training)
     save_model(model, args.out)
     print(f"trained {model.n_states}-state model on {len(pool)} sequences "
@@ -217,10 +212,17 @@ def _truncated(seq, duration_s: float | None):
                                trial_id=seq.trial_id, label=seq.label)
 
 
+def _single_recording(path) -> ObservationSequence:
+    seqs = load_csv(path)
+    if len(seqs) != 1:
+        raise UsageError(f"--input must name one recording; {path} holds {len(seqs)}")
+    return seqs[0]
+
+
 def _cmd_classify(args) -> None:
     model_1 = load_model(args.model1)
     model_2 = load_model(args.model2)
-    [seq] = load_csv(args.input)
+    seq = _single_recording(args.input)
     decision = classify(_truncated(seq, args.duration), model_1, model_2)
     lines = ["label,ll_1,ll_2,margin",
              f"{decision.label},{decision.log_likelihoods[0]!r},"
@@ -235,7 +237,7 @@ def _cmd_classify(args) -> None:
 def _cmd_forecast(args) -> None:
     model_1 = load_model(args.model1)
     model_2 = load_model(args.model2)
-    [seq] = load_csv(args.input)
+    seq = _single_recording(args.input)
     history = _truncated(seq, args.history)
     traj = forecast(history, model_1, model_2)
     write_forecast_csv(traj, seq.dt, args.out)

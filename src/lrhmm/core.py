@@ -279,11 +279,10 @@ def validate_model(model: LrHmmModel) -> list[str]:
         a = np.exp(model.log_A)
         pi = np.exp(model.log_pi)
 
-    for i in range(n):
-        for j in range(n):
-            in_band = i <= j <= min(i + band, n - 1)
-            if not in_band and not np.isneginf(model.log_A[i, j]):
-                violations.append(f"transition {i}->{j} outside the band is not -inf")
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]          # j - i
+    outside = ((offset < 0) | (offset > band)) & ~np.isneginf(model.log_A)
+    for i, j in np.argwhere(outside):
+        violations.append(f"transition {i}->{j} outside the band is not -inf")
 
     row_sums = a.sum(axis=1)
     for i, s in enumerate(row_sums):
@@ -349,10 +348,14 @@ def model_from_json(text: str) -> LrHmmModel:
                              np.asarray(e["covariance"], dtype=float))
             for e in doc["emissions"]
         )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            model = LrHmmModel(n_states, n_dims, np.log(pi), np.log(a), emissions,
+                               band_width)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None
-    with np.errstate(divide="ignore"):
-        model = LrHmmModel(n_states, n_dims, np.log(pi), np.log(a), emissions, band_width)
+    except UsageError as exc:
+        # the document's values, not the caller, break a constructor contract
+        raise ModelError(f"invalid model: {exc}") from None
     problems = validate_model(model)
     if problems:
         raise ModelError("invalid model: " + "; ".join(problems))
@@ -366,5 +369,11 @@ def save_model(model: LrHmmModel, path) -> None:
 
 
 def load_model(path) -> LrHmmModel:
-    with open(path) as fh:
-        return model_from_json(fh.read())
+    """Read a model file; raises ParseError if it cannot be read as text."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"{path}: cannot read model file: {reason}") from None
+    return model_from_json(text)

@@ -6,11 +6,14 @@ statistics of the matching step.  All recursions run in log space over the
 transition band only; expectation quantities are accumulated over sequences
 in a canonical order (sorted by ``trial_id``) so that training results do
 not depend on how the caller happened to order the input list.
+
+Training memory is bounded per chunk of sequences, not per data set: each
+EM iteration runs the E-step on a few sequences at a time and keeps only
+their sufficient statistics.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +29,17 @@ from .core import (
     _EmissionTable,
 )
 
-log = logging.getLogger(__name__)
-
 # A state whose total posterior mass falls below this is unusable: its
 # emission update would divide by (numerical) zero.
 DEGENERATE_MASS = 1e-12
 
 # Absolute floor for the covariance regularization increment.
 _COV_EPS_ABS = 1e-9
+
+# Elements of one (chunk, T, N) E-step array (16 MiB in float64); sets how
+# many sequences an EM iteration processes at a time.  29 sequences stay in
+# one chunk up to T = 268.
+_ESTEP_ELEMENTS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -258,16 +264,49 @@ def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
 # Baum-Welch
 # ---------------------------------------------------------------------------
 
-def _m_step(x, gamma, xi_sums, log_a_old, eps_rel):
-    """Re-estimate (log_pi, log_a, means, covs) from batched posteriors."""
-    n_seq, n_steps, n_dims = x.shape
-    n_states = gamma.shape[-1]
+class _Statistics:
+    """Sufficient statistics of one EM iteration, summed over sequences.
 
-    pi = gamma[:, 0, :].mean(axis=0)
+    Second moments are taken about ``ref_means``, the means of the model
+    entering the iteration, so that they do not cancel against the squared
+    new means.
+    """
+
+    def __init__(self, ref_means: np.ndarray, n_diags: int):
+        n_states, n_dims = ref_means.shape
+        self.ref_means = ref_means
+        self.n_sequences = 0
+        self.gamma0 = np.zeros(n_states)                    # sum of gamma at t = 0
+        self.mass = np.zeros(n_states)                      # sum of gamma
+        self.first = np.zeros((n_states, n_dims))           # sum of gamma x
+        self.second = np.zeros((n_states, n_dims, n_dims))  # about ref_means
+        self.xi = [np.zeros(max(n_states - d, 0)) for d in range(n_diags)]
+
+    def add(self, x, log_b, log_alpha, log_lik, diags) -> None:
+        """Finish the E-step of one chunk of sequences and add its sums."""
+        log_beta = _backward(log_b, diags)
+        gamma = _state_posteriors(log_alpha, log_beta)
+        for total, term in zip(self.xi, _xi_prob_sums(log_alpha, log_beta, log_b,
+                                                      diags, log_lik)):
+            total += term
+        diffs = x[:, :, None, :] - self.ref_means           # (chunk, T, N, M)
+        self.n_sequences += x.shape[0]
+        self.gamma0 += gamma[:, 0, :].sum(axis=0)
+        self.mass += gamma.sum(axis=(0, 1))
+        self.first += np.einsum("ktn,ktm->nm", gamma, x)
+        self.second += np.einsum("ktn,ktnm,ktnp->nmp", gamma, diffs, diffs,
+                                 optimize=True)
+
+
+def _m_step(stats: _Statistics, log_a_old, eps_rel):
+    """Re-estimate (log_pi, log_a, means, covs) from sufficient statistics."""
+    n_states = stats.mass.shape[0]
+
+    pi = stats.gamma0 / stats.n_sequences
     pi = pi / pi.sum()
 
     a = np.zeros((n_states, n_states))
-    for d, numer in enumerate(xi_sums):
+    for d, numer in enumerate(stats.xi):
         if numer.size == 0:
             continue
         idx = np.arange(n_states - d)
@@ -283,16 +322,16 @@ def _m_step(x, gamma, xi_sums, log_a_old, eps_rel):
             # state, or T == 1): keep the previous distribution.
             a[i] = old_rows[i]
 
-    mass = gamma.sum(axis=(0, 1))                           # (N,)
+    mass = stats.mass
     weakest = int(np.argmin(mass))
     if mass[weakest] < DEGENERATE_MASS:
         raise DegenerateStateError(
             f"state {weakest} has total posterior mass {mass[weakest]:.3e}")
 
-    means = np.einsum("ktn,ktm->nm", gamma, x) / mass[:, None]
-    diffs = x[:, :, None, :] - means[None, None, :, :]      # (K, T, N, M)
-    covs = np.einsum("ktn,ktnm,ktnp->nmp", gamma, diffs, diffs,
-                     optimize=True) / mass[:, None, None]
+    means = stats.first / mass[:, None]
+    shift = means - stats.ref_means
+    covs = (stats.second / mass[:, None, None]
+            - shift[:, :, None] * shift[:, None, :])
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     covs = _floor_covariances(covs, eps_rel)
 
@@ -341,15 +380,23 @@ def baum_welch(sequences, config: TrainingConfig,
     means = np.stack([e.mean for e in model0.emissions])
     covs = np.stack([e.covariance for e in model0.emissions])
 
+    chunk = max(1, _ESTEP_ELEMENTS // (n_steps * n_steps))
+    starts = range(0, n_seq, chunk)
+    log_lik = np.empty(n_seq)
     trace: list[float] = []
     converged = False
     previous = np.nan
     for _ in range(config.max_iterations):
         table = _EmissionTable(means, np.linalg.cholesky(covs))
         diags = _band_diagonals(log_a, band_width)
-        log_b = table.log_b(x)                              # (K, T, N)
-        log_alpha = _forward(log_b, log_pi, diags)
-        log_lik = logsumexp(log_alpha[:, -1, :], axis=-1)   # (K,)
+        stats = _Statistics(means, len(diags))
+        for lo in starts:
+            part = slice(lo, lo + chunk)
+            log_b = table.log_b(x[part])                    # (chunk, T, N)
+            log_alpha = _forward(log_b, log_pi, diags)
+            log_lik[part] = logsumexp(log_alpha[:, -1, :], axis=-1)
+            if lo != starts[-1]:
+                stats.add(x[part], log_b, log_alpha, log_lik[part], diags)
         total = float(log_lik.sum())
         trace.append(total)
         if len(trace) > 1 and _relative_change(total, previous) < config.loglik_rel_tolerance:
@@ -357,10 +404,10 @@ def baum_welch(sequences, config: TrainingConfig,
             break
         previous = total
 
-        log_beta = _backward(log_b, diags)
-        gamma = _state_posteriors(log_alpha, log_beta)
-        xi_sums = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
-        log_pi, log_a, means, covs = _m_step(x, gamma, xi_sums, log_a, config.covariance_floor_eps)
+        # The last chunk's posteriors wait for the convergence test, so a
+        # single-chunk fit skips them in its final iteration.
+        stats.add(x[part], log_b, log_alpha, log_lik[part], diags)
+        log_pi, log_a, means, covs = _m_step(stats, log_a, config.covariance_floor_eps)
 
     emissions = tuple(GaussianEmission(means[j], covs[j]) for j in range(n_steps))
     model = LrHmmModel(n_steps, n_dims, log_pi, log_a, emissions, band_width)

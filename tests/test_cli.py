@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lrhmm import ObservationSequence, UsageError, classify, load_csv, load_model
@@ -164,6 +166,43 @@ def test_data_errors_exit_with_1(tmp_path):
                      "--out", tmp_path / "d.csv")
     assert result.returncode == 1
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(n_states=doc["n_states"] + 1),
+    lambda doc: doc["emissions"][3].update(mean=[float("nan")]),
+    lambda doc: doc["pi"].__setitem__(0, -1.0),
+], ids=["n_states", "nan_mean", "negative_probability"])
+def test_malformed_model_file_exits_with_1(workspace, tmp_path, corrupt):
+    doc = json.loads((workspace / "m1.json").read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = run_cli("classify", "--model1", bad, "--model2", workspace / "m2.json",
+                     "--input", workspace / "data" / "df2-class1-trial000.csv")
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: invalid model")
+
+
+def test_missing_model_file_exits_with_1(workspace, tmp_path):
+    result = run_cli("forecast", "--model1", workspace / "m1.json",
+                     "--model2", tmp_path / "missing.json",
+                     "--input", workspace / "data" / "df2-class1-trial000.csv",
+                     "--history", 0.1, "--out", tmp_path / "fc.csv")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "missing.json" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", [["classify"], ["forecast", "--history", 0.1]])
+def test_input_directory_exits_with_2(workspace, tmp_path, command):
+    result = run_cli(*command, "--model1", workspace / "m1.json",
+                     "--model2", workspace / "m2.json",
+                     "--input", workspace / "data", "--out", tmp_path / "out.csv")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "holds 24" in result.stderr
 
 
 def test_bad_config_file_exits_with_2(workspace, tmp_path):

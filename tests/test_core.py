@@ -197,6 +197,21 @@ def test_validate_flags_backward_transition_and_non_absorbing_end():
     assert any("absorbing" in p for p in problems)
 
 
+def test_validate_band_check_matches_the_double_loop():
+    rng = np.random.default_rng(4)
+    model = random_banded_model(rng, 9, 1, band_width=2)
+    log_a = np.array(model.log_A)
+    for i, j in ((0, 3), (2, 1), (4, 8), (5, 0), (8, 6), (3, 7)):
+        log_a[i, j] = math.log(0.1)
+    bad = LrHmmModel(9, 1, model.log_pi, log_a, model.emissions, 2)
+    expected = [f"transition {i}->{j} outside the band is not -inf"
+                for i in range(9) for j in range(9)
+                if not i <= j <= min(i + 2, 8) and not np.isneginf(log_a[i, j])]
+    band_problems = [p for p in validate_model(bad) if p.startswith("transition")]
+    assert len(expected) == 6
+    assert band_problems == expected
+
+
 def test_validate_flags_bad_start_distribution():
     model = _canonical_model()
     log_pi = np.full(3, math.log(0.25))
@@ -287,5 +302,17 @@ def test_model_from_json_rejects_garbage():
 def test_model_from_json_rejects_invalid_model():
     doc = json.loads(model_to_json(_canonical_model()))
     doc["A"][0] = [0.4, 0.4, 0.0]   # row no longer sums to 1
+    with pytest.raises(ModelError):
+        model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(n_states=4),                          # shape mismatch
+    lambda doc: doc["emissions"][1].update(mean=[float("nan")]),
+    lambda doc: doc["A"][0].__setitem__(0, -0.5),                 # negative probability
+])
+def test_model_from_json_reports_malformed_parameters_as_model_errors(corrupt):
+    doc = json.loads(model_to_json(_canonical_model()))
+    corrupt(doc)
     with pytest.raises(ModelError):
         model_from_json(json.dumps(doc))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import lrhmm.training
 from lrhmm import (
     DegenerateStateError,
     GaussianEmission,
@@ -201,7 +203,7 @@ def test_trained_model_keeps_left_right_structure():
                 assert np.isneginf(model.log_A[i, j])
 
 
-def test_training_is_invariant_to_sequence_order():
+def _assert_order_invariant():
     rng = np.random.default_rng(15)
     seqs = _random_sequences(rng, 5, 5, 2, scale=0.7)
     config = TrainingConfig(max_iterations=15, rng_seed=9)
@@ -212,6 +214,57 @@ def test_training_is_invariant_to_sequence_order():
     for e_a, e_b in zip(model_a.emissions, model_b.emissions):
         assert np.array_equal(e_a.mean, e_b.mean)
         assert np.array_equal(e_a.covariance, e_b.covariance)
+
+
+def test_training_is_invariant_to_sequence_order():
+    _assert_order_invariant()
+
+
+def test_chunked_training_is_invariant_to_sequence_order(monkeypatch):
+    monkeypatch.setattr(lrhmm.training, "_ESTEP_ELEMENTS", 1)
+    _assert_order_invariant()
+
+
+@pytest.mark.parametrize("n_dims, band", [(1, 1), (2, 2)])
+def test_training_is_invariant_to_chunking(monkeypatch, n_dims, band):
+    rng = np.random.default_rng(20)
+    ramp = np.linspace(-1.0, 1.0, 8)[:, None]
+    seqs = [ObservationSequence(ramp + rng.normal(0.0, 0.3, (8, n_dims)), 0.025,
+                                trial_id=k) for k in range(7)]
+    config = TrainingConfig(max_iterations=12, rng_seed=3, band_width=band)
+    whole, trace_whole = baum_welch(seqs, config)
+    # a budget of one element puts every sequence in its own chunk
+    monkeypatch.setattr(lrhmm.training, "_ESTEP_ELEMENTS", 1)
+    split, trace_split = baum_welch(seqs, config)
+
+    assert trace_split.iterations_run == trace_whole.iterations_run
+    assert trace_split.converged == trace_whole.converged
+    np.testing.assert_allclose(trace_split.log_likelihoods, trace_whole.log_likelihoods,
+                               rtol=1e-10)
+    with np.errstate(over="ignore"):
+        np.testing.assert_allclose(np.exp(split.log_A), np.exp(whole.log_A),
+                                   rtol=1e-10, atol=1e-300)
+    for e_s, e_w in zip(split.emissions, whole.emissions):
+        np.testing.assert_allclose(e_s.mean, e_w.mean, rtol=1e-10)
+        np.testing.assert_allclose(e_s.covariance, e_w.covariance, rtol=1e-10)
+
+
+def test_training_memory_does_not_grow_with_the_number_of_sequences():
+    # at T = 800 the E-step runs a few sequences at a time, so the peak
+    # allocation of one EM iteration is that of one chunk, whatever K is
+    rng = np.random.default_rng(21)
+    wave = np.sin(np.linspace(0.0, 12.0, 800))[:, None]
+    peaks = []
+    for n_seqs in (3, 12):
+        seqs = [ObservationSequence(wave + rng.normal(0.0, 0.05, (800, 1)), 0.025,
+                                    trial_id=k) for k in range(n_seqs)]
+        tracemalloc.start()
+        try:
+            baum_welch(seqs, TrainingConfig(max_iterations=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_converged_model_is_a_fixed_point():
