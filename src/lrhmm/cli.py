@@ -18,7 +18,14 @@ import math
 import sys
 from pathlib import Path
 
-from .core import LrHmmError, ObservationSequence, UsageError, load_model, save_model
+from .core import (
+    LrHmmError,
+    ObservationSequence,
+    UsageError,
+    _read_text,
+    load_model,
+    save_model,
+)
 from .dataio import SyntheticConfig, generate_synthetic, load_csv, preprocess, save_csv
 from .experiments import (
     DEFAULT_DURATIONS,
@@ -39,7 +46,7 @@ from .training import TrainingConfig, baum_welch
 def read_config(path) -> dict[str, str]:
     """Parse a ``key=value`` text file; '#' starts a comment line."""
     config: dict[str, str] = {}
-    text = Path(path).read_text()
+    text = _read_text(path, "config")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -86,7 +93,7 @@ def parse_durations(text: str) -> tuple:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"bad durations range {text!r}: {exc}") from None
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise UsageError(f"bad durations range {text!r}")
         count = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 9) for i in range(count))
@@ -96,6 +103,8 @@ def parse_durations(text: str) -> tuple:
         raise UsageError(f"bad durations list {text!r}: {exc}") from None
     if not values:
         raise UsageError("empty durations list")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"durations must be finite, got {text!r}")
     return values
 
 
@@ -203,6 +212,8 @@ def _cmd_train(args) -> None:
 def _truncated(seq, duration_s: float | None):
     if duration_s is None:
         return seq
+    if not math.isfinite(duration_s):
+        raise UsageError(f"duration must be finite, got {duration_s}")
     steps = int(round(duration_s / seq.dt))
     if not 1 <= steps <= seq.n_steps:
         raise UsageError(
@@ -328,6 +339,11 @@ def main(argv=None) -> int:
         return 2
     except LrHmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # inputs are read through ParseError, so this is an output that
+        # could not be written, e.g. an --out inside a missing directory
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 

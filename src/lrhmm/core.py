@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -59,7 +57,7 @@ class ObservationSequence:
     values : array, shape (T, M)
         Sensor readings; a 1-D array is treated as a single channel.
     dt : float
-        Sampling interval in seconds, > 0.
+        Sampling interval in seconds, finite and > 0.
     sensor_id : str
         Identifier of the sensor that produced the trial.
     trial_id : int
@@ -84,8 +82,8 @@ class ObservationSequence:
             raise UsageError("sequence must have at least one step and one channel")
         if not np.all(np.isfinite(values)):
             raise UsageError("sequence contains non-finite values")
-        if not self.dt > 0:
-            raise UsageError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise UsageError(f"dt must be positive and finite, got {self.dt}")
         if self.label not in (None, 1, 2):
             raise UsageError(f"label must be 1, 2 or None, got {self.label!r}")
         object.__setattr__(self, "values", _frozen_array(values))
@@ -139,44 +137,38 @@ class GaussianEmission:
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "covariance", _frozen_array(cov))
         object.__setattr__(self, "_chol", _frozen_array(chol))
-        object.__setattr__(self, "_log_det", 2.0 * float(np.log(np.diag(chol)).sum()))
 
     @property
     def n_dims(self) -> int:
         return self.mean.shape[0]
 
 
-class _EmissionTable:
-    """Stacked per-state emission parameters for vectorised log-density."""
+def _log_norms(chols: np.ndarray) -> np.ndarray:
+    """Gaussian log normalisers -(M log 2pi + log det) / 2 from Cholesky
+    factors (N, M, M): shape (N,)."""
+    log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (chols.shape[-1] * _LOG_2PI + log_dets)
 
-    def __init__(self, means: np.ndarray, chols: np.ndarray):
-        self.means = means                                          # (N, M)
-        self.chols = chols                                          # (N, M, M)
-        self.n_dims = means.shape[1]
-        log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-        self.log_norms = -0.5 * (self.n_dims * _LOG_2PI + log_dets)  # (N,)
 
-    @classmethod
-    def from_emissions(cls, emissions) -> "_EmissionTable":
-        return cls(np.stack([e.mean for e in emissions]),
-                   np.stack([e._chol for e in emissions]))
+def _log_b(values, means: np.ndarray, chols: np.ndarray,
+           log_norms: np.ndarray) -> np.ndarray:
+    """Log densities of ``values`` (..., M) under every state: (..., N).
 
-    def log_b(self, values: np.ndarray) -> np.ndarray:
-        """Log densities of ``values`` (..., M) under every state: (..., N)."""
-        values = np.asarray(values, dtype=float)
-        diff = values[..., None, :] - self.means                    # (..., N, M)
-        if self.n_dims == 1:
-            z = diff[..., 0] / self.chols[:, 0, 0]
-            quad = z * z
-        else:
-            lead = diff.shape[:-2]
-            n_states = self.means.shape[0]
-            quad = np.empty(lead + (n_states,))
-            flat = diff.reshape(-1, n_states, self.n_dims)
-            for j in range(n_states):
-                y = solve_triangular(self.chols[j], flat[:, j, :].T, lower=True)
-                quad[..., j] = (y * y).sum(axis=0).reshape(lead)
-        return self.log_norms - 0.5 * quad
+    ``means`` (N, M), ``chols`` (N, M, M) lower Cholesky factors and
+    ``log_norms`` (N,) stack the states.  The whitened difference y solves
+    L y = x - mean by forward substitution, one NumPy operation over all
+    states per entry of L.
+    """
+    values = np.asarray(values, dtype=float)
+    whitened = []
+    for i in range(means.shape[1]):
+        residual = values[..., i, None] - means[:, i]               # (..., N)
+        for k, y_k in enumerate(whitened):
+            residual = residual - chols[:, i, k] * y_k
+        y = residual / chols[:, i, i]
+        quad = y * y if i == 0 else quad + y * y
+        whitened.append(y)
+    return log_norms - 0.5 * quad
 
 
 def gaussian_log_density(x, emission: GaussianEmission) -> float:
@@ -192,8 +184,8 @@ def gaussian_log_density(x, emission: GaussianEmission) -> float:
         raise UsageError(
             f"observation shape {x.shape} does not match emission dimension {emission.n_dims}"
         )
-    table = _EmissionTable.from_emissions([emission])
-    return float(table.log_b(x[None, :])[0, 0])
+    chols = emission._chol[None]
+    return float(_log_b(x, emission.mean[None], chols, _log_norms(chols))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +194,10 @@ class LrHmmModel:
 
     ``log_pi`` and ``log_A`` store log probabilities with ``-inf`` for
     structural zeros.  ``emissions`` holds one :class:`GaussianEmission` per
-    state.  Instances are immutable; semantic invariants (stochastic rows,
-    band structure) are checked by :func:`validate_model`, not here.
+    state; ``means`` (N, M) and ``covariances`` (N, M, M) stack their
+    parameters as read-only arrays.  Instances are immutable; semantic
+    invariants (stochastic rows, band structure) are checked by
+    :func:`validate_model`, not here.
     """
 
     n_states: int
@@ -212,6 +206,8 @@ class LrHmmModel:
     log_A: np.ndarray
     emissions: tuple
     band_width: int = 1
+    means: np.ndarray = field(init=False, repr=False)
+    covariances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = self.n_states, self.n_dims
@@ -242,10 +238,12 @@ class LrHmmModel:
         object.__setattr__(self, "log_pi", _frozen_array(log_pi))
         object.__setattr__(self, "log_A", _frozen_array(log_A))
         object.__setattr__(self, "emissions", emissions)
-
-    @cached_property
-    def _table(self) -> _EmissionTable:
-        return _EmissionTable.from_emissions(self.emissions)
+        chols = np.stack([e._chol for e in emissions])
+        for name, stacked in (("means", np.stack([e.mean for e in emissions])),
+                              ("covariances", np.stack([e.covariance for e in emissions])),
+                              ("_chols", chols),
+                              ("_log_norms", _log_norms(chols))):
+            object.__setattr__(self, name, _frozen_array(stacked))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,16 +293,17 @@ def validate_model(model: LrHmmModel) -> list[str]:
     if not np.isfinite(pi_sum) or abs(pi_sum - 1.0) > ROW_SUM_TOL:
         violations.append(f"pi sums to {pi_sum!r}, expected 1")
 
-    for j, e in enumerate(model.emissions):
-        cov = e.covariance
-        scale = max(float(np.abs(cov).max()), np.finfo(float).tiny)
-        if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
+    covs = model.covariances
+    scale = np.maximum(np.abs(covs).max(axis=(1, 2)), np.finfo(float).tiny)
+    skew = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+    asymmetric = skew > SYMMETRY_RTOL * scale
+    min_eigs = np.linalg.eigvalsh(covs).min(axis=1)
+    for j in np.flatnonzero(asymmetric | ~(min_eigs > 0)):
+        if asymmetric[j]:
             violations.append(f"emission {j} covariance is not symmetric")
-            continue
-        min_eig = float(np.linalg.eigvalsh(cov).min())
-        if not min_eig > 0:
+        else:
             violations.append(f"emission {j} covariance is not positive definite "
-                              f"(min eigenvalue {min_eig!r})")
+                              f"(min eigenvalue {float(min_eigs[j])!r})")
     return violations
 
 
@@ -368,12 +367,16 @@ def save_model(model: LrHmmModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> LrHmmModel:
-    """Read a model file; raises ParseError if it cannot be read as text."""
+def _read_text(path, kind: str) -> str:
+    """Read an input file; raises ParseError if it cannot be read as text."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise ParseError(f"{path}: cannot read model file: {reason}") from None
-    return model_from_json(text)
+        raise ParseError(f"{path}: cannot read {kind} file: {reason}") from None
+
+
+def load_model(path) -> LrHmmModel:
+    """Read a model file; raises ParseError if it cannot be read as text."""
+    return model_from_json(_read_text(path, "model"))

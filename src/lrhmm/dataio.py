@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ObservationSequence, ParseError, UsageError
+from .core import ObservationSequence, ParseError, UsageError, _read_text
 
 RIGID_SENSOR_ID = "dr1"
 
@@ -133,7 +133,7 @@ def save_csv(seq: ObservationSequence, path) -> None:
 
 
 def _parse_file(path: Path) -> ObservationSequence:
-    lines = path.read_text().splitlines()
+    lines = _read_text(path, "sequence").splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty file")
     header = lines[0].strip()
@@ -154,6 +154,7 @@ def _parse_file(path: Path) -> ObservationSequence:
     meta: dict[str, str] = {}
     rows: list[list[float]] = []
     times: list[float] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -175,6 +176,7 @@ def _parse_file(path: Path) -> ObservationSequence:
             raise ParseError(f"{path}:{lineno}: non-finite value")
         times.append(numbers[0])
         rows.append(numbers[1:])
+        linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")
 
@@ -192,10 +194,20 @@ def _parse_file(path: Path) -> ObservationSequence:
 
     values = np.array(rows, dtype=float).reshape(len(rows), n_channels)
     try:
-        return ObservationSequence(values, dt, sensor_id=sensor_id,
-                                   trial_id=trial_id, label=label)
+        seq = ObservationSequence(values, dt, sensor_id=sensor_id,
+                                  trial_id=trial_id, label=label)
     except UsageError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    # Row i must lie within half a step of t0 + i * dt: a dropped,
+    # duplicated or reordered row, or a '# dt=' that contradicts the time
+    # column, breaks the grid; rounding on export does not.
+    expected = times[0] + np.arange(len(times)) * seq.dt
+    off_grid = np.flatnonzero(np.abs(np.array(times) - expected) > 0.5 * seq.dt)
+    if off_grid.size:
+        i = off_grid[0]
+        raise ParseError(f"{path}:{linenos[i]}: time {times[i]!r} is off the sampling "
+                         f"grid (expected {float(expected[i])!r} with dt={seq.dt!r})")
+    return seq
 
 
 def load_csv(path) -> list[ObservationSequence]:

@@ -64,9 +64,8 @@ def forecast(history: ObservationSequence, model_1: LrHmmModel,
         path[t] = state
 
     future = path[split:]
-    means = np.stack([winner.emissions[j].mean for j in future])
-    stddevs = np.stack([np.sqrt(np.diag(winner.emissions[j].covariance))
-                        for j in future])
+    means = winner.means[future]
+    stddevs = np.sqrt(np.diagonal(winner.covariances, axis1=1, axis2=2)[future])
     return ProbabilisticTrajectory(split, means, stddevs, decision.label, path)
 
 

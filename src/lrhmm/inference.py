@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import LrHmmModel, ObservationSequence, UsageError
+from .core import LrHmmModel, ObservationSequence, UsageError, _log_b
 from .training import _band_diagonals, _check_scorable, _forward
 
 
@@ -41,7 +41,7 @@ class ViterbiResult:
 def _forward_table(seq: ObservationSequence, model: LrHmmModel) -> np.ndarray:
     _check_scorable(seq, model)
     diags = _band_diagonals(model.log_A, model.band_width)
-    log_b = model._table.log_b(seq.values)
+    log_b = _log_b(seq.values, model.means, model._chols, model._log_norms)
     return _forward(log_b, model.log_pi, diags)
 
 
@@ -87,7 +87,7 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     n_steps, n_states = seq.n_steps, model.n_states
     band = model.band_width
     diags = _band_diagonals(model.log_A, band)
-    log_b = model._table.log_b(seq.values)
+    log_b = _log_b(seq.values, model.means, model._chols, model._log_norms)
 
     delta = np.empty((n_steps, n_states))
     psi = np.zeros((n_steps, n_states), dtype=int)

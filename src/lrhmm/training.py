@@ -26,7 +26,8 @@ from .core import (
     LrHmmModel,
     ObservationSequence,
     UsageError,
-    _EmissionTable,
+    _log_b,
+    _log_norms,
 )
 
 # A state whose total posterior mass falls below this is unusable: its
@@ -153,7 +154,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     """
     _check_scorable(seq, model)
     diags = _band_diagonals(model.log_A, model.band_width)
-    log_b = model._table.log_b(seq.values)                  # (T, N)
+    log_b = _log_b(seq.values, model.means, model._chols, model._log_norms)  # (T, N)
     log_alpha = _forward(log_b, model.log_pi, diags)
     log_beta = _backward(log_b, diags)
     ll = float(logsumexp(log_alpha[-1, :]))
@@ -377,8 +378,8 @@ def baum_welch(sequences, config: TrainingConfig,
     band_width = model0.band_width
     log_pi = model0.log_pi.copy()
     log_a = model0.log_A.copy()
-    means = np.stack([e.mean for e in model0.emissions])
-    covs = np.stack([e.covariance for e in model0.emissions])
+    means = model0.means
+    covs = model0.covariances
 
     chunk = max(1, _ESTEP_ELEMENTS // (n_steps * n_steps))
     starts = range(0, n_seq, chunk)
@@ -387,12 +388,13 @@ def baum_welch(sequences, config: TrainingConfig,
     converged = False
     previous = np.nan
     for _ in range(config.max_iterations):
-        table = _EmissionTable(means, np.linalg.cholesky(covs))
+        chols = np.linalg.cholesky(covs)
+        log_norms = _log_norms(chols)
         diags = _band_diagonals(log_a, band_width)
         stats = _Statistics(means, len(diags))
         for lo in starts:
             part = slice(lo, lo + chunk)
-            log_b = table.log_b(x[part])                    # (chunk, T, N)
+            log_b = _log_b(x[part], means, chols, log_norms)    # (chunk, T, N)
             log_alpha = _forward(log_b, log_pi, diags)
             log_lik[part] = logsumexp(log_alpha[:, -1, :], axis=-1)
             if lo != starts[-1]:

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from lrhmm import ObservationSequence, UsageError, classify, load_csv, load_model
+from lrhmm import (
+    ObservationSequence,
+    ParseError,
+    UsageError,
+    classify,
+    load_csv,
+    load_model,
+)
 from lrhmm.cli import parse_durations, read_config
 from helpers import run_cli
 
@@ -213,6 +220,52 @@ def test_bad_config_file_exits_with_2(workspace, tmp_path):
     assert "key=value" in result.stderr
 
 
+def test_missing_config_file_exits_with_1(tmp_path):
+    result = run_cli("generate", "--config", tmp_path / "missing.cfg",
+                     "--out", tmp_path / "d")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "missing.cfg" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--duration", "nan"],
+    ["classify", "--duration", "inf"],
+    ["forecast", "--history", "nan"],
+], ids=["classify-nan", "classify-inf", "forecast-nan"])
+def test_non_finite_duration_exits_with_2(workspace, tmp_path, command):
+    result = run_cli(*command, "--model1", workspace / "m1.json",
+                     "--model2", workspace / "m2.json",
+                     "--input", workspace / "data" / "df2-class1-trial000.csv",
+                     "--out", tmp_path / "out.csv")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_non_finite_durations_range_exits_with_2(workspace, tmp_path):
+    result = run_cli("accuracy-curve", "--data", workspace / "data",
+                     "--durations", "0:inf:0.1", "--out", tmp_path / "a.csv")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "classify", "forecast"])
+def test_output_in_missing_directory_exits_with_1(workspace, tmp_path, command):
+    recording = workspace / "data" / "df2-class1-trial000.csv"
+    models = ["--model1", workspace / "m1.json", "--model2", workspace / "m2.json"]
+    args = {"train": ["--data", workspace / "data", "--label", 1, "--sensor", "df2"],
+            "classify": [*models, "--input", recording],
+            "forecast": [*models, "--input", recording, "--history", 0.1]}[command]
+    out = tmp_path / "missing" / "out.csv"
+    result = run_cli(command, *args, "--out", out)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {out}: ")
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # helper parsing (in process)
 # ---------------------------------------------------------------------------
@@ -227,7 +280,8 @@ def test_parse_durations_comma_list():
 
 
 @pytest.mark.parametrize("spec", ["", "a:b:c", "0.1:0.5", "0.5:0.1:0.1",
-                                  "0.1:0.5:0", "x,y"])
+                                  "0.1:0.5:0", "x,y", "0:inf:0.1", "0:nan:0.1",
+                                  "0.1,inf"])
 def test_parse_durations_rejects_bad_specs(spec):
     with pytest.raises(UsageError):
         parse_durations(spec)
@@ -244,3 +298,12 @@ def test_read_config_rejects_non_assignments(tmp_path):
     cfg.write_text("noise_std 0.05\n")
     with pytest.raises(UsageError, match="c.cfg:1"):
         read_config(cfg)
+
+
+def test_read_config_reports_an_unreadable_file_as_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="missing.cfg"):
+        read_config(tmp_path / "missing.cfg")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError, match="binary.cfg"):
+        read_config(binary)

@@ -18,6 +18,7 @@ from lrhmm import (
     save_model,
     validate_model,
 )
+from lrhmm.core import _log_b
 from helpers import oracle_log_density, random_banded_model, random_spd
 
 
@@ -58,6 +59,7 @@ def test_sequence_copies_and_freezes_values():
     dict(values=np.zeros((3, 1)), dt=0.0),
     dict(values=np.zeros((3, 1)), dt=-1.0),
     dict(values=np.zeros((3, 1)), dt=0.1, label=3),
+    dict(values=np.zeros((3, 1)), dt=np.inf),
 ])
 def test_sequence_rejects_bad_input(bad):
     with pytest.raises(UsageError):
@@ -136,6 +138,48 @@ def test_emission_rejects_non_finite_and_bad_shapes():
         GaussianEmission(np.zeros(2), np.eye(3))
     with pytest.raises(UsageError):
         GaussianEmission(np.zeros((2, 2)), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# the stacked emission kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["M", "TxM", "KxTxM"])
+def test_log_b_matches_the_oracle(n_dims, lead):
+    rng = np.random.default_rng(60 + n_dims)
+    model = random_banded_model(rng, 6, n_dims)
+    # each point sits near one state's mean or 30 standard deviations out
+    owner = rng.integers(0, 6, lead)
+    scale = rng.choice([1e-3, 30.0], lead)[..., None]
+    values = (model.means[owner] + scale * np.einsum(
+        "...ij,...j->...i", model._chols[owner], rng.normal(0.0, 1.0, lead + (n_dims,))))
+    got = _log_b(values, model.means, model._chols, model._log_norms)
+    assert got.shape == lead + (6,)
+    expected = np.array([[oracle_log_density(x, e.mean, e.covariance)
+                          for e in model.emissions]
+                         for x in values.reshape(-1, n_dims)]).reshape(got.shape)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_log_b_is_the_division_formula_for_one_channel():
+    rng = np.random.default_rng(64)
+    model = random_banded_model(rng, 9, 1)
+    values = rng.normal(0.0, 3.0, (4, 9, 1))
+    z = (values - model.means[:, 0]) / model._chols[:, 0, 0]
+    expected = model._log_norms - 0.5 * (z * z)
+    assert np.array_equal(_log_b(values, model.means, model._chols, model._log_norms),
+                          expected)
+
+
+def test_model_stacks_emission_parameters_read_only():
+    rng = np.random.default_rng(65)
+    model = random_banded_model(rng, 4, 3)
+    assert np.array_equal(model.means, np.stack([e.mean for e in model.emissions]))
+    assert np.array_equal(model.covariances,
+                          np.stack([e.covariance for e in model.emissions]))
+    for stacked in (model.means, model.covariances, model._chols, model._log_norms):
+        assert not stacked.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,32 @@ def test_dt_inferred_from_time_column(tmp_path):
     ("t,df2_c0\n0.0,1.0,9.0\n", 2),                # ragged row
     ("t,df2_c0\n0.0,abc\n", 2),                    # non-numeric cell
     ("t,df2_c0\n0.0,1.0\n0.1,inf\n", 3),           # non-finite value
+    ("t,df2_c0\n0.0,1.0\n0.1,2.0\n0.3,3.0\n", 4),                # dropped row
+    ("t,df2_c0\n0.0,1.0\n0.1,2.0\n0.1,2.0\n0.2,3.0\n", 4),      # duplicated row
+    ("t,df2_c0\n0.0,1.0\n0.1,2.0\n0.2,3.0\n0.1,4.0\n", 5),      # time runs backwards
+    ("t,df2_c0\n# dt=0.05\n0.0,1.0\n0.1,2.0\n0.2,3.0\n", 4),    # dt contradicts times
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ParseError, match=f"bad.csv:{lineno}"):
+        load_csv(path)
+
+
+def test_time_column_rounded_on_export_loads(tmp_path):
+    # dt = 1/30 s with times rounded to milliseconds: off the exact grid by
+    # up to half a millisecond, far less than half a step
+    rows = "".join(f"{round(i / 30, 3)},{float(i)}\n" for i in range(90))
+    (tmp_path / "t.csv").write_text(f"t,df2_c0\n# dt={1 / 30!r}\n{rows}")
+    [seq] = load_csv(tmp_path / "t.csv")
+    assert seq.n_steps == 90
+    assert seq.dt == 1 / 30
+
+
+def test_undecodable_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"t,df2_c0\n0.0,\xff\xfe\n")
+    with pytest.raises(ParseError, match="binary.csv: cannot read sequence file"):
         load_csv(path)
 
 

@@ -135,6 +135,20 @@ def test_forecast_csv_layout(tmp_path):
     assert cells[5] == "1"
 
 
+def test_forecast_reads_the_winner_emissions_exactly():
+    rng = np.random.default_rng(42)
+    model_1 = random_banded_model(rng, 8, 3, band_width=2)
+    model_2 = random_banded_model(rng, 8, 3, band_width=2)
+    for split in (1, 4, 7):
+        history = ObservationSequence(rng.normal(0.0, 2.0, (split, 3)), 0.05)
+        traj = forecast(history, model_1, model_2)
+        winner = model_1 if traj.class_label == 1 else model_2
+        future = [winner.emissions[j] for j in traj.state_path[split:]]
+        assert np.array_equal(traj.means, np.stack([e.mean for e in future]))
+        assert np.array_equal(traj.stddevs,
+                              np.stack([np.sqrt(np.diag(e.covariance)) for e in future]))
+
+
 def test_forecast_with_multichannel_emissions(tmp_path):
     rng = np.random.default_rng(41)
     model_1 = random_banded_model(rng, 5, 2)

@@ -46,15 +46,22 @@ def test_forced_path_likelihood_is_a_density_sum():
     assert abs(log_likelihood(seq, model) - expected) < 1e-12
 
 
-def test_likelihood_matches_enumeration():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
+def _check_likelihood_against_enumeration(rng, n_models, n_dims):
+    for _ in range(n_models):
         n_states = int(rng.integers(1, 5))
         n_steps = int(rng.integers(1, n_states + 1))
-        model = random_banded_model(rng, n_states, 2,
+        model = random_banded_model(rng, n_states, n_dims,
                                     band_width=int(rng.integers(1, 3)))
-        seq = ObservationSequence(rng.normal(0.0, 2.0, (n_steps, 2)), 0.025)
+        seq = ObservationSequence(rng.normal(0.0, 2.0, (n_steps, n_dims)), 0.025)
         assert abs(log_likelihood(seq, model) - enum_log_likelihood(seq.values, model)) < 1e-9
+
+
+def test_likelihood_matches_enumeration():
+    _check_likelihood_against_enumeration(np.random.default_rng(21), 20, 2)
+
+
+def test_likelihood_matches_enumeration_with_three_channels():
+    _check_likelihood_against_enumeration(np.random.default_rng(24), 10, 3)
 
 
 def test_prefix_likelihoods_match_truncated_scoring():
@@ -154,12 +161,12 @@ def test_classify_is_reliable_at_wide_separation():
 # Viterbi decoding
 # ---------------------------------------------------------------------------
 
-def test_viterbi_matches_enumeration():
-    rng = np.random.default_rng(30)
-    for _ in range(30):
+def _check_viterbi_against_enumeration(rng, n_models, dims):
+    """``dims`` is the [low, high) range each model draws its channel count from."""
+    for _ in range(n_models):
         n_states = int(rng.integers(1, 5))
         n_steps = int(rng.integers(1, n_states + 1))
-        n_dims = int(rng.integers(1, 3))
+        n_dims = int(rng.integers(*dims))
         model = random_banded_model(rng, n_states, n_dims,
                                     band_width=int(rng.integers(1, 3)),
                                     canonical_pi=bool(rng.integers(0, 2)))
@@ -168,6 +175,14 @@ def test_viterbi_matches_enumeration():
         ref_path, ref_score = enum_viterbi(seq.values, model)
         assert np.array_equal(result.path, ref_path)
         assert abs(result.log_prob - ref_score) < 1e-9
+
+
+def test_viterbi_matches_enumeration():
+    _check_viterbi_against_enumeration(np.random.default_rng(30), 30, (1, 3))
+
+
+def test_viterbi_matches_enumeration_with_three_channels():
+    _check_viterbi_against_enumeration(np.random.default_rng(32), 10, (3, 4))
 
 
 def test_viterbi_path_is_monotone_within_the_band():
