@@ -22,6 +22,7 @@ from .core import (
     LrHmmError,
     ObservationSequence,
     UsageError,
+    _grid_steps,
     _read_text,
     load_model,
     save_model,
@@ -212,9 +213,7 @@ def _cmd_train(args) -> None:
 def _truncated(seq, duration_s: float | None):
     if duration_s is None:
         return seq
-    if not math.isfinite(duration_s):
-        raise UsageError(f"duration must be finite, got {duration_s}")
-    steps = int(round(duration_s / seq.dt))
+    steps = _grid_steps(duration_s, seq.dt)
     if not 1 <= steps <= seq.n_steps:
         raise UsageError(
             f"duration {duration_s} s maps to {steps} steps, needs 1 <= steps "

@@ -21,6 +21,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 ROW_SUM_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
+# Largest distance, in sampling steps, of a duration from the sampling grid.
+_GRID_TOL_STEPS = 1e-6
+
 
 class LrHmmError(Exception):
     """Base class for all errors raised by this package."""
@@ -100,6 +103,20 @@ class ObservationSequence:
     @property
     def duration_s(self) -> float:
         return self.n_steps * self.dt
+
+
+def _grid_steps(duration_s: float, dt: float) -> int:
+    """The number of sampling steps of ``dt`` seconds in ``duration_s``.
+
+    Raises UsageError unless the duration lies on the sampling grid (to
+    ``_GRID_TOL_STEPS``): rounding 2.5 steps to 2 would silently score a
+    shorter history than the one asked for.
+    """
+    steps = duration_s / dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > _GRID_TOL_STEPS:
+        raise UsageError(f"duration {duration_s} s is {steps:.6g} steps of {dt} s, "
+                         "not a whole number of sampling steps")
+    return round(steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,13 +302,14 @@ def validate_model(model: LrHmmModel) -> list[str]:
     row_sums = a.sum(axis=1)
     for i, s in enumerate(row_sums):
         if not np.isfinite(s) or abs(s - 1.0) > ROW_SUM_TOL:
-            violations.append(f"row {i} of A sums to {s!r}, expected 1")
+            violations.append(f"row {i} of A sums to {float(s)!r}, expected 1")
     if abs(a[n - 1, n - 1] - 1.0) > ROW_SUM_TOL:
-        violations.append(f"final state is not absorbing (self-transition {a[n - 1, n - 1]!r})")
+        violations.append("final state is not absorbing "
+                          f"(self-transition {float(a[n - 1, n - 1])!r})")
 
     pi_sum = pi.sum()
     if not np.isfinite(pi_sum) or abs(pi_sum - 1.0) > ROW_SUM_TOL:
-        violations.append(f"pi sums to {pi_sum!r}, expected 1")
+        violations.append(f"pi sums to {float(pi_sum)!r}, expected 1")
 
     covs = model.covariances
     scale = np.maximum(np.abs(covs).max(axis=(1, 2)), np.finfo(float).tiny)

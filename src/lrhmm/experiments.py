@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DegenerateStateError, ModelError, ObservationSequence, UsageError
+from .core import (
+    DegenerateStateError,
+    ModelError,
+    ObservationSequence,
+    UsageError,
+    _grid_steps,
+)
 from .dataio import SyntheticConfig, generate_synthetic, load_csv, preprocess
 from .distance import cross_fitness_distance
 from .forecasting import forecast, write_forecast_csv
@@ -184,7 +190,7 @@ def _common_dt(datasets) -> float:
 
 
 def _duration_steps(durations, dt: float, n_steps: int) -> np.ndarray:
-    steps = np.array([int(round(d / dt)) for d in durations])
+    steps = np.array([_grid_steps(d, dt) for d in durations])
     if steps.min() < 1:
         raise UsageError("a history duration is shorter than one sampling step")
     if steps.max() > n_steps:
@@ -333,7 +339,7 @@ def run_forecast_demo(config: ExperimentConfig, history_s: float,
     for sensor in sorted(datasets):
         class_1, class_2 = datasets[sensor]
         n_steps = class_1[0].n_steps
-        split = int(round(history_s / dt))
+        split = _grid_steps(history_s, dt)
         if not 1 <= split < n_steps:
             raise UsageError(
                 f"history of {history_s} s maps to {split} steps, needs 1 <= "

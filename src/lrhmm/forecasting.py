@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LrHmmModel, ObservationSequence, UsageError
-from .inference import classify, viterbi
+from .inference import _shared_emissions, classify, viterbi
 
 FORECAST_CSV_HEADER = "time_s,channel,mean,lower,upper,class"
 
@@ -49,10 +49,10 @@ def forecast(history: ObservationSequence, model_1: LrHmmModel,
             f"history of {history.n_steps} steps already spans the model horizon "
             f"of {n_states} states; nothing to forecast")
 
-    decision = classify(history, model_1, model_2)
-    winner = model_1 if decision.label == 1 else model_2
-
-    prefix = viterbi(history, winner).path
+    with _shared_emissions():       # decoding reuses the winner's scores
+        decision = classify(history, model_1, model_2)
+        winner = model_1 if decision.label == 1 else model_2
+        prefix = viterbi(history, winner).path
     split = history.n_steps
     path = np.empty(n_states, dtype=int)
     path[:split] = prefix

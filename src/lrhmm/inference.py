@@ -8,6 +8,8 @@ is a usage error.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +40,38 @@ class ViterbiResult:
     log_prob: float
 
 
-def _forward_table(seq: ObservationSequence, model: LrHmmModel) -> np.ndarray:
+# Log emission densities kept for the scorers called inside one
+# ``_shared_emissions`` block, keyed by the identities of the sequence and the
+# model; the caller of the block holds both, so the identities stay unique.
+_emission_memo: ContextVar[dict | None] = ContextVar("_emission_memo", default=None)
+
+
+@contextmanager
+def _shared_emissions():
+    """Score each (sequence, model) pair's emissions at most once in this block."""
+    token = _emission_memo.set({})
+    try:
+        yield
+    finally:
+        _emission_memo.reset(token)
+
+
+def _emissions(seq: ObservationSequence, model: LrHmmModel) -> np.ndarray:
+    """Log densities (T, N) of a scorable ``seq`` under every state of ``model``."""
     _check_scorable(seq, model)
-    diags = _band_diagonals(model.log_A, model.band_width)
+    memo = _emission_memo.get()
+    key = (id(seq), id(model))
+    if memo is not None and key in memo:
+        return memo[key]
     log_b = _log_b(seq.values, model.means, model._chols, model._log_norms)
-    return _forward(log_b, model.log_pi, diags)
+    if memo is not None:
+        memo[key] = log_b
+    return log_b
+
+
+def _forward_table(seq: ObservationSequence, model: LrHmmModel) -> np.ndarray:
+    diags = _band_diagonals(model.log_A, model.band_width)
+    return _forward(_emissions(seq, model), model.log_pi, diags)
 
 
 def log_likelihood(seq: ObservationSequence, model: LrHmmModel) -> float:
@@ -83,11 +112,10 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     All argmax ties (per-step predecessor choice and the final state) break
     toward the lowest state index, so decoding is deterministic.
     """
-    _check_scorable(seq, model)
+    log_b = _emissions(seq, model)
     n_steps, n_states = seq.n_steps, model.n_states
     band = model.band_width
     diags = _band_diagonals(model.log_A, band)
-    log_b = _log_b(seq.values, model.means, model._chols, model._log_norms)
 
     delta = np.empty((n_steps, n_states))
     psi = np.zeros((n_steps, n_states), dtype=int)

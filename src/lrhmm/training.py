@@ -2,10 +2,13 @@
 
 The model has as many states as the training sequences have time steps, so
 the initializer can seed each state's emission from the cross-sequence
-statistics of the matching step.  All recursions run in log space over the
-transition band only; expectation quantities are accumulated over sequences
-in a canonical order (sorted by ``trial_id``) so that training results do
-not depend on how the caller happened to order the input list.
+statistics of the matching step.  All recursions run over the transition
+band only.  The forward recursion runs in log space and is exact; the
+E-step's backward pass runs in probability space on the filtered forward
+variables, and a sequence whose posteriors fail an exact normalisation
+check is redone in log space.  Expectation quantities are accumulated over
+sequences in a canonical order (sorted by ``trial_id``) so that training
+results do not depend on how the caller happened to order the input list.
 
 Training memory is bounded per chunk of sequences, not per data set: each
 EM iteration runs the E-step on a few sequences at a time and keeps only
@@ -33,6 +36,16 @@ from .core import (
 # A state whose total posterior mass falls below this is unusable: its
 # emission update would divide by (numerical) zero.
 DEGENERATE_MASS = 1e-12
+
+# Largest deviation of a sequence's state posteriors from summing to one at
+# any step for which the probability-space backward pass is trusted.
+# Rounding drift reaches about 2e-11 over 800 steps; an underflow loses more.
+_POSTERIOR_SUM_TOL = 1e-9
+
+# NumPy's exp is several times slower on arguments whose result underflows,
+# so the probability-space E-step flushes results below exp(-700) to zero.
+# Flushing only removes mass, which the posterior-sum check above detects.
+_EXP_FLOOR = -700.0
 
 # Absolute floor for the covariance regularization increment.
 _COV_EPS_ABS = 1e-9
@@ -143,6 +156,70 @@ def _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik):
     return sums
 
 
+def _exp_flushed(x: np.ndarray) -> np.ndarray:
+    """exp(x), with results below exp(_EXP_FLOOR) flushed to exactly 0."""
+    out = np.exp(np.maximum(x, _EXP_FLOOR))
+    out *= x > _EXP_FLOOR
+    return out
+
+
+def _posteriors(log_b, log_alpha, log_lik, log_pi, diags):
+    """State posteriors (K, T, N) and per-diagonal pairwise posterior sums of
+    a chunk of K sequences, from their exact log forward variables.
+
+    The backward pass runs in probability space over the states the band
+    lets the forward reach, on the filtered forward variables alpha_hat_t =
+    alpha_t / P(x_0..t) and on the emissions divided by the forward's
+    per-step scale c_t = P(x_t | x_0..t-1).  The forward is exact and every
+    term is non-negative, so a backward underflow shows as a deficit in
+    sum_i alpha_hat_ti beta_hat_ti = 1 and an overflow as a non-finite sum.
+    Sequences that fail this check at any step are redone in log space.
+    """
+    n_steps, n_states = log_b.shape[1:]
+    a_diags = [np.exp(diag) for diag in diags]
+    starts = np.flatnonzero(log_pi > -np.inf)
+    first = starts[-1] + 1 if starts.size else n_states
+    reach = np.minimum(first + (len(diags) - 1) * np.arange(n_steps), n_states)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        peak = log_alpha.max(axis=2, keepdims=True)
+        alpha = _exp_flushed(log_alpha - peak)
+        norm = alpha.sum(axis=2, keepdims=True)
+        alpha /= norm
+        log_scale = np.diff(peak + np.log(norm), axis=1, prepend=0.0)
+        weighted = _exp_flushed(log_b - log_scale)      # b_hat, then b_hat * beta_hat
+        weighted[:, np.arange(n_states) >= reach[:, None]] = 0.0
+
+        gamma = np.zeros_like(alpha)                    # beta_hat, then gamma
+        gamma[:, -1, :] = 1.0
+        for t in range(n_steps - 2, -1, -1):
+            r = reach[t]
+            nxt = weighted[:, t + 1, :]
+            beta = gamma[:, t, :r]
+            np.multiply(nxt[:, :r], a_diags[0][:r], out=beta)
+            for d in range(1, len(a_diags)):
+                hi = min(r, n_states - d)
+                if hi > 0:
+                    beta[:, :hi] += a_diags[d][:hi] * nxt[:, d:hi + d]
+            weighted[:, t, :r] *= beta
+        gamma *= alpha
+        sums = gamma.sum(axis=2)
+        ok = np.all(np.abs(sums - 1.0) <= _POSTERIOR_SUM_TOL, axis=1)
+        gamma /= sums[:, :, None]
+
+    if not ok.all():
+        alpha, weighted = alpha[ok], weighted[ok]
+    xi = [np.einsum("ktn,ktn->n", alpha[:, :-1, :a_d.size], weighted[:, 1:, d:]) * a_d
+          for d, a_d in enumerate(a_diags)]
+    if not ok.all():
+        bad = ~ok
+        log_beta = _backward(log_b[bad], diags)
+        gamma[bad] = _state_posteriors(log_alpha[bad], log_beta)
+        for total, term in zip(xi, _xi_prob_sums(log_alpha[bad], log_beta, log_b[bad],
+                                                 diags, log_lik[bad])):
+            total += term
+    return gamma, xi
+
+
 def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBackwardCache:
     """Run the forward-backward recursions for one sequence.
 
@@ -150,28 +227,24 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     it must not be longer.  Returns the log forward/backward variables, the
     state posteriors, the (N, N) log sum of pairwise transition posteriors
     over t = 1..T-1, and the forward log-likelihood (summed over all states
-    at the final step).
+    at the final step).  Posteriors come from the E-step that training runs.
     """
     _check_scorable(seq, model)
     diags = _band_diagonals(model.log_A, model.band_width)
-    log_b = _log_b(seq.values, model.means, model._chols, model._log_norms)  # (T, N)
+    log_b = _log_b(seq.values[None], model.means, model._chols,
+                   model._log_norms)                            # (1, T, N)
     log_alpha = _forward(log_b, model.log_pi, diags)
-    log_beta = _backward(log_b, diags)
-    ll = float(logsumexp(log_alpha[-1, :]))
-    gamma = _state_posteriors(log_alpha, log_beta)
+    log_lik = logsumexp(log_alpha[:, -1, :], axis=-1)
+    gamma, xi = _posteriors(log_b, log_alpha, log_lik, model.log_pi, diags)
 
     n = model.n_states
     log_xi = np.full((n, n), -np.inf)
-    if seq.n_steps > 1:
-        for d, diag in enumerate(diags):
-            if diag.size == 0:
-                continue
-            hi = n - d
-            vals = (log_alpha[:-1, :hi] + diag
-                    + log_b[1:, d:] + log_beta[1:, d:] - ll)     # (T-1, N-d)
-            idx = np.arange(hi)
-            log_xi[idx, idx + d] = logsumexp(vals, axis=0)
-    return ForwardBackwardCache(log_alpha, log_beta, gamma, log_xi, ll)
+    with np.errstate(divide="ignore"):
+        for d, sums in enumerate(xi):
+            idx = np.arange(sums.size)
+            log_xi[idx, idx + d] = np.log(sums)
+    return ForwardBackwardCache(log_alpha[0], _backward(log_b, diags)[0], gamma[0],
+                                log_xi, float(log_lik[0]))
 
 
 def _check_scorable(seq: ObservationSequence, model: LrHmmModel) -> None:
@@ -283,20 +356,24 @@ class _Statistics:
         self.second = np.zeros((n_states, n_dims, n_dims))  # about ref_means
         self.xi = [np.zeros(max(n_states - d, 0)) for d in range(n_diags)]
 
-    def add(self, x, log_b, log_alpha, log_lik, diags) -> None:
+    def add(self, x, log_b, log_alpha, log_lik, log_pi, diags) -> None:
         """Finish the E-step of one chunk of sequences and add its sums."""
-        log_beta = _backward(log_b, diags)
-        gamma = _state_posteriors(log_alpha, log_beta)
-        for total, term in zip(self.xi, _xi_prob_sums(log_alpha, log_beta, log_b,
-                                                      diags, log_lik)):
+        gamma, xi = _posteriors(log_b, log_alpha, log_lik, log_pi, diags)
+        for total, term in zip(self.xi, xi):
             total += term
-        diffs = x[:, :, None, :] - self.ref_means           # (chunk, T, N, M)
         self.n_sequences += x.shape[0]
         self.gamma0 += gamma[:, 0, :].sum(axis=0)
         self.mass += gamma.sum(axis=(0, 1))
         self.first += np.einsum("ktn,ktm->nm", gamma, x)
-        self.second += np.einsum("ktn,ktnm,ktnp->nmp", gamma, diffs, diffs,
-                                 optimize=True)
+        # one (chunk, T, N) contraction per channel pair: a single einsum over
+        # (chunk, T, N, M) differences runs an inner loop of length M
+        diffs = [x[:, :, m, None] - self.ref_means[:, m] for m in range(x.shape[2])]
+        for m, diff_m in enumerate(diffs):
+            for p in range(m + 1):
+                term = np.einsum("ktn,ktn,ktn->n", gamma, diff_m, diffs[p])
+                self.second[:, m, p] += term
+                if p != m:
+                    self.second[:, p, m] += term
 
 
 def _m_step(stats: _Statistics, log_a_old, eps_rel):
@@ -398,7 +475,7 @@ def baum_welch(sequences, config: TrainingConfig,
             log_alpha = _forward(log_b, log_pi, diags)
             log_lik[part] = logsumexp(log_alpha[:, -1, :], axis=-1)
             if lo != starts[-1]:
-                stats.add(x[part], log_b, log_alpha, log_lik[part], diags)
+                stats.add(x[part], log_b, log_alpha, log_lik[part], log_pi, diags)
         total = float(log_lik.sum())
         trace.append(total)
         if len(trace) > 1 and _relative_change(total, previous) < config.loglik_rel_tolerance:
@@ -408,7 +485,7 @@ def baum_welch(sequences, config: TrainingConfig,
 
         # The last chunk's posteriors wait for the convergence test, so a
         # single-chunk fit skips them in its final iteration.
-        stats.add(x[part], log_b, log_alpha, log_lik[part], diags)
+        stats.add(x[part], log_b, log_alpha, log_lik[part], log_pi, diags)
         log_pi, log_a, means, covs = _m_step(stats, log_a, config.covariance_floor_eps)
 
     emissions = tuple(GaussianEmission(means[j], covs[j]) for j in range(n_steps))

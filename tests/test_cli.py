@@ -244,6 +244,22 @@ def test_non_finite_duration_exits_with_2(workspace, tmp_path, command):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["classify", "--duration", "0.0625"],
+    ["forecast", "--history", "0.0625"],
+], ids=["classify", "forecast"])
+def test_off_grid_duration_exits_with_2(workspace, tmp_path, command):
+    # 0.0625 s is 2.5 sampling steps of 0.025 s
+    result = run_cli(*command, "--model1", workspace / "m1.json",
+                     "--model2", workspace / "m2.json",
+                     "--input", workspace / "data" / "df2-class1-trial000.csv",
+                     "--out", tmp_path / "out.csv")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "whole number of sampling steps" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_non_finite_durations_range_exits_with_2(workspace, tmp_path):
     result = run_cli("accuracy-curve", "--data", workspace / "data",
                      "--durations", "0:inf:0.1", "--out", tmp_path / "a.csv")

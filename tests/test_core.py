@@ -218,6 +218,22 @@ def test_validate_flags_bad_row_sum():
     assert "row 1" in problems[0]
 
 
+def test_validate_messages_print_plain_numbers():
+    model = _canonical_model()
+    log_a = np.array(model.log_A)
+    log_a[0, :2] = math.log(0.25)     # row 0 halved
+    log_a[2, 2] = math.log(0.5)       # final state no longer absorbing
+    log_pi = np.array(model.log_pi)
+    log_pi[0] = math.log(0.5)
+    bad = LrHmmModel(3, 1, log_pi, log_a, model.emissions, 1)
+    assert validate_model(bad) == [
+        "row 0 of A sums to 0.5, expected 1",
+        "row 2 of A sums to 0.5, expected 1",
+        "final state is not absorbing (self-transition 0.5)",
+        "pi sums to 0.5, expected 1",
+    ]
+
+
 def test_validate_flags_out_of_band_transition():
     model = _canonical_model()
     log_a = np.array(model.log_A)

@@ -222,6 +222,14 @@ def test_accuracy_rejects_out_of_range_durations():
         run_accuracy_experiment(_config(history_durations=(0.001,)))
 
 
+def test_off_grid_durations_are_rejected(tmp_path):
+    # 0.0625 s is 2.5 steps of 0.025 s; rounding would score 2 steps
+    with pytest.raises(UsageError, match="whole number of sampling steps"):
+        run_accuracy_experiment(_config(history_durations=(0.05, 0.0625)))
+    with pytest.raises(UsageError, match="whole number of sampling steps"):
+        run_forecast_demo(_config(), 0.0625, tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # distance experiment
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import lrhmm.inference
 from lrhmm import (
     FORECAST_CSV_HEADER,
     GaussianEmission,
     LrHmmModel,
     ObservationSequence,
     UsageError,
+    classify,
     export_forecast,
     forecast,
+    log_likelihood,
+    viterbi,
     write_forecast_csv,
 )
 from helpers import random_banded_model
@@ -147,6 +151,32 @@ def test_forecast_reads_the_winner_emissions_exactly():
         assert np.array_equal(traj.means, np.stack([e.mean for e in future]))
         assert np.array_equal(traj.stddevs,
                               np.stack([np.sqrt(np.diag(e.covariance)) for e in future]))
+
+
+def test_forecast_scores_each_model_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    model_1 = random_banded_model(rng, 6, 2)
+    model_2 = random_banded_model(rng, 6, 2)
+    history = ObservationSequence(rng.normal(0.0, 1.0, (3, 2)), 0.05)
+    label = classify(history, model_1, model_2).label
+    path = viterbi(history, model_1 if label == 1 else model_2).path
+
+    scored = []
+    real_log_b = lrhmm.inference._log_b
+
+    def counting_log_b(values, means, *rest):
+        scored.append(means)
+        return real_log_b(values, means, *rest)
+
+    monkeypatch.setattr(lrhmm.inference, "_log_b", counting_log_b)
+    traj = forecast(history, model_1, model_2)
+    assert traj.class_label == label
+    assert np.array_equal(traj.state_path[:3], path)
+    assert len(scored) == 2
+    assert scored[0] is model_1.means and scored[1] is model_2.means
+    # the shared scores do not outlive the forecast
+    log_likelihood(history, model_1)
+    assert len(scored) == 3
 
 
 def test_forecast_with_multichannel_emissions(tmp_path):

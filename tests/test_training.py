@@ -11,10 +11,12 @@ from lrhmm import (
     GaussianEmission,
     LrHmmModel,
     ObservationSequence,
+    SyntheticConfig,
     TrainingConfig,
     UsageError,
     baum_welch,
     forward_backward,
+    generate_synthetic,
     initialize_model,
     validate_model,
 )
@@ -265,6 +267,134 @@ def test_training_memory_does_not_grow_with_the_number_of_sequences():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# probability-space E-step against the log-space path
+# ---------------------------------------------------------------------------
+
+def _crank_recordings(label, n_steps, n_sequences=6):
+    """Recordings of the calibrated class pair (dr1, the rigid sensor)."""
+    cfg = SyntheticConfig(omega=(1.05 if label == 1 else 1.48) * math.pi,
+                          artifact_phase_lag=math.pi / 2 + (0.04 if label == 2 else -0.04),
+                          noise_std=0.015, duration_s=n_steps * 0.025, dt=0.025,
+                          n_sequences=n_sequences, random_start_phase=False,
+                          rng_seed=100 * label + n_steps)
+    return generate_synthetic(cfg, (), label)["dr1"]
+
+
+def _fit_both_ways(monkeypatch, seqs, config, initial_model=None):
+    """Fit twice: as shipped and forced onto the log-space backward pass.
+
+    Returns both fits and the number of sequences the shipped fit sent
+    through the log-space path.
+    """
+    fallback_rows = []
+    log_backward = lrhmm.training._backward
+
+    def counting_backward(log_b, diags):
+        fallback_rows.append(log_b.shape[0])
+        return log_backward(log_b, diags)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lrhmm.training, "_backward", counting_backward)
+        fit = baum_welch(seqs, config, initial_model=initial_model)
+    with monkeypatch.context() as patch:
+        # no sequence passes a negative tolerance
+        patch.setattr(lrhmm.training, "_POSTERIOR_SUM_TOL", -1.0)
+        log_fit = baum_welch(seqs, config, initial_model=initial_model)
+    return fit, log_fit, sum(fallback_rows)
+
+
+def _assert_same_fit(fit, log_fit):
+    (model, trace), (log_model, log_trace) = fit, log_fit
+    assert trace.iterations_run == log_trace.iterations_run
+    np.testing.assert_allclose(trace.log_likelihoods, log_trace.log_likelihoods,
+                               rtol=1e-10)
+    with np.errstate(over="ignore"):
+        np.testing.assert_allclose(np.exp(model.log_pi), np.exp(log_model.log_pi),
+                                   rtol=1e-10, atol=1e-300)
+        np.testing.assert_allclose(np.exp(model.log_A), np.exp(log_model.log_A),
+                                   rtol=1e-10, atol=1e-300)
+    np.testing.assert_allclose(model.means, log_model.means, rtol=1e-10)
+    np.testing.assert_allclose(model.covariances, log_model.covariances, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_steps", [40, 200])
+def test_wrong_class_e_step_matches_the_log_space_path(monkeypatch, n_steps):
+    # one EM iteration from a class-2 model on class-1 recordings (plus
+    # class-2 ones): the probability-space backward pass fails its check on
+    # the mismatched recordings, which must go through the log-space path
+    class_1 = _crank_recordings(1, n_steps)
+    class_2 = _crank_recordings(2, n_steps)
+    model_2, _ = baum_welch(class_2, TrainingConfig(max_iterations=3))
+    seqs = [ObservationSequence(s.values, s.dt, trial_id=k)
+            for k, s in enumerate(class_1 + class_2)]
+    fit, log_fit, fallback_rows = _fit_both_ways(
+        monkeypatch, seqs, TrainingConfig(max_iterations=1), initial_model=model_2)
+    assert 0 < fallback_rows < len(seqs)
+    _assert_same_fit(fit, log_fit)
+
+
+def test_long_horizon_fit_stays_in_probability_space(monkeypatch):
+    seqs = _crank_recordings(1, 800, n_sequences=4)
+    fit, log_fit, fallback_rows = _fit_both_ways(monkeypatch, seqs,
+                                                 TrainingConfig(max_iterations=2))
+    assert fallback_rows == 0
+    model, trace = fit
+    assert np.all(np.isfinite(trace.log_likelihoods))
+    assert np.all(np.isfinite(model.means)) and np.all(np.isfinite(model.covariances))
+    _assert_same_fit(fit, log_fit)
+
+
+def test_posteriors_of_a_forward_state_behind_by_e705():
+    # State 0 starts e^-705 less likely than state 1, but the second sample
+    # fits only state 0, so gamma_0 is about (1, 0).  The filtered forward
+    # weight of state 0 at t = 0 is below the probability-space pass's
+    # flush threshold while its backward weight is about e^705; the lost
+    # term leaves a finite deficit in the posterior sum, which must send
+    # the sequence to the log-space path.
+    far = math.sqrt(2000.0)                    # e^-1000 density ratio
+    log_pi = np.array([-705.0, math.log1p(-math.exp(-705.0))])
+    log_a = np.array([[math.log(0.5), math.log(0.5)], [-np.inf, 0.0]])
+    emissions = (GaussianEmission(np.array([0.0]), np.array([[1.0]])),
+                 GaussianEmission(np.array([far]), np.array([[1.0]])))
+    model = LrHmmModel(2, 1, log_pi, log_a, emissions, 1)
+    seq = ObservationSequence(np.array([[far / 2], [0.0]]), 0.025)
+    cache = forward_backward(seq, model)
+
+    gamma_ref = np.zeros((2, 2))
+    for path in enum_paths(2, 2):
+        w = math.exp(path_log_score(seq.values, model, path) - cache.log_likelihood)
+        for t, j in enumerate(path):
+            gamma_ref[t, j] += w
+    assert gamma_ref[0, 0] > 0.99
+    assert np.abs(cache.gamma - gamma_ref).max() < 1e-9
+
+
+def test_pair_posteriors_ignore_a_state_the_band_cannot_reach_yet():
+    # The second sample fits state 2 e^1700 times better than the states
+    # the band allows at t = 1, so its scaled emission overflows; it must
+    # not reach the pair posteriors as 0 * inf.
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
+    emissions = tuple(GaussianEmission(np.array([mean]), np.array([[1.0]]))
+                      for mean in (0.0, 1.0, 60.0))
+    model = LrHmmModel(3, 1, np.array([0.0, -np.inf, -np.inf]), log_a, emissions, 1)
+    seq = ObservationSequence(np.array([[0.0], [60.0]]), 0.025)
+    cache = forward_backward(seq, model)
+    assert abs(cache.log_likelihood - enum_log_likelihood(seq.values, model)) < 1e-9
+    xi_ref = enum_pair_posteriors(seq.values, model)
+    assert np.abs(np.exp(cache.log_xi_sums) - xi_ref).max() < 1e-9
+
+
+def test_training_set_with_a_glitch_fits_as_in_log_space(monkeypatch):
+    seqs = _crank_recordings(2, 40, n_sequences=8)
+    values = np.array(seqs[3].values)
+    values[17] += 5.0
+    seqs[3] = ObservationSequence(values, seqs[3].dt, trial_id=seqs[3].trial_id)
+    fit, log_fit, _ = _fit_both_ways(monkeypatch, seqs, TrainingConfig(max_iterations=30))
+    _assert_same_fit(fit, log_fit)
 
 
 def test_converged_model_is_a_fixed_point():
