@@ -168,24 +168,42 @@ def _log_norms(chols: np.ndarray) -> np.ndarray:
 
 
 def _log_b(values, means: np.ndarray, chols: np.ndarray,
-           log_norms: np.ndarray) -> np.ndarray:
+           log_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Log densities of ``values`` (..., M) under every state: (..., N).
 
     ``means`` (N, M), ``chols`` (N, M, M) lower Cholesky factors and
     ``log_norms`` (N,) stack the states.  The whitened difference y solves
     L y = x - mean by forward substitution, one NumPy operation over all
-    states per entry of L.
+    states per entry of L.  The result is written to ``out`` if given.
+    Every step runs in place, so at most M + 1 arrays of the result's shape
+    are alive, ``out`` included.
     """
     values = np.asarray(values, dtype=float)
+    n_dims = means.shape[1]
+    if out is None:
+        out = np.empty(values.shape[:-1] + means.shape[:1])
     whitened = []
-    for i in range(means.shape[1]):
-        residual = values[..., i, None] - means[:, i]               # (..., N)
+    scratch = np.empty_like(out) if n_dims > 1 else None
+    for i in range(n_dims):
+        last = i == n_dims - 1
+        # the last row's y is not kept, so it needs no array of its own
+        y = out if n_dims == 1 else scratch if last else np.empty_like(out)
+        np.subtract(values[..., i, None], means[:, i], out=y)
         for k, y_k in enumerate(whitened):
-            residual = residual - chols[:, i, k] * y_k
-        y = residual / chols[:, i, i]
-        quad = y * y if i == 0 else quad + y * y
+            product = y_k if last else scratch      # the last row reads y_k last
+            np.multiply(chols[:, i, k], y_k, out=product)
+            y -= product
+        y /= chols[:, i, i]
+        if i == 0:
+            np.multiply(y, y, out=out)              # the quadratic form
+        else:
+            square = y if last else scratch
+            np.multiply(y, y, out=square)
+            out += square
         whitened.append(y)
-    return log_norms - 0.5 * quad
+    out *= -0.5                         # (-0.5 q) + c is exactly c - 0.5 q
+    out += log_norms
+    return out
 
 
 def gaussian_log_density(x, emission: GaussianEmission) -> float:
@@ -326,20 +344,46 @@ def validate_model(model: LrHmmModel) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# band storage of the transition matrix
+# ---------------------------------------------------------------------------
+
+def _band_diagonals(log_a: np.ndarray, band_width: int) -> list[np.ndarray]:
+    """Diagonals 0..band_width of an (N, N) matrix; diagonal d has max(N - d, 0)
+    entries."""
+    return [np.ascontiguousarray(np.diagonal(log_a, offset=d))
+            for d in range(band_width + 1)]
+
+
+def _log_a_from_band(diags: list[np.ndarray], n_states: int) -> np.ndarray:
+    """The (N, N) log transition matrix with ``diags`` (log diagonals
+    0..band_width) on its band and -inf elsewhere."""
+    log_a = np.full((n_states, n_states), -np.inf)
+    for d, diag in enumerate(diags):
+        idx = np.arange(diag.size)
+        log_a[idx, idx + d] = diag
+    return log_a
+
+
+# ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
 def model_to_json(model: LrHmmModel) -> str:
-    """Serialize a model to a JSON document (probabilities, not logs)."""
+    """Serialize a model to a JSON document (probabilities, not logs).
+
+    Transitions are written as ``A_band``: the band_width + 1 diagonals of A,
+    diagonal d holding A[i, i + d] for i = 0..N-d-1.
+    """
     with np.errstate(over="ignore"):
         pi = np.exp(model.log_pi)
-        a = np.exp(model.log_A)
+        a_band = [np.exp(diag).tolist()
+                  for diag in _band_diagonals(model.log_A, model.band_width)]
     doc = {
         "n_states": model.n_states,
         "n_dims": model.n_dims,
         "band_width": model.band_width,
         "pi": pi.tolist(),
-        "A": a.tolist(),
+        "A_band": a_band,
         "emissions": [
             {"mean": e.mean.tolist(), "covariance": e.covariance.tolist()}
             for e in model.emissions
@@ -348,8 +392,35 @@ def model_to_json(model: LrHmmModel) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _read_transitions(doc: dict, n_states: int, band_width: int) -> np.ndarray:
+    """Log transition matrix from a document's dense ``A`` or its ``A_band``.
+
+    Diagonal count and lengths are checked before the (N, N) matrix is
+    allocated, so a document cannot claim a size its diagonals do not have.
+    """
+    if ("A" in doc) == ("A_band" in doc):
+        raise ParseError("malformed model document: expected exactly one of "
+                         "'A' and 'A_band'")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if "A" in doc:
+            return np.log(np.asarray(doc["A"], dtype=float))
+        diags = [np.asarray(diag, dtype=float) for diag in doc["A_band"]]
+        if len(diags) != band_width + 1:
+            raise ModelError(f"invalid model: A_band has {len(diags)} diagonals, "
+                             f"expected band_width + 1 = {band_width + 1}")
+        for d, diag in enumerate(diags):
+            if diag.shape != (max(n_states - d, 0),):
+                raise ModelError(f"invalid model: A_band diagonal {d} has shape "
+                                 f"{diag.shape}, expected ({max(n_states - d, 0)},)")
+        return _log_a_from_band([np.log(diag) for diag in diags], n_states)
+
+
 def model_from_json(text: str) -> LrHmmModel:
-    """Parse a model document; raises ModelError if invariants are violated."""
+    """Parse a model document; raises ModelError if invariants are violated.
+
+    Reads transitions from either ``A_band`` (as written by
+    :func:`model_to_json`) or a dense ``A``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -359,14 +430,14 @@ def model_from_json(text: str) -> LrHmmModel:
         n_dims = int(doc["n_dims"])
         band_width = int(doc["band_width"])
         pi = np.asarray(doc["pi"], dtype=float)
-        a = np.asarray(doc["A"], dtype=float)
+        log_a = _read_transitions(doc, n_states, band_width)
         emissions = tuple(
             GaussianEmission(np.asarray(e["mean"], dtype=float),
                              np.asarray(e["covariance"], dtype=float))
             for e in doc["emissions"]
         )
         with np.errstate(divide="ignore", invalid="ignore"):
-            model = LrHmmModel(n_states, n_dims, np.log(pi), np.log(a), emissions,
+            model = LrHmmModel(n_states, n_dims, np.log(pi), log_a, emissions,
                                band_width)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import LrHmmModel, ObservationSequence, UsageError, _log_b
-from .training import _band_diagonals, _check_scorable, _forward
+from .core import LrHmmModel, ObservationSequence, UsageError, _band_diagonals, _log_b
+from .training import _check_scorable, _forward
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ from .core import (
     LrHmmModel,
     ObservationSequence,
     UsageError,
+    _band_diagonals,
+    _log_a_from_band,
     _log_b,
     _log_norms,
 )
@@ -84,26 +86,26 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class TrainingTrace:
     """Per-iteration total log-likelihood of the model that entered the
-    iteration, plus convergence bookkeeping."""
+    iteration, plus convergence bookkeeping.  ``estep_fallbacks`` counts the
+    sequence E-steps redone in log space, summed over iterations."""
 
     log_likelihoods: tuple
     iterations_run: int
     converged: bool
+    estep_fallbacks: int
 
 
 # ---------------------------------------------------------------------------
 # banded log-space recursions (leading batch dimensions allowed)
 # ---------------------------------------------------------------------------
 
-def _band_diagonals(log_a: np.ndarray, band_width: int) -> list[np.ndarray]:
-    return [np.ascontiguousarray(np.diagonal(log_a, offset=d))
-            for d in range(band_width + 1)]
-
-
-def _forward(log_b: np.ndarray, log_pi: np.ndarray, diags: list[np.ndarray]) -> np.ndarray:
-    """Forward log variables; ``log_b`` is (..., T, N), result matches."""
+def _forward(log_b: np.ndarray, log_pi: np.ndarray, diags: list[np.ndarray],
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Forward log variables; ``log_b`` is (..., T, N), result matches and is
+    written to ``out`` if given."""
     n_steps = log_b.shape[-2]
-    out = np.empty_like(log_b)
+    if out is None:
+        out = np.empty_like(log_b)
     out[..., 0, :] = log_pi + log_b[..., 0, :]
     for t in range(1, n_steps):
         prev = out[..., t - 1, :]
@@ -156,16 +158,23 @@ def _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik):
     return sums
 
 
-def _exp_flushed(x: np.ndarray) -> np.ndarray:
-    """exp(x), with results below exp(_EXP_FLOOR) flushed to exactly 0."""
-    out = np.exp(np.maximum(x, _EXP_FLOOR))
-    out *= x > _EXP_FLOOR
-    return out
+def _exp_flushed(x: np.ndarray) -> None:
+    """exp(x) in place, with results below exp(_EXP_FLOOR) flushed to exactly 0."""
+    kept = x > _EXP_FLOOR
+    np.maximum(x, _EXP_FLOOR, out=x)
+    np.exp(x, out=x)
+    x *= kept
 
 
-def _posteriors(log_b, log_alpha, log_lik, log_pi, diags):
-    """State posteriors (K, T, N) and per-diagonal pairwise posterior sums of
-    a chunk of K sequences, from their exact log forward variables.
+def _posteriors(log_b, alpha, log_lik, log_pi, diags, weighted=None, gamma=None):
+    """State posteriors (K, T, N), per-diagonal pairwise posterior sums and
+    the number of sequences redone in log space, for a chunk of K sequences
+    from their exact log forward variables.
+
+    ``alpha`` holds the log forward variables on entry and is overwritten.
+    ``weighted`` and ``gamma`` are (K, T, N) arrays to work in; the
+    posteriors are returned in ``gamma``.  Fresh arrays are used if they are
+    not given.
 
     The backward pass runs in probability space over the states the band
     lets the forward reach, on the filtered forward variables alpha_hat_t =
@@ -176,20 +185,26 @@ def _posteriors(log_b, log_alpha, log_lik, log_pi, diags):
     Sequences that fail this check at any step are redone in log space.
     """
     n_steps, n_states = log_b.shape[1:]
+    if weighted is None:
+        weighted = np.empty_like(log_b)
+    if gamma is None:
+        gamma = np.empty_like(log_b)
     a_diags = [np.exp(diag) for diag in diags]
     starts = np.flatnonzero(log_pi > -np.inf)
     first = starts[-1] + 1 if starts.size else n_states
     reach = np.minimum(first + (len(diags) - 1) * np.arange(n_steps), n_states)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        peak = log_alpha.max(axis=2, keepdims=True)
-        alpha = _exp_flushed(log_alpha - peak)
+        peak = alpha.max(axis=2, keepdims=True)
+        alpha -= peak
+        _exp_flushed(alpha)
         norm = alpha.sum(axis=2, keepdims=True)
         alpha /= norm
         log_scale = np.diff(peak + np.log(norm), axis=1, prepend=0.0)
-        weighted = _exp_flushed(log_b - log_scale)      # b_hat, then b_hat * beta_hat
+        np.subtract(log_b, log_scale, out=weighted)     # b_hat, then b_hat * beta_hat
+        _exp_flushed(weighted)
         weighted[:, np.arange(n_states) >= reach[:, None]] = 0.0
 
-        gamma = np.zeros_like(alpha)                    # beta_hat, then gamma
+        gamma.fill(0.0)                                 # beta_hat, then gamma
         gamma[:, -1, :] = 1.0
         for t in range(n_steps - 2, -1, -1):
             r = reach[t]
@@ -206,18 +221,23 @@ def _posteriors(log_b, log_alpha, log_lik, log_pi, diags):
         ok = np.all(np.abs(sums - 1.0) <= _POSTERIOR_SUM_TOL, axis=1)
         gamma /= sums[:, :, None]
 
-    if not ok.all():
-        alpha, weighted = alpha[ok], weighted[ok]
-    xi = [np.einsum("ktn,ktn->n", alpha[:, :-1, :a_d.size], weighted[:, 1:, d:]) * a_d
+    good, bad = np.flatnonzero(ok), np.flatnonzero(~ok)
+    if bad.size:
+        for row, k in enumerate(good):          # the passing sequences move up
+            alpha[row], weighted[row] = alpha[k], weighted[k]
+    xi = [np.einsum("ktn,ktn->n", alpha[:good.size, :-1, :a_d.size],
+                    weighted[:good.size, 1:, d:]) * a_d
           for d, a_d in enumerate(a_diags)]
-    if not ok.all():
-        bad = ~ok
-        log_beta = _backward(log_b[bad], diags)
-        gamma[bad] = _state_posteriors(log_alpha[bad], log_beta)
-        for total, term in zip(xi, _xi_prob_sums(log_alpha[bad], log_beta, log_b[bad],
-                                                 diags, log_lik[bad])):
+    if bad.size:
+        # the overwritten forward of a failing sequence is recomputed, bit for bit
+        log_b = log_b[bad]
+        log_alpha = _forward(log_b, log_pi, diags, out=alpha[:bad.size])
+        log_beta = _backward(log_b, diags)
+        gamma[bad] = _state_posteriors(log_alpha, log_beta)
+        for total, term in zip(xi, _xi_prob_sums(log_alpha, log_beta, log_b, diags,
+                                                 log_lik[bad])):
             total += term
-    return gamma, xi
+    return gamma, xi, bad.size
 
 
 def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBackwardCache:
@@ -235,14 +255,9 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
                    model._log_norms)                            # (1, T, N)
     log_alpha = _forward(log_b, model.log_pi, diags)
     log_lik = logsumexp(log_alpha[:, -1, :], axis=-1)
-    gamma, xi = _posteriors(log_b, log_alpha, log_lik, model.log_pi, diags)
-
-    n = model.n_states
-    log_xi = np.full((n, n), -np.inf)
+    gamma, xi, _ = _posteriors(log_b, log_alpha.copy(), log_lik, model.log_pi, diags)
     with np.errstate(divide="ignore"):
-        for d, sums in enumerate(xi):
-            idx = np.arange(sums.size)
-            log_xi[idx, idx + d] = np.log(sums)
+        log_xi = _log_a_from_band([np.log(sums) for sums in xi], model.n_states)
     return ForwardBackwardCache(log_alpha[0], _backward(log_b, diags)[0], gamma[0],
                                 log_xi, float(log_lik[0]))
 
@@ -356,9 +371,16 @@ class _Statistics:
         self.second = np.zeros((n_states, n_dims, n_dims))  # about ref_means
         self.xi = [np.zeros(max(n_states - d, 0)) for d in range(n_diags)]
 
-    def add(self, x, log_b, log_alpha, log_lik, log_pi, diags) -> None:
-        """Finish the E-step of one chunk of sequences and add its sums."""
-        gamma, xi = _posteriors(log_b, log_alpha, log_lik, log_pi, diags)
+    def add(self, x, work, log_lik, log_pi, diags) -> int:
+        """Finish the E-step of one chunk of sequences and add its sums.
+
+        ``work`` holds four (chunk, T, N) arrays: the chunk's log emissions
+        and log forward variables, then two to work in.  Returns the number
+        of sequences whose E-step was redone in log space.
+        """
+        log_b, alpha, weighted, gamma = work
+        gamma, xi, fallbacks = _posteriors(log_b, alpha, log_lik, log_pi, diags,
+                                           weighted, gamma)
         for total, term in zip(self.xi, xi):
             total += term
         self.n_sequences += x.shape[0]
@@ -366,39 +388,37 @@ class _Statistics:
         self.mass += gamma.sum(axis=(0, 1))
         self.first += np.einsum("ktn,ktm->nm", gamma, x)
         # one (chunk, T, N) contraction per channel pair: a single einsum over
-        # (chunk, T, N, M) differences runs an inner loop of length M
-        diffs = [x[:, :, m, None] - self.ref_means[:, m] for m in range(x.shape[2])]
-        for m, diff_m in enumerate(diffs):
+        # (chunk, T, N, M) differences runs an inner loop of length M.  The
+        # differences go to the two arrays the posteriors no longer need.
+        for m in range(x.shape[2]):
+            diff_m = np.subtract(x[:, :, m, None], self.ref_means[:, m], out=log_b)
             for p in range(m + 1):
-                term = np.einsum("ktn,ktn,ktn->n", gamma, diff_m, diffs[p])
+                diff_p = diff_m if p == m else np.subtract(
+                    x[:, :, p, None], self.ref_means[:, p], out=alpha)
+                term = np.einsum("ktn,ktn,ktn->n", gamma, diff_m, diff_p)
                 self.second[:, m, p] += term
                 if p != m:
                     self.second[:, p, m] += term
+        return fallbacks
 
 
-def _m_step(stats: _Statistics, log_a_old, eps_rel):
-    """Re-estimate (log_pi, log_a, means, covs) from sufficient statistics."""
-    n_states = stats.mass.shape[0]
-
+def _m_step(stats: _Statistics, log_diags_old, eps_rel):
+    """Re-estimate (log_pi, log band diagonals of A, means, covs) from
+    sufficient statistics."""
     pi = stats.gamma0 / stats.n_sequences
     pi = pi / pi.sum()
 
-    a = np.zeros((n_states, n_states))
-    for d, numer in enumerate(stats.xi):
-        if numer.size == 0:
-            continue
-        idx = np.arange(n_states - d)
-        a[idx, idx + d] = numer
-    row_sums = a.sum(axis=1)
+    # Rows of A are the pairwise posterior sums normalised.  A row without
+    # transition evidence (e.g. the absorbing final state, or T == 1) keeps
+    # its previous entries.
+    row_sums = stats.xi[0].copy()
+    for numer in stats.xi[1:]:
+        row_sums[:numer.size] += numer
+    evidence = row_sums > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        old_rows = np.exp(log_a_old)
-    for i in range(n_states):
-        if row_sums[i] > 0:
-            a[i] /= row_sums[i]
-        else:
-            # No transition evidence for this row (e.g. the absorbing final
-            # state, or T == 1): keep the previous distribution.
-            a[i] = old_rows[i]
+        log_diags = [np.log(np.where(evidence[:numer.size], numer / row_sums[:numer.size],
+                                     np.exp(old)))
+                     for numer, old in zip(stats.xi, log_diags_old)]
 
     mass = stats.mass
     weakest = int(np.argmin(mass))
@@ -414,11 +434,58 @@ def _m_step(stats: _Statistics, log_a_old, eps_rel):
     covs = _floor_covariances(covs, eps_rel)
 
     with np.errstate(divide="ignore"):
-        return np.log(pi), np.log(a), means, covs
+        return np.log(pi), log_diags, means, covs
 
 
 def _relative_change(current: float, previous: float) -> float:
     return abs(current - previous) / max(1.0, abs(current), abs(previous))
+
+
+def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
+    """The EM loop of :func:`baum_welch` over sequences ``x`` (K, T, M), from
+    the given parameters.  Returns the final (log_pi, log band diagonals,
+    means, covs) and the trace.
+
+    The E-step works in four (chunk, T, N) arrays allocated once here: the
+    log emissions, the log forward variables (then the filtered ones), the
+    scaled emissions times the backward variables, and the posteriors.
+    """
+    n_seq, n_steps, _ = x.shape
+    chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * n_steps)))
+    work = [np.empty((chunk, n_steps, n_steps)) for _ in range(4)]
+    starts = range(0, n_seq, chunk)
+    log_lik = np.empty(n_seq)
+    trace: list[float] = []
+    fallbacks = 0
+    converged = False
+    previous = np.nan
+    for _ in range(config.max_iterations):
+        chols = np.linalg.cholesky(covs)
+        log_norms = _log_norms(chols)
+        stats = _Statistics(means, len(log_diags))
+        for lo in starts:
+            part = slice(lo, lo + chunk)
+            chunk_work = [array[:len(x[part])] for array in work]
+            log_b, log_alpha = chunk_work[:2]
+            _log_b(x[part], means, chols, log_norms, out=log_b)
+            _forward(log_b, log_pi, log_diags, out=log_alpha)
+            log_lik[part] = logsumexp(log_alpha[:, -1, :], axis=-1)
+            if lo != starts[-1]:
+                fallbacks += stats.add(x[part], chunk_work, log_lik[part], log_pi, log_diags)
+        total = float(log_lik.sum())
+        trace.append(total)
+        if len(trace) > 1 and _relative_change(total, previous) < config.loglik_rel_tolerance:
+            converged = True
+            break
+        previous = total
+
+        # The last chunk's posteriors wait for the convergence test, so a
+        # single-chunk fit skips them in its final iteration.
+        fallbacks += stats.add(x[part], chunk_work, log_lik[part], log_pi, log_diags)
+        log_pi, log_diags, means, covs = _m_step(stats, log_diags,
+                                                 config.covariance_floor_eps)
+    return (log_pi, log_diags, means, covs,
+            TrainingTrace(tuple(trace), len(trace), converged, fallbacks))
 
 
 def baum_welch(sequences, config: TrainingConfig,
@@ -436,11 +503,11 @@ def baum_welch(sequences, config: TrainingConfig,
     Returns the fitted model and a :class:`TrainingTrace`.  The trace's
     log-likelihood list is non-decreasing (up to tiny rounding); permuting
     the input sequences does not change the result because accumulation
-    order is fixed by ``trial_id``.
+    order is fixed by ``trial_id``.  Transitions stay band diagonals through
+    the EM loop; the dense (N, N) matrix is built once, for the model.
     """
     seqs, x = _prepare_batch(sequences)
-    n_seq, n_steps, n_dims = x.shape
-
+    _, n_steps, n_dims = x.shape
     if initial_model is None:
         model0 = initialize_model(seqs, config)
     else:
@@ -451,43 +518,12 @@ def baum_welch(sequences, config: TrainingConfig,
                 f"{n_steps} steps")
         if model0.n_dims != n_dims:
             raise UsageError("initial model dimensionality does not match data")
-
     band_width = model0.band_width
-    log_pi = model0.log_pi.copy()
-    log_a = model0.log_A.copy()
-    means = model0.means
-    covs = model0.covariances
-
-    chunk = max(1, _ESTEP_ELEMENTS // (n_steps * n_steps))
-    starts = range(0, n_seq, chunk)
-    log_lik = np.empty(n_seq)
-    trace: list[float] = []
-    converged = False
-    previous = np.nan
-    for _ in range(config.max_iterations):
-        chols = np.linalg.cholesky(covs)
-        log_norms = _log_norms(chols)
-        diags = _band_diagonals(log_a, band_width)
-        stats = _Statistics(means, len(diags))
-        for lo in starts:
-            part = slice(lo, lo + chunk)
-            log_b = _log_b(x[part], means, chols, log_norms)    # (chunk, T, N)
-            log_alpha = _forward(log_b, log_pi, diags)
-            log_lik[part] = logsumexp(log_alpha[:, -1, :], axis=-1)
-            if lo != starts[-1]:
-                stats.add(x[part], log_b, log_alpha, log_lik[part], log_pi, diags)
-        total = float(log_lik.sum())
-        trace.append(total)
-        if len(trace) > 1 and _relative_change(total, previous) < config.loglik_rel_tolerance:
-            converged = True
-            break
-        previous = total
-
-        # The last chunk's posteriors wait for the convergence test, so a
-        # single-chunk fit skips them in its final iteration.
-        stats.add(x[part], log_b, log_alpha, log_lik[part], log_pi, diags)
-        log_pi, log_a, means, covs = _m_step(stats, log_a, config.covariance_floor_eps)
-
+    start = (model0.log_pi, _band_diagonals(model0.log_A, band_width),
+             model0.means, model0.covariances)
+    del model0                          # its dense A is not needed during EM
+    log_pi, log_diags, means, covs, trace = _expectation_maximization(x, *start, config)
     emissions = tuple(GaussianEmission(means[j], covs[j]) for j in range(n_steps))
-    model = LrHmmModel(n_steps, n_dims, log_pi, log_a, emissions, band_width)
-    return model, TrainingTrace(tuple(trace), len(trace), converged)
+    model = LrHmmModel(n_steps, n_dims, log_pi, _log_a_from_band(log_diags, n_steps),
+                       emissions, band_width)
+    return model, trace

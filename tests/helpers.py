@@ -142,3 +142,15 @@ def sample_sequence(rng, model, n_steps, dt=0.025, **kwargs):
         e = model.emissions[state]
         rows.append(e.mean + chols[state] @ rng.standard_normal(model.n_dims))
     return ObservationSequence(np.array(rows), dt, **kwargs)
+
+
+# Defects of a model document's ``A_band``, one per entry; each edits a
+# document written by ``model_to_json`` in place.
+BROKEN_BAND_DOCS = {
+    "diagonal_count": lambda doc: doc["A_band"].append([0.0]),
+    "diagonal_length": lambda doc: doc["A_band"][1].append(0.0),
+    "negative": lambda doc: doc["A_band"][1].__setitem__(0, -0.5),
+    "nan": lambda doc: doc["A_band"][0].__setitem__(0, float("nan")),
+    "both_keys": lambda doc: doc.update(A=[[1.0]]),
+    "huge_n_states": lambda doc: doc.update(n_states=10 ** 9),
+}

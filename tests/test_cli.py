@@ -11,7 +11,7 @@ from lrhmm import (
     load_model,
 )
 from lrhmm.cli import parse_durations, read_config
-from helpers import run_cli
+from helpers import BROKEN_BAND_DOCS, run_cli
 
 GEN_CFG = """\
 # small data set so the commands stay fast
@@ -189,6 +189,19 @@ def test_malformed_model_file_exits_with_1(workspace, tmp_path, corrupt):
                      "--input", workspace / "data" / "df2-class1-trial000.csv")
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: invalid model")
+
+
+@pytest.mark.parametrize("defect", sorted(BROKEN_BAND_DOCS))
+def test_broken_band_model_file_exits_with_1(workspace, tmp_path, defect):
+    doc = json.loads((workspace / "m1.json").read_text())
+    BROKEN_BAND_DOCS[defect](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = run_cli("classify", "--model1", bad, "--model2", workspace / "m2.json",
+                     "--input", workspace / "data" / "df2-class1-trial000.csv")
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_missing_model_file_exits_with_1(workspace, tmp_path):

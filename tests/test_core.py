@@ -19,7 +19,7 @@ from lrhmm import (
     validate_model,
 )
 from lrhmm.core import _log_b
-from helpers import oracle_log_density, random_banded_model, random_spd
+from helpers import BROKEN_BAND_DOCS, oracle_log_density, random_banded_model, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +345,102 @@ def test_model_file_round_trip(tmp_path):
     assert np.array_equal(back.log_pi, model.log_pi)
 
 
+# A model file in the dense format, written by model_to_json before it
+# switched to band diagonals.
+_DENSE_MODEL_JSON = """{
+  "n_states": 3,
+  "n_dims": 1,
+  "band_width": 1,
+  "pi": [
+    1.0,
+    0.0,
+    0.0
+  ],
+  "A": [
+    [
+      0.16452397753138,
+      0.83547602246862,
+      0.0
+    ],
+    [
+      0.0,
+      0.24464423164042903,
+      0.755355768359571
+    ],
+    [
+      0.0,
+      0.0,
+      1.0
+    ]
+  ],
+  "emissions": [
+    {
+      "mean": [
+        -3.216375568372778
+      ],
+      "covariance": [
+        [
+          2.882597390924461
+        ]
+      ]
+    },
+    {
+      "mean": [
+        0.4835437537537026
+      ],
+      "covariance": [
+        [
+          0.5002640664564911
+        ]
+      ]
+    },
+    {
+      "mean": [
+        0.4707618374749095
+      ],
+      "covariance": [
+        [
+          0.6606578937706062
+        ]
+      ]
+    }
+  ]
+}"""
+
+
+def _banded_doc(dense_doc):
+    """``dense_doc`` with its dense ``A`` rewritten as ``A_band``."""
+    doc = dict(dense_doc)
+    a = doc.pop("A")
+    n = len(a)
+    doc["A_band"] = [[a[i][i + d] for i in range(n - d)]
+                     for d in range(doc["band_width"] + 1)]
+    return doc
+
+
 def test_model_json_is_plain_probabilities():
     doc = json.loads(model_to_json(_canonical_model()))
     assert doc["pi"] == [1.0, 0.0, 0.0]
-    assert doc["A"][2] == [0.0, 0.0, 1.0]
-    assert doc["A"][0][2] == 0.0
+    assert "A" not in doc
+    # A is written as its diagonals 0..band_width, so out-of-band zeros
+    # such as A[0][2] are not written at all
+    assert doc["A_band"] == [[0.5, 0.5, 1.0], [0.5, 0.5]]
+    assert doc["A_band"][0][2] == 1.0
+
+    # the dense format is still read
+    dense = model_from_json(_DENSE_MODEL_JSON)
+    assert np.exp(dense.log_A[2]).tolist() == [0.0, 0.0, 1.0]
+    assert np.exp(dense.log_A[0, 2]) == 0.0
+
+
+def test_dense_model_file_loads_as_its_band_rewrite():
+    dense_doc = json.loads(_DENSE_MODEL_JSON)
+    dense = model_from_json(_DENSE_MODEL_JSON)
+    banded = model_from_json(json.dumps(_banded_doc(dense_doc)))
+    for name in ("log_pi", "log_A", "means", "covariances"):
+        assert getattr(dense, name).tobytes() == getattr(banded, name).tobytes(), name
+    # the writer produces that rewrite
+    assert json.loads(model_to_json(dense)) == _banded_doc(dense_doc)
 
 
 def test_model_from_json_rejects_garbage():
@@ -360,8 +451,13 @@ def test_model_from_json_rejects_garbage():
 
 
 def test_model_from_json_rejects_invalid_model():
+    # row 0 of A no longer sums to 1
     doc = json.loads(model_to_json(_canonical_model()))
-    doc["A"][0] = [0.4, 0.4, 0.0]   # row no longer sums to 1
+    doc["A_band"][0][0] = doc["A_band"][1][0] = 0.4
+    with pytest.raises(ModelError):
+        model_from_json(json.dumps(doc))
+    doc = json.loads(_DENSE_MODEL_JSON)
+    doc["A"][0] = [0.4, 0.4, 0.0]
     with pytest.raises(ModelError):
         model_from_json(json.dumps(doc))
 
@@ -369,10 +465,25 @@ def test_model_from_json_rejects_invalid_model():
 @pytest.mark.parametrize("corrupt", [
     lambda doc: doc.update(n_states=4),                          # shape mismatch
     lambda doc: doc["emissions"][1].update(mean=[float("nan")]),
-    lambda doc: doc["A"][0].__setitem__(0, -0.5),                 # negative probability
+    lambda doc: doc["A_band"][0].__setitem__(0, -0.5),            # negative probability
 ])
 def test_model_from_json_reports_malformed_parameters_as_model_errors(corrupt):
     doc = json.loads(model_to_json(_canonical_model()))
     corrupt(doc)
     with pytest.raises(ModelError):
+        model_from_json(json.dumps(doc))
+
+
+def test_model_from_json_reports_a_negative_dense_probability():
+    doc = json.loads(_DENSE_MODEL_JSON)
+    doc["A"][0][0] = -0.5
+    with pytest.raises(ModelError):
+        model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("defect", sorted(BROKEN_BAND_DOCS))
+def test_model_from_json_rejects_a_broken_band(defect):
+    doc = json.loads(model_to_json(_canonical_model()))
+    BROKEN_BAND_DOCS[defect](doc)
+    with pytest.raises((ParseError, ModelError)):
         model_from_json(json.dumps(doc))

@@ -269,6 +269,24 @@ def test_training_memory_does_not_grow_with_the_number_of_sequences():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def test_training_memory_is_bounded_by_the_e_step_workspace():
+    # At T = 800 a chunk holds 3 sequences, so one (chunk, T, N) array is
+    # 3 * 800 * 800 float64 <= 2**21 * 8 bytes.  A one-iteration fit over
+    # two chunks allocates the E-step's four such arrays once, and all else
+    # it allocates at a time fits in one more.
+    rng = np.random.default_rng(22)
+    wave = np.sin(np.linspace(0.0, 12.0, 800))[:, None]
+    seqs = [ObservationSequence(wave + rng.normal(0.0, 0.05, (800, 1)), 0.025,
+                                trial_id=k) for k in range(6)]
+    tracemalloc.start()
+    try:
+        baum_welch(seqs, TrainingConfig(max_iterations=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 + 1) * 2 ** 21 * 8
+
+
 # ---------------------------------------------------------------------------
 # probability-space E-step against the log-space path
 # ---------------------------------------------------------------------------
@@ -333,6 +351,7 @@ def test_wrong_class_e_step_matches_the_log_space_path(monkeypatch, n_steps):
     fit, log_fit, fallback_rows = _fit_both_ways(
         monkeypatch, seqs, TrainingConfig(max_iterations=1), initial_model=model_2)
     assert 0 < fallback_rows < len(seqs)
+    assert fit[1].estep_fallbacks == fallback_rows == 6
     _assert_same_fit(fit, log_fit)
 
 
@@ -342,6 +361,7 @@ def test_long_horizon_fit_stays_in_probability_space(monkeypatch):
                                                  TrainingConfig(max_iterations=2))
     assert fallback_rows == 0
     model, trace = fit
+    assert trace.estep_fallbacks == 0
     assert np.all(np.isfinite(trace.log_likelihoods))
     assert np.all(np.isfinite(model.means)) and np.all(np.isfinite(model.covariances))
     _assert_same_fit(fit, log_fit)
