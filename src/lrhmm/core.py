@@ -167,6 +167,20 @@ def _log_norms(chols: np.ndarray) -> np.ndarray:
     return -0.5 * (chols.shape[-1] * _LOG_2PI + log_dets)
 
 
+def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``: the maximum plus log1p of the other
+    terms' shifted sum, divided among tied maxima (Blanchard, Higham &
+    Higham, IMA J. Numer. Anal. 41, 2021; SciPy's ``logsumexp`` computes
+    the same).  A slice of only -inf gives -inf, without a warning."""
+    peak = x.max(axis=axis, keepdims=True)
+    is_peak = x == peak
+    ties = is_peak.sum(axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore"):             # -inf - -inf, masked out
+        rest = np.exp(np.where(is_peak, -np.inf, x - peak))
+    rest = rest.sum(axis=axis, keepdims=True) / ties
+    return np.squeeze(np.log1p(rest) + np.log(ties) + peak, axis=axis)
+
+
 def _log_b(values, means: np.ndarray, chols: np.ndarray,
            log_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Log densities of ``values`` (..., M) under every state: (..., N).

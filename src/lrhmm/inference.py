@@ -13,9 +13,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import LrHmmModel, ObservationSequence, UsageError, _band_diagonals, _log_b
+from .core import (LrHmmModel, ObservationSequence, UsageError, _band_diagonals, _log_b,
+                   _logsumexp)
 from .training import _check_scorable, _forward
 
 
@@ -77,7 +77,7 @@ def _forward_table(seq: ObservationSequence, model: LrHmmModel) -> np.ndarray:
 def log_likelihood(seq: ObservationSequence, model: LrHmmModel) -> float:
     """Forward log-likelihood log P(seq | model) for a history of length <= N."""
     log_alpha = _forward_table(seq, model)
-    return float(logsumexp(log_alpha[-1, :]))
+    return float(_logsumexp(log_alpha[-1, :]))
 
 
 def prefix_log_likelihoods(seq: ObservationSequence, model: LrHmmModel,
@@ -93,7 +93,7 @@ def prefix_log_likelihoods(seq: ObservationSequence, model: LrHmmModel,
     if steps.min() < 1 or steps.max() > seq.n_steps:
         raise UsageError(f"prefix lengths must lie in [1, {seq.n_steps}]")
     log_alpha = _forward_table(seq, model)
-    return logsumexp(log_alpha[steps - 1, :], axis=-1)
+    return _logsumexp(log_alpha[steps - 1, :])
 
 
 def classify(history: ObservationSequence, model_1: LrHmmModel,
@@ -114,27 +114,29 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     """
     log_b = _emissions(seq, model)
     n_steps, n_states = seq.n_steps, model.n_states
-    band = model.band_width
-    diags = _band_diagonals(model.log_A, band)
+    diags = _band_diagonals(model.log_A, model.band_width)
 
-    delta = np.empty((n_steps, n_states))
+    delta = np.full((n_steps, n_states), -np.inf)
     psi = np.zeros((n_steps, n_states), dtype=int)
     delta[0] = model.log_pi + log_b[0]
-    offsets = np.arange(n_states)
+    states = np.arange(n_states)
+    # delta is exactly -inf outside [lo, hi): below the first state of
+    # finite delta[0], and above the band's reach from its last
+    finite = np.flatnonzero(delta[0] > -np.inf)
+    lo, hi = (finite[0], finite[-1] + 1) if finite.size else (0, 0)
     for t in range(1, n_steps):
-        prev = delta[t - 1]
-        # Candidate row k corresponds to predecessor i = j - (band - k), so
-        # np.argmax's first-max rule picks the lowest predecessor on ties.
-        cand = np.full((band + 1, n_states), -np.inf)
-        for k in range(band + 1):
-            d = band - k
-            if d == 0:
-                cand[k] = prev + diags[0]
-            elif diags[d].size > 0:
-                cand[k, d:] = prev[:-d] + diags[d]
-        best = np.argmax(cand, axis=0)
-        delta[t] = cand[best, offsets] + log_b[t]
-        psi[t] = offsets - (band - best)
+        hi = min(hi + model.band_width, n_states)
+        prev, best, arg = delta[t - 1], delta[t, lo:hi], psi[t, lo:hi]
+        np.add(prev[lo:hi], diags[0][lo:hi], out=best)
+        arg[:] = states[lo:hi]
+        # a farther predecessor replaces the best so far when at least as
+        # good, so ties go to the lowest predecessor
+        for d in range(1, len(diags)):
+            cand = prev[lo:hi - d] + diags[d][lo:hi - d]
+            better = cand >= best[d:]
+            np.copyto(best[d:], cand, where=better)
+            np.copyto(arg[d:], states[lo:hi - d], where=better)
+        best += log_b[t, lo:hi]
 
     end = int(np.argmax(delta[-1]))
     path = np.empty(n_steps, dtype=int)

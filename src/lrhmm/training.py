@@ -3,12 +3,14 @@
 The model has as many states as the training sequences have time steps, so
 the initializer can seed each state's emission from the cross-sequence
 statistics of the matching step.  All recursions run over the transition
-band only.  The forward recursion runs in log space and is exact; the
-E-step's backward pass runs in probability space on the filtered forward
-variables, and a sequence whose posteriors fail an exact normalisation
-check is redone in log space.  Expectation quantities are accumulated over
-sequences in a canonical order (sorted by ``trial_id``) so that training
-results do not depend on how the caller happened to order the input list.
+band only.  The E-step runs the exact log-space forward recursion over a
+sliding window of the states that hold the forward mass, then the backward
+pass in probability space on the filtered forward variables.  A sequence is
+redone by the dense log-space recursions when the mass its window dropped
+could show in its results, or when its posteriors fail an exact
+normalisation check.  Expectation quantities are accumulated over sequences
+in a canonical order (sorted by ``trial_id``) so that training results do
+not depend on how the caller happened to order the input list.
 
 Training memory is bounded per chunk of sequences, not per data set: each
 EM iteration runs the E-step on a few sequences at a time and keeps only
@@ -17,10 +19,10 @@ their sufficient statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     DegenerateStateError,
@@ -33,6 +35,7 @@ from .core import (
     _log_a_from_band,
     _log_b,
     _log_norms,
+    _logsumexp,
 )
 
 # A state whose total posterior mass falls below this is unusable: its
@@ -52,10 +55,31 @@ _EXP_FLOOR = -700.0
 # Absolute floor for the covariance regularization increment.
 _COV_EPS_ABS = 1e-9
 
-# Elements of one (chunk, T, N) E-step array (16 MiB in float64); sets how
+# Elements of one (chunk, T, W) E-step array (16 MiB in float64); sets how
 # many sequences an EM iteration processes at a time.  29 sequences stay in
-# one chunk up to T = 268.
+# one chunk up to T = 1129.
 _ESTEP_ELEMENTS = 2 ** 21
+
+# States per row of the E-step's arrays (W): row t holds states lo[t] ..
+# lo[t] + W - 1.  A model of at most W states runs densely, with lo = 0.
+_WINDOW = 64
+
+# The window keeps every state whose log forward variable lies within
+# tau = _WINDOW_NATS_PER_STEP * T nats of some sequence's best state at its
+# step, so dropped states trail by more than tau.  The certificate of
+# _window_forward allows for what they can regain: up to about 6 nats per
+# step on 4 crank recordings at T = 800, whose initial model has narrow
+# states, and about 2 on the benchmark's 29.  The states within tau then
+# span at most about 40.
+_WINDOW_NATS_PER_STEP = 8.0
+
+# A windowed E-step stands when the mass its window dropped changes the
+# sequence's likelihood by a factor below 1 + e^-40, far under rounding.
+_CERTIFICATE_NATS = 40.0
+
+# Steps per block of emission scoring in the windowed forward, and of the
+# log-space fallback's posteriors.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -134,28 +158,123 @@ def _backward(log_b: np.ndarray, diags: list[np.ndarray]) -> np.ndarray:
 
 
 def _state_posteriors(log_alpha: np.ndarray, log_beta: np.ndarray) -> np.ndarray:
-    """Posterior state probabilities, exact 0.0 where a state is unreachable."""
-    log_ab = log_alpha + log_beta
-    norm = logsumexp(log_ab, axis=-1, keepdims=True)
-    return np.exp(log_ab - norm)
+    """Posterior state probabilities, exact 0.0 where a state is unreachable.
+    They overwrite ``log_alpha``, a block of steps at a time."""
+    for t0 in range(0, log_alpha.shape[-2], _BLOCK):
+        block = log_alpha[..., t0:t0 + _BLOCK, :]
+        block += log_beta[..., t0:t0 + _BLOCK, :]
+        block -= _logsumexp(block)[..., None]
+        np.exp(block, out=block)
+    return log_alpha
 
 
 def _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik):
     """Pairwise posteriors summed over sequences and t = 1..T-1, one vector
-    per band diagonal.  Exponents are bounded above by ~0, so this is safe
-    to accumulate in probability space."""
-    sums = []
+    per band diagonal, a block of steps at a time.  Exponents are bounded
+    above by ~0, so this is safe to accumulate in probability space."""
+    n_steps, n_states = log_alpha.shape[-2:]
     ll = np.asarray(log_lik)[..., None, None]
-    for d, diag in enumerate(diags):
-        if diag.size == 0:
-            sums.append(np.zeros(0))
-            continue
-        hi = log_alpha.shape[-1] - d
-        expo = (log_alpha[..., :-1, :hi] + diag
-                + log_b[..., 1:, d:] + log_beta[..., 1:, d:] - ll)
-        term = np.exp(expo)
-        sums.append(term.sum(axis=tuple(range(term.ndim - 1))))
+    sums = [np.zeros(diag.size) for diag in diags]
+    for t0 in range(0, n_steps - 1, _BLOCK):
+        t1 = min(t0 + _BLOCK, n_steps - 1)
+        for d, diag in enumerate(diags):
+            if diag.size == 0:
+                continue
+            expo = (log_alpha[..., t0:t1, :n_states - d] + diag
+                    + log_b[..., t0 + 1:t1 + 1, d:] + log_beta[..., t0 + 1:t1 + 1, d:] - ll)
+            term = np.exp(expo)
+            sums[d] += term.sum(axis=tuple(range(term.ndim - 1)))
     return sums
+
+
+# ---------------------------------------------------------------------------
+# the E-step over a sliding window of live states
+# ---------------------------------------------------------------------------
+
+def _slide(row: np.ndarray, limit: int, tau: float, width: int,
+           dropped: np.ndarray) -> int:
+    """How far the window moves over ``row`` (K, E), the log forward
+    variables of the states it can hold at this step: to the lowest column
+    within ``tau`` of some sequence's best, but at most ``limit``.  The
+    columns it leaves out fold their margins below each sequence's best
+    into ``dropped`` (K,)."""
+    peak = row.max(axis=1)
+    with np.errstate(invalid="ignore"):         # rows of only -inf give NaN
+        live = row > (peak - tau)[:, None]
+        shift = min(int(live.any(axis=0).argmax()), limit)
+        for out in (row[:, :shift], row[:, shift + width:]):
+            if out.shape[1]:
+                np.maximum(dropped, out.max(axis=1) - peak, out=dropped)
+    return shift
+
+
+def _window_forward(x, params, log_pi, diags, log_b, alpha):
+    """Exact log forward variables of sequences ``x`` (K, T, M) over a
+    sliding window of states.  Returns the window offsets ``lo`` (T,), the
+    log-likelihoods (K,) and which sequences' windows are certified.
+
+    Row t of ``log_b`` and ``alpha`` (K, T, W) receives states lo[t] ..
+    lo[t] + W - 1, shared by the chunk; lo advances by at most the band
+    width per step.  The window keeps every state within tau nats of some
+    sequence's best state.  Emissions are scored a block of steps at a
+    time, over the states the window can reach in the block.  With W = N
+    this is the dense forward and nothing is dropped.
+
+    Certificate: let m be a sequence's worst dropped margin (a dropped log
+    forward variable minus its step's best; -inf if none), L_t the log sum
+    of row t and P the largest Gaussian log normaliser.  No density exceeds
+    its peak e^P, so mass dropped at step t regains at most e^(P (T-1-t))
+    by the end, and a kept row's mass grows by at most e^P per step.  The
+    N T dropped terms together then change the likelihood by a factor below
+    1 + N T e^(m + G), G = (T - 1) P - (L_{T-1} - L_0); a sequence is
+    certified when m + G + log(N T) <= -40.
+    """
+    means, chols, log_norms = params
+    n_seq, n_steps, width = alpha.shape
+    n_states = means.shape[0]
+    lo = np.zeros(n_steps, dtype=int)
+    dropped = np.full(n_seq, -np.inf)
+    if width == n_states:
+        _log_b(x, *params, out=log_b)
+        _forward(log_b, log_pi, diags, out=alpha)
+    else:
+        band = len(diags) - 1
+        tau = _WINDOW_NATS_PER_STEP * n_steps
+        scores = _log_b(x[:, 0], *params)               # step 0 scores every state
+        first = log_pi + scores
+        shift = _slide(first, n_states - width, tau, width, dropped)
+        lo[0] = shift
+        alpha[:, 0], log_b[:, 0] = first[:, shift:shift + width], scores[:, shift:shift + width]
+        row = np.empty((n_seq, width + band))
+        for t0 in range(1, n_steps, _BLOCK):
+            t1 = min(t0 + _BLOCK, n_steps)
+            base = lo[t0 - 1]
+            top = min(base + width + band * (t1 - t0), n_states)
+            block = _log_b(x[:, t0:t1], means[base:top], chols[base:top],
+                           log_norms[base:top])
+            for t in range(t0, t1):
+                prev, start = alpha[:, t - 1], lo[t - 1]
+                ext = row[:, :min(width + band, n_states - start)]
+                np.add(prev, diags[0][start:start + width], out=ext[:, :width])
+                ext[:, width:] = -np.inf
+                for d in range(1, band + 1):
+                    hi = min(width, ext.shape[1] - d)
+                    if hi > 0:
+                        np.logaddexp(ext[:, d:d + hi], prev[:, :hi] + diags[d][start:start + hi],
+                                     out=ext[:, d:d + hi])
+                scores = block[:, t - t0, start - base:]
+                ext += scores[:, :ext.shape[1]]
+                shift = _slide(ext, min(band, n_states - width - start), tau, width, dropped)
+                lo[t] = start + shift
+                alpha[:, t], log_b[:, t] = (ext[:, shift:shift + width],
+                                            scores[:, shift:shift + width])
+    log_lik = _logsumexp(alpha[:, -1, :])
+    if width == n_states:
+        return lo, log_lik, np.ones(n_seq, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        regain = (n_steps - 1) * log_norms.max() - (log_lik - _logsumexp(alpha[:, 0, :]))
+        trusted = dropped + regain + math.log(n_states * n_steps) <= -_CERTIFICATE_NATS
+    return lo, log_lik, trusted
 
 
 def _exp_flushed(x: np.ndarray) -> None:
@@ -166,33 +285,74 @@ def _exp_flushed(x: np.ndarray) -> None:
     x *= kept
 
 
-def _posteriors(log_b, alpha, log_lik, log_pi, diags, weighted=None, gamma=None):
-    """State posteriors (K, T, N), per-diagonal pairwise posterior sums and
-    the number of sequences redone in log space, for a chunk of K sequences
-    from their exact log forward variables.
+def _state_sums(subscripts, operands, lo, size, col0=0, rows=None) -> np.ndarray:
+    """Sums over sequences and steps of window terms, per state: (size, ...).
 
-    ``alpha`` holds the log forward variables on entry and is overwritten.
-    ``weighted`` and ``gamma`` are (K, T, N) arrays to work in; the
-    posteriors are returned in ``gamma``.  Fresh arrays are used if they are
-    not given.
-
-    The backward pass runs in probability space over the states the band
-    lets the forward reach, on the filtered forward variables alpha_hat_t =
-    alpha_t / P(x_0..t) and on the emissions divided by the forward's
-    per-step scale c_t = P(x_t | x_0..t-1).  The forward is exact and every
-    term is non-negative, so a backward underflow shows as a deficit in
-    sum_i alpha_hat_ti beta_hat_ti = 1 and an overflow as a non-finite sum.
-    Sequences that fail this check at any step are redone in log space.
+    ``subscripts`` take the (K, T', W') ``operands`` to (T', W', ...) terms,
+    and term (t, w) belongs to state lo[t] + col0 + w.  ``rows`` (T',)
+    selects steps.  A window that never moves sums its steps in einsum.
     """
-    n_steps, n_states = log_b.shape[1:]
-    if weighted is None:
-        weighted = np.empty_like(log_b)
-    if gamma is None:
-        gamma = np.empty_like(log_b)
+    if rows is None or rows.all():
+        if lo[0] == lo[-1]:
+            inputs, output = subscripts.split("->")
+            sums = np.einsum(f"{inputs}->{output[1:]}", *operands)
+            out = np.zeros((size,) + sums.shape[1:])
+            out[lo[0] + col0:lo[0] + col0 + len(sums)] = sums
+            return out
+        rows = slice(None)
+    terms = np.einsum(subscripts, *operands)[rows]
+    states = (lo[rows, None] + np.arange(col0, col0 + terms.shape[1])).ravel()
+    flat = terms.reshape(states.size, -1)
+    out = np.stack([np.bincount(states, col, minlength=size) for col in flat.T], axis=1)
+    return out.reshape((size,) + terms.shape[2:])
+
+
+def _xi_sums(alpha, weighted, lo, a_diags):
+    """Pairwise posteriors per band diagonal, summed over sequences and
+    steps, from the filtered forward variables and the scaled emissions
+    times backward variables (K, T, W).  State lo[t] + w moves by diagonal
+    d to column w + d - s of row t + 1, s = lo[t+1] - lo[t]."""
+    width = alpha.shape[2]
+    shifts = np.diff(lo)
+    xi = []
+    for d, a_d in enumerate(a_diags):
+        total = np.zeros(a_d.size)
+        for s in np.unique(shifts):
+            w0, w1 = max(0, s - d), min(width, width + s - d)
+            if w1 <= w0:
+                continue
+            pairs = alpha[:, :-1, w0:w1], weighted[:, 1:, w0 + d - s:w1 + d - s]
+            total += _state_sums("ktw,ktw->tw", pairs, lo[:-1], a_d.size, w0, shifts == s)
+        xi.append(total * a_d)
+    return xi
+
+
+def _posteriors(log_b, alpha, lo, trusted, log_pi, diags, weighted, gamma):
+    """State posteriors in the window, pairwise posterior sums per band
+    diagonal, and which sequences passed, for a chunk of K sequences.
+
+    The (K, T, W) arrays are laid out as :func:`_window_forward` leaves
+    them: ``log_b`` and ``alpha`` hold its log emissions and log forward
+    variables, ``alpha`` is overwritten, and ``weighted`` and ``gamma`` are
+    arrays to work in; the posteriors are returned in ``gamma``.
+
+    The backward pass runs in probability space over the window's states
+    that the band lets the forward reach, on the filtered forward variables
+    alpha_hat_t = alpha_t / P(x_0..t) and on the emissions divided by the
+    forward's per-step scale c_t = P(x_t | x_0..t-1).  The windowed forward
+    is exact and every term is non-negative, so a backward underflow shows
+    as a deficit in sum_i alpha_hat_ti beta_hat_ti = 1 and an overflow as a
+    non-finite sum.  A sequence passes when this check holds at every step
+    and ``trusted`` certifies its window; the rows of the others come back
+    zero and add nothing to the sums.
+    """
+    n_steps, width = log_b.shape[1:]
+    n_states = diags[0].size
     a_diags = [np.exp(diag) for diag in diags]
     starts = np.flatnonzero(log_pi > -np.inf)
     first = starts[-1] + 1 if starts.size else n_states
     reach = np.minimum(first + (len(diags) - 1) * np.arange(n_steps), n_states)
+    reach = np.clip(reach - lo, 0, width)              # in window columns
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         peak = alpha.max(axis=2, keepdims=True)
         alpha -= peak
@@ -202,42 +362,33 @@ def _posteriors(log_b, alpha, log_lik, log_pi, diags, weighted=None, gamma=None)
         log_scale = np.diff(peak + np.log(norm), axis=1, prepend=0.0)
         np.subtract(log_b, log_scale, out=weighted)     # b_hat, then b_hat * beta_hat
         _exp_flushed(weighted)
-        weighted[:, np.arange(n_states) >= reach[:, None]] = 0.0
+        weighted[:, np.arange(width) >= reach[:, None]] = 0.0
 
         gamma.fill(0.0)                                 # beta_hat, then gamma
         gamma[:, -1, :] = 1.0
+        row_lo, shifts, reach = lo.tolist(), np.diff(lo).tolist(), reach.tolist()
         for t in range(n_steps - 2, -1, -1):
-            r = reach[t]
+            r, s, here = reach[t], shifts[t], row_lo[t]
             nxt = weighted[:, t + 1, :]
             beta = gamma[:, t, :r]
-            np.multiply(nxt[:, :r], a_diags[0][:r], out=beta)
-            for d in range(1, len(a_diags)):
-                hi = min(r, n_states - d)
-                if hi > 0:
-                    beta[:, :hi] += a_diags[d][:hi] * nxt[:, d:hi + d]
+            for d, a_d in enumerate(a_diags):
+                # column w of row t reaches column w + d - s of row t + 1
+                w0, w1 = (s - d, r) if d <= s else (0, min(r, width + s - d))
+                if w1 <= w0:
+                    continue
+                if d == 0:
+                    np.multiply(nxt[:, w0 - s:w1 - s], a_d[here + w0:here + w1],
+                                out=beta[:, w0:w1])
+                else:
+                    beta[:, w0:w1] += a_d[here + w0:here + w1] * nxt[:, w0 + d - s:w1 + d - s]
             weighted[:, t, :r] *= beta
         gamma *= alpha
         sums = gamma.sum(axis=2)
-        ok = np.all(np.abs(sums - 1.0) <= _POSTERIOR_SUM_TOL, axis=1)
+        ok = trusted & np.all(np.abs(sums - 1.0) <= _POSTERIOR_SUM_TOL, axis=1)
         gamma /= sums[:, :, None]
-
-    good, bad = np.flatnonzero(ok), np.flatnonzero(~ok)
-    if bad.size:
-        for row, k in enumerate(good):          # the passing sequences move up
-            alpha[row], weighted[row] = alpha[k], weighted[k]
-    xi = [np.einsum("ktn,ktn->n", alpha[:good.size, :-1, :a_d.size],
-                    weighted[:good.size, 1:, d:]) * a_d
-          for d, a_d in enumerate(a_diags)]
-    if bad.size:
-        # the overwritten forward of a failing sequence is recomputed, bit for bit
-        log_b = log_b[bad]
-        log_alpha = _forward(log_b, log_pi, diags, out=alpha[:bad.size])
-        log_beta = _backward(log_b, diags)
-        gamma[bad] = _state_posteriors(log_alpha, log_beta)
-        for total, term in zip(xi, _xi_prob_sums(log_alpha, log_beta, log_b, diags,
-                                                 log_lik[bad])):
-            total += term
-    return gamma, xi, bad.size
+    if not ok.all():
+        gamma[~ok] = alpha[~ok] = weighted[~ok] = 0.0
+    return gamma, _xi_sums(alpha, weighted, lo, a_diags), ok
 
 
 def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBackwardCache:
@@ -251,15 +402,28 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     """
     _check_scorable(seq, model)
     diags = _band_diagonals(model.log_A, model.band_width)
-    log_b = _log_b(seq.values[None], model.means, model._chols,
-                   model._log_norms)                            # (1, T, N)
+    x = seq.values[None]
+    params = (model.means, model._chols, model._log_norms)
+    n_steps, n_states = seq.n_steps, model.n_states
+    width = min(_WINDOW, n_states)
+    log_b_w, alpha, weighted, gamma = np.empty((4, 1, n_steps, width))
+    lo, _, trusted = _window_forward(x, params, model.log_pi, diags, log_b_w, alpha)
+    gamma, xi, ok = _posteriors(log_b_w, alpha, lo, trusted, model.log_pi, diags,
+                                weighted, gamma)
+    log_b = _log_b(x, *params)                                  # (1, T, N)
     log_alpha = _forward(log_b, model.log_pi, diags)
-    log_lik = logsumexp(log_alpha[:, -1, :], axis=-1)
-    gamma, xi, _ = _posteriors(log_b, log_alpha.copy(), log_lik, model.log_pi, diags)
+    log_beta = _backward(log_b, diags)
+    log_lik = _logsumexp(log_alpha[:, -1, :])
+    if ok[0]:
+        dense = np.zeros((n_steps, n_states))
+        dense[np.arange(n_steps)[:, None], lo[:, None] + np.arange(width)] = gamma[0]
+    else:
+        xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
+        dense = _state_posteriors(log_alpha.copy(), log_beta)[0]
     with np.errstate(divide="ignore"):
-        log_xi = _log_a_from_band([np.log(sums) for sums in xi], model.n_states)
-    return ForwardBackwardCache(log_alpha[0], _backward(log_b, diags)[0], gamma[0],
-                                log_xi, float(log_lik[0]))
+        log_xi = _log_a_from_band([np.log(sums) for sums in xi], n_states)
+    return ForwardBackwardCache(log_alpha[0], log_beta[0], dense, log_xi,
+                                float(log_lik[0]))
 
 
 def _check_scorable(seq: ObservationSequence, model: LrHmmModel) -> None:
@@ -361,45 +525,88 @@ class _Statistics:
     new means.
     """
 
-    def __init__(self, ref_means: np.ndarray, n_diags: int):
+    def __init__(self, ref_means: np.ndarray, n_diags: int, n_sequences: int):
         n_states, n_dims = ref_means.shape
         self.ref_means = ref_means
-        self.n_sequences = 0
+        self.n_sequences = n_sequences
         self.gamma0 = np.zeros(n_states)                    # sum of gamma at t = 0
         self.mass = np.zeros(n_states)                      # sum of gamma
         self.first = np.zeros((n_states, n_dims))           # sum of gamma x
         self.second = np.zeros((n_states, n_dims, n_dims))  # about ref_means
         self.xi = [np.zeros(max(n_states - d, 0)) for d in range(n_diags)]
 
-    def add(self, x, work, log_lik, log_pi, diags) -> int:
-        """Finish the E-step of one chunk of sequences and add its sums.
-
-        ``work`` holds four (chunk, T, N) arrays: the chunk's log emissions
-        and log forward variables, then two to work in.  Returns the number
-        of sequences whose E-step was redone in log space.
-        """
-        log_b, alpha, weighted, gamma = work
-        gamma, xi, fallbacks = _posteriors(log_b, alpha, log_lik, log_pi, diags,
-                                           weighted, gamma)
+    def add(self, x, gamma, lo, scratch, xi) -> None:
+        """Add the sums of posteriors ``gamma`` (K, T, W) of sequences ``x``
+        (K, T, M), whose row t holds states lo[t] .. lo[t] + W - 1, and their
+        pairwise sums ``xi``.  ``scratch`` holds two arrays shaped like
+        ``gamma`` to work in."""
         for total, term in zip(self.xi, xi):
             total += term
-        self.n_sequences += x.shape[0]
-        self.gamma0 += gamma[:, 0, :].sum(axis=0)
-        self.mass += gamma.sum(axis=(0, 1))
-        self.first += np.einsum("ktn,ktm->nm", gamma, x)
-        # one (chunk, T, N) contraction per channel pair: a single einsum over
-        # (chunk, T, N, M) differences runs an inner loop of length M.  The
-        # differences go to the two arrays the posteriors no longer need.
+        n_states, width = self.mass.size, gamma.shape[2]
+        self.gamma0[lo[0]:lo[0] + width] += gamma[:, 0, :].sum(axis=0)
+        self.mass += _state_sums("ktw->tw", (gamma,), lo, n_states)
+        self.first += _state_sums("ktw,ktm->twm", (gamma, x), lo, n_states)
+        if lo[0] == lo[-1]:
+            ref = self.ref_means[lo[0]:lo[0] + width]          # (W, M), every step
+        else:
+            ref = self.ref_means[lo[:, None] + np.arange(width)]   # (T, W, M)
+        # one (K, T, W) contraction per channel pair: a single einsum over
+        # (K, T, W, M) differences runs an inner loop of length M
         for m in range(x.shape[2]):
-            diff_m = np.subtract(x[:, :, m, None], self.ref_means[:, m], out=log_b)
+            diff_m = np.subtract(x[:, :, m, None], ref[..., m], out=scratch[0])
             for p in range(m + 1):
                 diff_p = diff_m if p == m else np.subtract(
-                    x[:, :, p, None], self.ref_means[:, p], out=alpha)
-                term = np.einsum("ktn,ktn,ktn->n", gamma, diff_m, diff_p)
+                    x[:, :, p, None], ref[..., p], out=scratch[1])
+                term = _state_sums("ktw,ktw,ktw->tw", (gamma, diff_m, diff_p), lo, n_states)
                 self.second[:, m, p] += term
                 if p != m:
                     self.second[:, p, m] += term
-        return fallbacks
+
+
+def _log_space_e_step(stats, x, params, log_pi, diags, work) -> np.ndarray:
+    """Add the statistics of one sequence ``x`` (1, T, M) from the dense
+    log-space recursions and return its log-likelihood (1,).
+
+    ``params`` are the model's stacked means, Cholesky factors and log
+    normalisers.  The log emissions go to ``work[0]``, and the forward
+    variables, then the posteriors, to ``work[1]``, both (1, T, N).
+    """
+    log_b, log_alpha = work
+    _log_b(x, *params, out=log_b)
+    _forward(log_b, log_pi, diags, out=log_alpha)
+    log_lik = _logsumexp(log_alpha[:, -1, :])
+    log_beta = _backward(log_b, diags)
+    xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
+    gamma = _state_posteriors(log_alpha, log_beta)
+    stats.add(x, gamma, np.zeros(x.shape[1], dtype=int), (log_b, log_beta), xi)
+    return log_lik
+
+
+def _finish_chunk(stats, work, x, lo, trusted, log_lik, params, log_pi, diags) -> int:
+    """Finish the E-step of one chunk of sequences ``x`` (K, T, M) from its
+    windowed forward and add its statistics.
+
+    ``work`` is the (4, chunk, T, W) workspace, whose first K rows hold the
+    chunk's log emissions and log forward variables.  A sequence that
+    fails its certificate or the posterior-sum check is redone by the dense
+    log-space recursions, one at a time and in the workspace when it is
+    large enough, and its entry of ``log_lik`` (K,) is replaced by the exact
+    value.  Returns the number of such sequences.
+    """
+    log_b, alpha, weighted, gamma = work[:, :len(x)]
+    gamma, xi, ok = _posteriors(log_b, alpha, lo, trusted, log_pi, diags, weighted, gamma)
+    stats.add(x, gamma, lo, (log_b, alpha), xi)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        n_steps, n_states = x.shape[1], params[0].shape[0]
+        size = 2 * n_steps * n_states
+        flat = work.reshape(-1)
+        dense = (flat[:size] if flat.size >= size else np.empty(size)).reshape(
+            2, 1, n_steps, n_states)
+        for k in bad:
+            log_lik[k:k + 1] = _log_space_e_step(stats, x[k:k + 1], params, log_pi,
+                                                 diags, dense)
+    return bad.size
 
 
 def _m_step(stats: _Statistics, log_diags_old, eps_rel):
@@ -446,13 +653,15 @@ def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
     the given parameters.  Returns the final (log_pi, log band diagonals,
     means, covs) and the trace.
 
-    The E-step works in four (chunk, T, N) arrays allocated once here: the
-    log emissions, the log forward variables (then the filtered ones), the
-    scaled emissions times the backward variables, and the posteriors.
+    The E-step works in four (chunk, T, W) arrays allocated once here: the
+    window's log emissions, its log forward variables (then the filtered
+    ones), the scaled emissions times the backward variables, and the
+    posteriors.
     """
     n_seq, n_steps, _ = x.shape
-    chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * n_steps)))
-    work = [np.empty((chunk, n_steps, n_steps)) for _ in range(4)]
+    width = min(_WINDOW, n_steps)
+    chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * width)))
+    work = np.empty((4, chunk, n_steps, width))
     starts = range(0, n_seq, chunk)
     log_lik = np.empty(n_seq)
     trace: list[float] = []
@@ -461,17 +670,18 @@ def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
     previous = np.nan
     for _ in range(config.max_iterations):
         chols = np.linalg.cholesky(covs)
-        log_norms = _log_norms(chols)
-        stats = _Statistics(means, len(log_diags))
-        for lo in starts:
-            part = slice(lo, lo + chunk)
-            chunk_work = [array[:len(x[part])] for array in work]
-            log_b, log_alpha = chunk_work[:2]
-            _log_b(x[part], means, chols, log_norms, out=log_b)
-            _forward(log_b, log_pi, log_diags, out=log_alpha)
-            log_lik[part] = logsumexp(log_alpha[:, -1, :], axis=-1)
-            if lo != starts[-1]:
-                fallbacks += stats.add(x[part], chunk_work, log_lik[part], log_pi, log_diags)
+        params = (means, chols, _log_norms(chols))
+        stats = _Statistics(means, len(log_diags), n_seq)
+        for begin in starts:
+            part = slice(begin, begin + chunk)
+            log_b, alpha = work[:2, :len(x[part])]
+            lo, log_lik[part], trusted = _window_forward(x[part], params, log_pi,
+                                                         log_diags, log_b, alpha)
+            pending = (x[part], lo, trusted, log_lik[part])
+            # an uncertified likelihood is replaced before the convergence test
+            if begin != starts[-1] or not trusted.all():
+                fallbacks += _finish_chunk(stats, work, *pending, params, log_pi, log_diags)
+                pending = None
         total = float(log_lik.sum())
         trace.append(total)
         if len(trace) > 1 and _relative_change(total, previous) < config.loglik_rel_tolerance:
@@ -481,7 +691,8 @@ def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
 
         # The last chunk's posteriors wait for the convergence test, so a
         # single-chunk fit skips them in its final iteration.
-        fallbacks += stats.add(x[part], chunk_work, log_lik[part], log_pi, log_diags)
+        if pending is not None:
+            fallbacks += _finish_chunk(stats, work, *pending, params, log_pi, log_diags)
         log_pi, log_diags, means, covs = _m_step(stats, log_diags,
                                                  config.covariance_floor_eps)
     return (log_pi, log_diags, means, covs,

@@ -17,6 +17,7 @@ import numpy as np
 
 import lrhmm
 from lrhmm import GaussianEmission, LrHmmModel, ObservationSequence
+from lrhmm.core import _band_diagonals, _log_b
 
 # the directory holding the lrhmm package these tests imported
 # (``src`` in a checkout), as an absolute path
@@ -114,6 +115,38 @@ def enum_viterbi(values, model):
             best_paths.append(path)
     best = min(best_paths, key=lambda p: tuple(reversed(p)))
     return np.array(best, dtype=int), float(best_score)
+
+
+def reference_viterbi(values, model):
+    """Viterbi by the plain max-plus loop over all N states: per step, a
+    (band + 1, N) candidate table whose row k holds predecessor j - (band - k),
+    so np.argmax's first-max rule picks the lowest predecessor on ties.
+    Returns the path and its score."""
+    log_b = _log_b(values, model.means, model._chols, model._log_norms)
+    n_steps, n_states = log_b.shape
+    band = model.band_width
+    diags = _band_diagonals(model.log_A, band)
+    delta = np.empty((n_steps, n_states))
+    psi = np.zeros((n_steps, n_states), dtype=int)
+    delta[0] = model.log_pi + log_b[0]
+    offsets = np.arange(n_states)
+    for t in range(1, n_steps):
+        prev = delta[t - 1]
+        cand = np.full((band + 1, n_states), -np.inf)
+        for k in range(band + 1):
+            d = band - k
+            if d == 0:
+                cand[k] = prev + diags[0]
+            elif diags[d].size > 0:
+                cand[k, d:] = prev[:-d] + diags[d]
+        best = np.argmax(cand, axis=0)
+        delta[t] = cand[best, offsets] + log_b[t]
+        psi[t] = offsets - (band - best)
+    path = np.empty(n_steps, dtype=int)
+    path[-1] = int(np.argmax(delta[-1]))
+    for t in range(n_steps - 2, -1, -1):
+        path[t] = psi[t + 1, path[t + 1]]
+    return path, float(delta[-1, path[-1]])
 
 
 def enum_pair_posteriors(values, model):

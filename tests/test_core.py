@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from lrhmm import (
     GaussianEmission,
@@ -18,8 +23,9 @@ from lrhmm import (
     save_model,
     validate_model,
 )
-from lrhmm.core import _log_b
-from helpers import BROKEN_BAND_DOCS, oracle_log_density, random_banded_model, random_spd
+from lrhmm.core import _log_b, _logsumexp
+from helpers import (_PACKAGE_PARENT, BROKEN_BAND_DOCS, oracle_log_density, random_banded_model,
+                     random_spd)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,37 @@ def test_log_b_is_the_division_formula_for_one_channel():
     expected = model._log_norms - 0.5 * (z * z)
     assert np.array_equal(_log_b(values, model.means, model._chols, model._log_norms),
                           expected)
+
+
+def test_package_imports_without_scipy():
+    # SciPy serves the tests as an oracle only; the package needs NumPy alone
+    env = dict(os.environ, PYTHONPATH=_PACKAGE_PARENT)
+    code = "import sys, lrhmm; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_logsumexp_matches_scipy_bit_for_bit(axis):
+    rng = np.random.default_rng(66)
+    for case in range(200):
+        x = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (int(rng.integers(1, 30)), 40))
+        if case % 3 == 0:
+            x[rng.random(x.shape) < 0.5] = -np.inf
+        if case % 5 == 0:
+            x[:, 1] = x[:, 0]                   # tied maxima
+        assert np.array_equal(_logsumexp(x, axis=axis), logsumexp(x, axis=axis))
+
+
+def test_logsumexp_of_only_minus_infinity_is_minus_infinity_without_a_warning():
+    x = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, math.log(3.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(x)
+    assert got[0] == -np.inf
+    assert got[1] == pytest.approx(math.log(4.0), rel=1e-15)
 
 
 def test_model_stacks_emission_parameters_read_only():

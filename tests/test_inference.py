@@ -14,7 +14,8 @@ from lrhmm import (
     prefix_log_likelihoods,
     viterbi,
 )
-from helpers import enum_log_likelihood, enum_viterbi, random_banded_model, sample_sequence
+from helpers import (enum_log_likelihood, enum_viterbi, random_banded_model, reference_viterbi,
+                     sample_sequence)
 
 
 def _shifted_model(model, offset):
@@ -225,3 +226,43 @@ def test_viterbi_is_translation_equivariant():
     seq = ObservationSequence(rng.normal(0.0, 1.0, (5, 1)), 0.025)
     moved = ObservationSequence(seq.values - 12.25, 0.025)
     assert np.array_equal(viterbi(seq, model).path, viterbi(moved, shifted).path)
+
+
+@pytest.mark.parametrize("band", [1, 2, 3])
+def test_viterbi_matches_the_reference_loop(band):
+    # long paths over many states, with start mass on several states, and
+    # histories shorter than the horizon; paths and scores bit for bit
+    rng = np.random.default_rng(34 + band)
+    for n_states, n_steps, canonical in ((40, 40, True), (60, 25, False), (90, 90, True)):
+        model = random_banded_model(rng, n_states, 2, band_width=band, canonical_pi=canonical)
+        seq = ObservationSequence(rng.normal(0.0, 2.0, (n_steps, 2)), 0.025)
+        result = viterbi(seq, model)
+        ref_path, ref_score = reference_viterbi(seq.values, model)
+        assert np.array_equal(result.path, ref_path)
+        assert result.log_prob == ref_score
+
+
+def test_viterbi_breaks_band_2_ties_like_the_reference_loop():
+    # Identical emissions for states 0-5 and uniform band-2 rows make many
+    # paths score the same; a last sample on state 6's mean pulls the path
+    # to the top, so the predecessor chosen at each tie shows in it.
+    n_states = 7
+    emissions = tuple(GaussianEmission(np.array([4.0 if j == 6 else 0.0]), np.array([[1.0]]))
+                      for j in range(n_states))
+    log_a = np.full((n_states, n_states), -np.inf)
+    for i in range(n_states):
+        hi = min(i + 2, n_states - 1)
+        log_a[i, i:hi + 1] = -math.log(hi - i + 1)
+    log_pi = np.full(n_states, -np.inf)
+    log_pi[:3] = -math.log(3.0)
+    model = LrHmmModel(n_states, 1, log_pi, log_a, emissions, 2)
+    for n_steps in (1, 2, 4, 5, 7):
+        values = np.zeros((n_steps, 1))
+        values[-1] = 4.0
+        seq = ObservationSequence(values, 0.025)
+        result = viterbi(seq, model)
+        ref_path, ref_score = reference_viterbi(seq.values, model)
+        assert np.array_equal(result.path, ref_path)
+        assert result.log_prob == ref_score
+        if n_steps <= 4:
+            assert np.array_equal(result.path, enum_viterbi(seq.values, model)[0])

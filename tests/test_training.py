@@ -18,6 +18,7 @@ from lrhmm import (
     forward_backward,
     generate_synthetic,
     initialize_model,
+    log_likelihood,
     validate_model,
 )
 from helpers import (
@@ -26,6 +27,7 @@ from helpers import (
     enum_paths,
     path_log_score,
     random_banded_model,
+    sample_sequence,
 )
 
 
@@ -291,14 +293,20 @@ def test_training_memory_is_bounded_by_the_e_step_workspace():
 # probability-space E-step against the log-space path
 # ---------------------------------------------------------------------------
 
-def _crank_recordings(label, n_steps, n_sequences=6):
-    """Recordings of the calibrated class pair (dr1, the rigid sensor)."""
+def _crank_recordings(label, n_steps, n_sequences=6, n_dims=1):
+    """Recordings of the calibrated class pair: dr1, the rigid sensor, then
+    for ``n_dims`` > 1 loose sensors df2 and df3 (artifact levels 0, 0.3)."""
     cfg = SyntheticConfig(omega=(1.05 if label == 1 else 1.48) * math.pi,
                           artifact_phase_lag=math.pi / 2 + (0.04 if label == 2 else -0.04),
                           noise_std=0.015, duration_s=n_steps * 0.025, dt=0.025,
                           n_sequences=n_sequences, random_start_phase=False,
                           rng_seed=100 * label + n_steps)
-    return generate_synthetic(cfg, (), label)["dr1"]
+    if n_dims == 1:
+        return generate_synthetic(cfg, (), label)["dr1"]
+    by_sensor = generate_synthetic(cfg, (0.0, 0.3), label)
+    sensors = ("dr1", "df2", "df3")[:n_dims]
+    return [ObservationSequence(np.hstack([by_sensor[name][k].values for name in sensors]),
+                                cfg.dt, trial_id=k) for k in range(n_sequences)]
 
 
 def _fit_both_ways(monkeypatch, seqs, config, initial_model=None):
@@ -365,6 +373,148 @@ def test_long_horizon_fit_stays_in_probability_space(monkeypatch):
     assert np.all(np.isfinite(trace.log_likelihoods))
     assert np.all(np.isfinite(model.means)) and np.all(np.isfinite(model.covariances))
     _assert_same_fit(fit, log_fit)
+
+
+@pytest.mark.parametrize("band", [1, 2])
+@pytest.mark.parametrize("n_dims", [1, 3])
+@pytest.mark.parametrize("n_steps", [40, 200, 800])
+def test_windowed_e_step_fits_as_in_log_space(monkeypatch, n_steps, n_dims, band):
+    # T = 40 runs densely (W >= N); at T = 200 and 800 each row of the
+    # E-step holds 64 of the N states.  One E-step each from the initial
+    # model and from a once-trained one: over more iterations, last-bit
+    # differences in the parameters grow in the tiny transition
+    # probabilities, exp(-100) and below.  The channels are mixed and set
+    # at level 10, so that no mean or covariance is near zero, where a
+    # relative tolerance measures rounding rather than the E-step.
+    mix = np.tril(np.full((n_dims, n_dims), 0.5), -1) + np.eye(n_dims)
+    seqs = [ObservationSequence(10.0 + s.values @ mix.T, s.dt, trial_id=s.trial_id)
+            for s in _crank_recordings(1, n_steps, n_sequences=8, n_dims=n_dims)]
+    config = TrainingConfig(max_iterations=1, band_width=band)
+    initial = initialize_model(seqs, config)
+    for start in (initial, baum_welch(seqs, config)[0]):
+        fit, log_fit, fallback_rows = _fit_both_ways(monkeypatch, seqs, config,
+                                                     initial_model=start)
+        assert fallback_rows == fit[1].estep_fallbacks == 0
+        _assert_same_fit(fit, log_fit)
+        # the windowed forward scores the start as the dense one does
+        expected = sum(log_likelihood(s, start) for s in seqs)
+        assert fit[1].log_likelihoods[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_fallback_memory_stays_near_an_own_class_fit():
+    # One-iteration T = 800 fits of 12 recordings from a class-2 model.  The
+    # 6 class-1 recordings of the mixed set go through the dense log-space
+    # path, one at a time and in the E-step's workspace, so they add about
+    # one (T, N) array to the own-class fit's peak.
+    model_2, _ = baum_welch(_crank_recordings(2, 800), TrainingConfig(max_iterations=3))
+    class_1 = _crank_recordings(1, 800)
+    class_2 = _crank_recordings(2, 800, n_sequences=12)
+    peaks, fallbacks = [], []
+    for group in (class_2, class_1 + class_2[:6]):
+        seqs = [ObservationSequence(s.values, s.dt, trial_id=k) for k, s in enumerate(group)]
+        tracemalloc.start()
+        try:
+            _, trace = baum_welch(seqs, TrainingConfig(max_iterations=1),
+                                  initial_model=model_2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        fallbacks.append(trace.estep_fallbacks)
+    assert fallbacks == [0, 6]
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def _narrow_window(monkeypatch):
+    """Rows of 2 states, keeping those within 1 nat per step of the best."""
+    monkeypatch.setattr(lrhmm.training, "_WINDOW", 2)
+    monkeypatch.setattr(lrhmm.training, "_WINDOW_NATS_PER_STEP", 1.0)
+
+
+def _count_log_space_posteriors(monkeypatch):
+    """A list that gets one entry per forward_backward redone in log space."""
+    calls = []
+    xi_prob_sums = lrhmm.training._xi_prob_sums
+
+    def counting(*args):
+        calls.append(1)
+        return xi_prob_sums(*args)
+
+    monkeypatch.setattr(lrhmm.training, "_xi_prob_sums", counting)
+    return calls
+
+
+def _assert_matches_enumeration(seq, model, cache):
+    assert abs(cache.log_likelihood - enum_log_likelihood(seq.values, model)) < 1e-9
+    gamma_ref = np.zeros((seq.n_steps, model.n_states))
+    for path in enum_paths(model.n_states, seq.n_steps):
+        w = math.exp(path_log_score(seq.values, model, path) - cache.log_likelihood)
+        for t, j in enumerate(path):
+            gamma_ref[t, j] += w
+    assert np.abs(cache.gamma - gamma_ref).max() < 1e-9
+    xi_ref = enum_pair_posteriors(seq.values, model)
+    assert np.abs(np.exp(cache.log_xi_sums) - xi_ref).max() < 1e-9
+
+
+def _spaced_model(rng, n_states, band, spacing):
+    """A random banded model whose state j's mean is moved by spacing * j."""
+    model = random_banded_model(rng, n_states, 1, band_width=band,
+                                canonical_pi=bool(rng.integers(0, 2)))
+    emissions = tuple(GaussianEmission(e.mean + spacing * j, e.covariance)
+                      for j, e in enumerate(model.emissions))
+    return LrHmmModel(n_states, 1, model.log_pi, model.log_A, emissions, band)
+
+
+def test_windowed_posteriors_match_enumeration(monkeypatch):
+    # With 2 of 3-4 states per row the window slides on nearly every step.
+    # Well separated states leave the dropped ones far behind, so the
+    # certificate holds; close ones do not, and the sequence falls back.
+    _narrow_window(monkeypatch)
+    fallbacks = _count_log_space_posteriors(monkeypatch)
+    rng = np.random.default_rng(23)
+    windowed = 0
+    for case in range(30):
+        n_states = int(rng.integers(3, 5))
+        model = _spaced_model(rng, n_states, int(rng.integers(1, 3)),
+                              spacing=float(rng.choice([2.0, 15.0])))
+        seq = sample_sequence(rng, model, int(rng.integers(2, n_states + 1)))
+        before = len(fallbacks)
+        _assert_matches_enumeration(seq, model, forward_backward(seq, model))
+        windowed += len(fallbacks) == before
+    assert 0 < windowed < 30
+
+
+def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
+    # Sample 1 sits on state 1's mean, 72 nats above state 0, so the window
+    # drops state 0 at t = 1.  Samples 2 and 3 then fit only state 0: the
+    # path that stays in state 0 wins by about 72 nats, and the window has
+    # lost it.  The certificate must see this and send the sequence to the
+    # log-space path.
+    _narrow_window(monkeypatch)
+    fallbacks = _count_log_space_posteriors(monkeypatch)
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
+                                 [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]]))
+    emissions = tuple(GaussianEmission(np.array([12.0 * j]), np.array([[1.0]]))
+                      for j in range(4))
+    model = LrHmmModel(4, 1, np.array([0.0, -np.inf, -np.inf, -np.inf]), log_a,
+                       emissions, 1)
+    seq = ObservationSequence(np.array([[0.0], [12.0], [0.0], [0.0]]), 0.025)
+
+    x = seq.values[None]
+    params = (model.means, model._chols, model._log_norms)
+    log_b, alpha = np.empty((2, 1, 4, 2))
+    lo, window_log_lik, trusted = lrhmm.training._window_forward(
+        x, params, model.log_pi, lrhmm.training._band_diagonals(model.log_A, 1),
+        log_b, alpha)
+    exact = enum_log_likelihood(seq.values, model)
+    assert list(lo) == [0, 1, 1, 1]
+    assert window_log_lik[0] < exact - 60.0
+    assert not trusted[0]
+
+    cache = forward_backward(seq, model)
+    assert fallbacks == [1]
+    _assert_matches_enumeration(seq, model, cache)
+    assert cache.gamma[1, 0] > 0.99
 
 
 def test_posteriors_of_a_forward_state_behind_by_e705():
