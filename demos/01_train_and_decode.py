@@ -31,7 +31,7 @@ print(f"  ... iteration {len(trace.log_likelihoods) - 1}: "
 
 # the state means should track the clean waveform
 clean = config.amplitude * np.cos(config.omega * config.dt * np.arange(config.n_steps))
-recovered = np.array([e.mean[0] for e in model.emissions])
+recovered = model.means[:, 0]
 print(f"max |state mean - clean waveform|: {np.abs(recovered - clean).max():.4f}")
 
 # decoding any repetition walks the states left to right

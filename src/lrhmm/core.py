@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,6 +119,29 @@ def _grid_steps(duration_s: float, dt: float) -> int:
     return round(steps)
 
 
+def _asymmetric(covs: np.ndarray) -> np.ndarray:
+    """Which stacked covariances (N, M, M) are not symmetric to
+    ``SYMMETRY_RTOL`` relative to their largest entry: shape (N,)."""
+    scale = np.maximum(np.abs(covs).max(axis=(1, 2)), np.finfo(float).tiny)
+    skew = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+    return skew > SYMMETRY_RTOL * scale
+
+
+def _cholesky_factors(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors (N, M, M) of the stacked covariances ``covs``
+    of Gaussians with means ``means`` (N, M), in one batched factorisation.
+    Raises UsageError if a parameter is not finite, and ModelError if a
+    covariance is not symmetric or not positive definite."""
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
+        raise UsageError("emission parameters contain non-finite values")
+    if np.any(_asymmetric(covs)):
+        raise ModelError("covariance is not symmetric")
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        raise ModelError("covariance is not positive definite") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianEmission:
     """Gaussian observation density of one state: N(mean, covariance).
@@ -131,29 +154,16 @@ class GaussianEmission:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.ndim == 0:
-            mean = mean[None]
-        if mean.ndim != 1:
-            raise UsageError(f"mean must be 1-D, got shape {mean.shape}")
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.covariance, dtype=float)
         if cov.ndim == 0:
             cov = cov[None, None]
-        m = mean.shape[0]
-        if cov.shape != (m, m):
-            raise UsageError(f"covariance shape {cov.shape} does not match mean length {m}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise UsageError("emission parameters contain non-finite values")
-        scale = max(float(np.abs(cov).max()), np.finfo(float).tiny)
-        if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
-            raise ModelError("covariance is not symmetric")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ModelError("covariance is not positive definite") from None
-        object.__setattr__(self, "mean", _frozen_array(mean))
-        object.__setattr__(self, "covariance", _frozen_array(cov))
-        object.__setattr__(self, "_chol", _frozen_array(chol))
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+            raise UsageError(f"mean shape {mean.shape} and covariance shape {cov.shape} "
+                             "do not describe one Gaussian")
+        chol = _cholesky_factors(mean[None], cov[None])[0]
+        for name, value in (("mean", mean), ("covariance", cov), ("_chol", chol)):
+            object.__setattr__(self, name, _frozen_array(value))
 
     @property
     def n_dims(self) -> int:
@@ -226,9 +236,7 @@ def gaussian_log_density(x, emission: GaussianEmission) -> float:
     Evaluated through the cached Cholesky factor of the covariance.  A scalar
     ``x`` is accepted for single-channel emissions.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (emission.n_dims,):
         raise UsageError(
             f"observation shape {x.shape} does not match emission dimension {emission.n_dims}"
@@ -242,26 +250,26 @@ class LrHmmModel:
     """A left-right HMM: banded transitions, Gaussian state emissions.
 
     ``log_pi`` and ``log_A`` store log probabilities with ``-inf`` for
-    structural zeros.  ``emissions`` holds one :class:`GaussianEmission` per
-    state; ``means`` (N, M) and ``covariances`` (N, M, M) stack their
-    parameters as read-only arrays.  Instances are immutable; semantic
+    structural zeros.  State j emits N(means[j], covariances[j]): ``means``
+    is (N, M), ``covariances`` (N, M, M).  Instances are immutable; semantic
     invariants (stochastic rows, band structure) are checked by
     :func:`validate_model`, not here.
     """
 
-    n_states: int
-    n_dims: int
     log_pi: np.ndarray
     log_A: np.ndarray
-    emissions: tuple
+    means: np.ndarray
+    covariances: np.ndarray
     band_width: int = 1
-    means: np.ndarray = field(init=False, repr=False)
-    covariances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, m = self.n_states, self.n_dims
-        if n < 1 or m < 1:
-            raise UsageError("n_states and n_dims must be >= 1")
+        means = np.asarray(self.means, dtype=float)
+        covs = np.asarray(self.covariances, dtype=float)
+        if means.ndim != 2 or means.size == 0:
+            raise UsageError(f"means shape {means.shape}, expected (N, M) with N, M >= 1")
+        n, m = means.shape
+        if covs.shape != (n, m, m):
+            raise UsageError(f"covariances shape {covs.shape}, expected ({n}, {m}, {m})")
         if self.band_width < 1:
             raise UsageError("band_width must be >= 1")
         log_pi = np.asarray(self.log_pi, dtype=float)
@@ -276,23 +284,19 @@ class LrHmmModel:
             raise UsageError("log_pi contains +inf")
         if np.any(np.isposinf(log_A)):
             raise UsageError("log_A contains +inf")
-        emissions = tuple(self.emissions)
-        if len(emissions) != n:
-            raise UsageError(f"expected {n} emissions, got {len(emissions)}")
-        for j, e in enumerate(emissions):
-            if not isinstance(e, GaussianEmission):
-                raise UsageError(f"emission {j} is not a GaussianEmission")
-            if e.n_dims != m:
-                raise UsageError(f"emission {j} has dimension {e.n_dims}, expected {m}")
-        object.__setattr__(self, "log_pi", _frozen_array(log_pi))
-        object.__setattr__(self, "log_A", _frozen_array(log_A))
-        object.__setattr__(self, "emissions", emissions)
-        chols = np.stack([e._chol for e in emissions])
-        for name, stacked in (("means", np.stack([e.mean for e in emissions])),
-                              ("covariances", np.stack([e.covariance for e in emissions])),
-                              ("_chols", chols),
-                              ("_log_norms", _log_norms(chols))):
-            object.__setattr__(self, name, _frozen_array(stacked))
+        chols = _cholesky_factors(means, covs)
+        for name, value in (("log_pi", log_pi), ("log_A", log_A), ("means", means),
+                            ("covariances", covs), ("_chols", chols),
+                            ("_log_norms", _log_norms(chols))):
+            object.__setattr__(self, name, _frozen_array(value))
+
+    @property
+    def n_states(self) -> int:
+        return self.means.shape[0]
+
+    @property
+    def n_dims(self) -> int:
+        return self.means.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +347,8 @@ def validate_model(model: LrHmmModel) -> list[str]:
     if not np.isfinite(pi_sum) or abs(pi_sum - 1.0) > ROW_SUM_TOL:
         violations.append(f"pi sums to {float(pi_sum)!r}, expected 1")
 
-    covs = model.covariances
-    scale = np.maximum(np.abs(covs).max(axis=(1, 2)), np.finfo(float).tiny)
-    skew = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
-    asymmetric = skew > SYMMETRY_RTOL * scale
-    min_eigs = np.linalg.eigvalsh(covs).min(axis=1)
+    asymmetric = _asymmetric(model.covariances)
+    min_eigs = np.linalg.eigvalsh(model.covariances).min(axis=1)
     for j in np.flatnonzero(asymmetric | ~(min_eigs > 0)):
         if asymmetric[j]:
             violations.append(f"emission {j} covariance is not symmetric")
@@ -399,8 +400,8 @@ def model_to_json(model: LrHmmModel) -> str:
         "pi": pi.tolist(),
         "A_band": a_band,
         "emissions": [
-            {"mean": e.mean.tolist(), "covariance": e.covariance.tolist()}
-            for e in model.emissions
+            {"mean": mean, "covariance": cov}
+            for mean, cov in zip(model.means.tolist(), model.covariances.tolist())
         ],
     }
     return json.dumps(doc, indent=2)
@@ -440,19 +441,20 @@ def model_from_json(text: str) -> LrHmmModel:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid model JSON: {exc}") from None
     try:
-        n_states = int(doc["n_states"])
-        n_dims = int(doc["n_dims"])
-        band_width = int(doc["band_width"])
+        header = [doc[key] for key in ("n_states", "n_dims", "band_width")]
+        if any(type(value) is not int for value in header):     # not bool or float
+            raise ParseError("malformed model document: n_states, n_dims and "
+                             f"band_width must be integers, got {header}")
+        n_states, n_dims, band_width = header
+        means = np.asarray([e["mean"] for e in doc["emissions"]], dtype=float)
+        covs = np.asarray([e["covariance"] for e in doc["emissions"]], dtype=float)
+        if means.shape != (n_states, n_dims):
+            raise ModelError(f"invalid model: emission means have shape {means.shape}, "
+                             f"expected ({n_states}, {n_dims})")
         pi = np.asarray(doc["pi"], dtype=float)
         log_a = _read_transitions(doc, n_states, band_width)
-        emissions = tuple(
-            GaussianEmission(np.asarray(e["mean"], dtype=float),
-                             np.asarray(e["covariance"], dtype=float))
-            for e in doc["emissions"]
-        )
         with np.errstate(divide="ignore", invalid="ignore"):
-            model = LrHmmModel(n_states, n_dims, np.log(pi), log_a, emissions,
-                               band_width)
+            model = LrHmmModel(np.log(pi), log_a, means, covs, band_width)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None
     except UsageError as exc:

@@ -27,11 +27,11 @@ import numpy as np
 from .core import (
     DegenerateStateError,
     ForwardBackwardCache,
-    GaussianEmission,
     LrHmmModel,
     ObservationSequence,
     UsageError,
     _band_diagonals,
+    _cholesky_factors,
     _log_a_from_band,
     _log_b,
     _log_norms,
@@ -99,10 +99,10 @@ class TrainingConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise UsageError("max_iterations must be >= 1")
-        if not self.loglik_rel_tolerance > 0:
-            raise UsageError("loglik_rel_tolerance must be > 0")
-        if not self.covariance_floor_eps > 0:
-            raise UsageError("covariance_floor_eps must be > 0")
+        if not 0 < self.loglik_rel_tolerance < math.inf:
+            raise UsageError("loglik_rel_tolerance must be finite and > 0")
+        if not 0 < self.covariance_floor_eps < math.inf:
+            raise UsageError("covariance_floor_eps must be finite and > 0")
         if self.band_width < 1:
             raise UsageError("band_width must be >= 1")
 
@@ -473,12 +473,9 @@ def _floor_covariances(covs: np.ndarray, eps_rel: float) -> np.ndarray:
 
 
 def _banded_uniform_log_a(n_states: int, band_width: int) -> np.ndarray:
-    log_a = np.full((n_states, n_states), -np.inf)
-    for i in range(n_states):
-        hi = min(i + band_width, n_states - 1)
-        width = hi - i + 1
-        log_a[i, i:hi + 1] = -np.log(width)
-    return log_a
+    widths = np.minimum(band_width, n_states - 1 - np.arange(n_states)) + 1
+    return _log_a_from_band([-np.log(widths[:n_states - d]) for d in range(band_width + 1)],
+                            n_states)
 
 
 def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
@@ -509,8 +506,7 @@ def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
     log_pi = np.full(n_states, -np.inf)
     log_pi[0] = 0.0
     log_a = _banded_uniform_log_a(n_states, config.band_width)
-    emissions = tuple(GaussianEmission(means[j], covs[j]) for j in range(n_states))
-    return LrHmmModel(n_states, n_dims, log_pi, log_a, emissions, config.band_width)
+    return LrHmmModel(log_pi, log_a, means, covs, config.band_width)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +665,7 @@ def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
     converged = False
     previous = np.nan
     for _ in range(config.max_iterations):
-        chols = np.linalg.cholesky(covs)
+        chols = _cholesky_factors(means, covs)
         params = (means, chols, _log_norms(chols))
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in starts:
@@ -734,7 +730,5 @@ def baum_welch(sequences, config: TrainingConfig,
              model0.means, model0.covariances)
     del model0                          # its dense A is not needed during EM
     log_pi, log_diags, means, covs, trace = _expectation_maximization(x, *start, config)
-    emissions = tuple(GaussianEmission(means[j], covs[j]) for j in range(n_steps))
-    model = LrHmmModel(n_steps, n_dims, log_pi, _log_a_from_band(log_diags, n_steps),
-                       emissions, band_width)
-    return model, trace
+    return LrHmmModel(log_pi, _log_a_from_band(log_diags, n_steps), means, covs,
+                      band_width), trace

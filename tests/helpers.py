@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import lrhmm
-from lrhmm import GaussianEmission, LrHmmModel, ObservationSequence
+from lrhmm import LrHmmModel, ObservationSequence
 from lrhmm.core import _band_diagonals, _log_b
 
 # the directory holding the lrhmm package these tests imported
@@ -72,20 +72,19 @@ def random_banded_model(rng, n_states, n_dims, band_width=1, canonical_pi=True):
         log_pi[:width] = np.log(rng.dirichlet(np.full(width, 2.0)))
 
     means = rng.normal(0.0, 2.0, (n_states, n_dims))
-    emissions = tuple(GaussianEmission(means[j], random_spd(rng, n_dims))
-                      for j in range(n_states))
-    return LrHmmModel(n_states, n_dims, log_pi, log_a, emissions, band_width)
+    covs = np.stack([random_spd(rng, n_dims) for _ in range(n_states)])
+    return LrHmmModel(log_pi, log_a, means, covs, band_width)
 
 
 def path_log_score(values, model, path):
     """Joint log probability of one complete state path and the data."""
-    e = model.emissions[path[0]]
-    score = float(model.log_pi[path[0]]) + oracle_log_density(
-        values[0], e.mean, e.covariance)
+    j = path[0]
+    score = float(model.log_pi[j]) + oracle_log_density(
+        values[0], model.means[j], model.covariances[j])
     for t in range(1, len(path)):
-        e = model.emissions[path[t]]
-        score += float(model.log_A[path[t - 1], path[t]])
-        score += oracle_log_density(values[t], e.mean, e.covariance)
+        j = path[t]
+        score += float(model.log_A[path[t - 1], j])
+        score += oracle_log_density(values[t], model.means[j], model.covariances[j])
     return score
 
 
@@ -166,19 +165,19 @@ def sample_sequence(rng, model, n_steps, dt=0.025, **kwargs):
     """Draw one observation sequence from a model's own generative process."""
     pi = np.exp(model.log_pi)
     a = np.exp(model.log_A)
-    chols = [np.linalg.cholesky(e.covariance) for e in model.emissions]
+    chols = [np.linalg.cholesky(cov) for cov in model.covariances]
     state = int(rng.choice(model.n_states, p=pi))
     rows = []
     for t in range(n_steps):
         if t:
             state = int(rng.choice(model.n_states, p=a[state]))
-        e = model.emissions[state]
-        rows.append(e.mean + chols[state] @ rng.standard_normal(model.n_dims))
+        rows.append(model.means[state] + chols[state] @ rng.standard_normal(model.n_dims))
     return ObservationSequence(np.array(rows), dt, **kwargs)
 
 
-# Defects of a model document's ``A_band``, one per entry; each edits a
-# document written by ``model_to_json`` in place.
+# Defects of a model document's ``A_band`` and of the integer header fields
+# it is read against, one per entry; each edits a document written by
+# ``model_to_json`` in place.
 BROKEN_BAND_DOCS = {
     "diagonal_count": lambda doc: doc["A_band"].append([0.0]),
     "diagonal_length": lambda doc: doc["A_band"][1].append(0.0),
@@ -186,4 +185,6 @@ BROKEN_BAND_DOCS = {
     "nan": lambda doc: doc["A_band"][0].__setitem__(0, float("nan")),
     "both_keys": lambda doc: doc.update(A=[[1.0]]),
     "huge_n_states": lambda doc: doc.update(n_states=10 ** 9),
+    "infinite_n_states": lambda doc: doc.update(n_states=float("inf")),
+    "fractional_band_width": lambda doc: doc.update(band_width=1.5),
 }

@@ -139,8 +139,8 @@ def test_em_monotone_and_single_state_closed_form():
             mean = values.mean()
             scatter = float(((values - mean) ** 2).mean())
             floored = scatter + max(1e-6 * scatter, 1e-9)
-            assert abs(model.emissions[0].mean[0] - mean) <= 1e-10
-            assert abs(model.emissions[0].covariance[0, 0] - floored) <= 1e-10
+            assert abs(model.means[0, 0] - mean) <= 1e-10
+            assert abs(model.covariances[0, 0, 0] - floored) <= 1e-10
 
 
 def test_distance_identities():

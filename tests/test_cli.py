@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from lrhmm import (
@@ -9,6 +10,7 @@ from lrhmm import (
     classify,
     load_csv,
     load_model,
+    save_csv,
 )
 from lrhmm.cli import parse_durations, read_config
 from helpers import BROKEN_BAND_DOCS, run_cli
@@ -231,6 +233,39 @@ def test_bad_config_file_exits_with_2(workspace, tmp_path):
     result = run_cli("generate", "--config", bad, "--out", tmp_path / "d")
     assert result.returncode == 2
     assert "key=value" in result.stderr
+
+
+@pytest.mark.parametrize("key", ["covariance_floor_eps", "loglik_rel_tolerance"])
+def test_non_finite_training_config_exits_with_2(workspace, tmp_path, key):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"{key} = inf\n")
+    result = run_cli("train", "--data", workspace / "data", "--label", 1,
+                     "--sensor", "df2", "--config", cfg, "--out", tmp_path / "m.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert key in result.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_non_positive_definite_em_covariance_exits_with_1(tmp_path):
+    # the second channel is 3x the first at level 1e9: with a negligible
+    # covariance floor an M-step covariance loses positive definiteness
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    data.mkdir()
+    for k in range(6):
+        first = 1e9 + rng.normal(0.0, 1.0, 10)
+        seq = ObservationSequence(np.stack([first, 3.0 * first], axis=1), 0.025,
+                                  sensor_id="s0", trial_id=k, label=1)
+        save_csv(seq, data / f"s0-class1-trial{k:03d}.csv")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("covariance_floor_eps = 1e-30\nmax_iterations = 5\n")
+    result = run_cli("train", "--data", data, "--label", 1, "--config", cfg,
+                     "--out", tmp_path / "m.json")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "positive definite" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_missing_config_file_exits_with_1(tmp_path):

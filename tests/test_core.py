@@ -162,8 +162,8 @@ def test_log_b_matches_the_oracle(n_dims, lead):
         "...ij,...j->...i", model._chols[owner], rng.normal(0.0, 1.0, lead + (n_dims,))))
     got = _log_b(values, model.means, model._chols, model._log_norms)
     assert got.shape == lead + (6,)
-    expected = np.array([[oracle_log_density(x, e.mean, e.covariance)
-                          for e in model.emissions]
+    expected = np.array([[oracle_log_density(x, mean, cov)
+                          for mean, cov in zip(model.means, model.covariances)]
                          for x in values.reshape(-1, n_dims)]).reshape(got.shape)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
@@ -212,9 +212,13 @@ def test_logsumexp_of_only_minus_infinity_is_minus_infinity_without_a_warning():
 def test_model_stacks_emission_parameters_read_only():
     rng = np.random.default_rng(65)
     model = random_banded_model(rng, 4, 3)
-    assert np.array_equal(model.means, np.stack([e.mean for e in model.emissions]))
-    assert np.array_equal(model.covariances,
-                          np.stack([e.covariance for e in model.emissions]))
+    assert (model.n_states, model.n_dims) == (4, 3)
+    means, covs = np.array(model.means), np.array(model.covariances)
+    copy = LrHmmModel(model.log_pi, model.log_A, means, covs, 1)
+    means[0, 0] += 1.0                  # the model keeps copies of its arrays
+    covs[0, 0, 0] += 1.0
+    assert np.array_equal(copy.means, model.means)
+    assert np.array_equal(copy.covariances, model.covariances)
     for stacked in (model.means, model.covariances, model._chols, model._log_norms):
         assert not stacked.flags.writeable
 
@@ -231,9 +235,9 @@ def _canonical_model(n_states=3, n_dims=1):
         log_a[i, i] = math.log(0.5)
         log_a[i, i + 1] = math.log(0.5)
     log_a[-1, -1] = 0.0
-    emissions = tuple(GaussianEmission(np.full(n_dims, float(j)), np.eye(n_dims))
-                      for j in range(n_states))
-    return LrHmmModel(n_states, n_dims, log_pi, log_a, emissions, 1)
+    means = np.repeat(np.arange(n_states, dtype=float)[:, None], n_dims, axis=1)
+    covs = np.broadcast_to(np.eye(n_dims), (n_states, n_dims, n_dims))
+    return LrHmmModel(log_pi, log_a, means, covs, 1)
 
 
 def test_valid_model_has_no_violations():
@@ -249,7 +253,7 @@ def test_validate_flags_bad_row_sum():
     model = _canonical_model()
     log_a = np.array(model.log_A)
     log_a[1, 1] = math.log(0.4)   # row 1 now sums to 0.9
-    bad = LrHmmModel(3, 1, model.log_pi, log_a, model.emissions, 1)
+    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 1)
     problems = validate_model(bad)
     assert len(problems) == 1
     assert "row 1" in problems[0]
@@ -262,7 +266,7 @@ def test_validate_messages_print_plain_numbers():
     log_a[2, 2] = math.log(0.5)       # final state no longer absorbing
     log_pi = np.array(model.log_pi)
     log_pi[0] = math.log(0.5)
-    bad = LrHmmModel(3, 1, log_pi, log_a, model.emissions, 1)
+    bad = LrHmmModel(log_pi, log_a, model.means, model.covariances, 1)
     assert validate_model(bad) == [
         "row 0 of A sums to 0.5, expected 1",
         "row 2 of A sums to 0.5, expected 1",
@@ -277,7 +281,7 @@ def test_validate_flags_out_of_band_transition():
     log_a[0, 0] = math.log(1.0 / 3.0)   # keep the row stochastic...
     log_a[0, 1] = math.log(1.0 / 3.0)
     log_a[0, 2] = math.log(1.0 / 3.0)   # ...but jump over state 1
-    bad = LrHmmModel(3, 1, model.log_pi, log_a, model.emissions, 1)
+    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 1)
     problems = validate_model(bad)
     assert len(problems) == 1
     assert "0->2" in problems[0]
@@ -288,7 +292,7 @@ def test_validate_flags_backward_transition_and_non_absorbing_end():
     log_a = np.array(model.log_A)
     log_a[2, 1] = math.log(0.5)
     log_a[2, 2] = math.log(0.5)
-    bad = LrHmmModel(3, 1, model.log_pi, log_a, model.emissions, 1)
+    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 1)
     problems = validate_model(bad)
     assert any("2->1" in p for p in problems)
     assert any("absorbing" in p for p in problems)
@@ -300,7 +304,7 @@ def test_validate_band_check_matches_the_double_loop():
     log_a = np.array(model.log_A)
     for i, j in ((0, 3), (2, 1), (4, 8), (5, 0), (8, 6), (3, 7)):
         log_a[i, j] = math.log(0.1)
-    bad = LrHmmModel(9, 1, model.log_pi, log_a, model.emissions, 2)
+    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 2)
     expected = [f"transition {i}->{j} outside the band is not -inf"
                 for i in range(9) for j in range(9)
                 if not i <= j <= min(i + 2, 8) and not np.isneginf(log_a[i, j])]
@@ -312,7 +316,7 @@ def test_validate_band_check_matches_the_double_loop():
 def test_validate_flags_bad_start_distribution():
     model = _canonical_model()
     log_pi = np.full(3, math.log(0.25))
-    bad = LrHmmModel(3, 1, log_pi, model.log_A, model.emissions, 1)
+    bad = LrHmmModel(log_pi, model.log_A, model.means, model.covariances, 1)
     problems = validate_model(bad)
     assert len(problems) == 1
     assert "pi" in problems[0]
@@ -323,14 +327,17 @@ def test_validate_flags_bad_start_distribution():
     lambda kw: kw.update(log_A=np.zeros((2, 2))),
     lambda kw: kw.update(log_pi=np.array([np.nan, -np.inf, -np.inf])),
     lambda kw: kw.update(log_pi=np.array([np.inf, -np.inf, -np.inf])),
-    lambda kw: kw.update(emissions=()),
+    lambda kw: kw.update(means=np.zeros((0, 1)), covariances=np.zeros((0, 1, 1))),
     lambda kw: kw.update(band_width=0),
-    lambda kw: kw.update(n_states=0),
+    lambda kw: kw.update(means=np.zeros(3)),
+    lambda kw: kw.update(covariances=np.ones((2, 1, 1))),
+    lambda kw: kw.update(log_A=np.zeros((4, 4))),
+    lambda kw: kw.update(means=np.array([[0.0], [np.inf], [2.0]])),
 ])
 def test_model_constructor_rejects_malformed_input(mutate):
     model = _canonical_model()
-    kwargs = dict(n_states=3, n_dims=1, log_pi=model.log_pi, log_A=model.log_A,
-                  emissions=model.emissions, band_width=1)
+    kwargs = dict(log_pi=model.log_pi, log_A=model.log_A, means=model.means,
+                  covariances=model.covariances, band_width=1)
     mutate(kwargs)
     with pytest.raises(UsageError):
         LrHmmModel(**kwargs)
@@ -338,10 +345,21 @@ def test_model_constructor_rejects_malformed_input(mutate):
 
 def test_model_rejects_mismatched_emission_dimension():
     model = _canonical_model()
-    emissions = (model.emissions[0], model.emissions[1],
-                 GaussianEmission(np.zeros(2), np.eye(2)))
+    covs = np.broadcast_to(np.eye(2), (3, 2, 2))
     with pytest.raises(UsageError):
-        LrHmmModel(3, 1, model.log_pi, model.log_A, emissions, 1)
+        LrHmmModel(model.log_pi, model.log_A, model.means, covs, 1)
+
+
+@pytest.mark.parametrize("cov, message", [
+    ([[1.0, 0.2], [0.1, 1.0]], "not symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+])
+def test_model_rejects_a_bad_covariance(cov, message):
+    model = _canonical_model(n_dims=2)
+    covs = np.array(model.covariances)
+    covs[1] = cov
+    with pytest.raises(ModelError, match=message):
+        LrHmmModel(model.log_pi, model.log_A, model.means, covs, 1)
 
 
 def test_model_is_immutable():
@@ -368,9 +386,8 @@ def test_model_json_round_trip():
         # structural -inf entries survive exactly.
         assert np.allclose(back.log_pi, model.log_pi, rtol=1e-15, atol=1e-15)
         assert np.allclose(back.log_A, model.log_A, rtol=1e-15, atol=1e-15)
-        for a, b in zip(back.emissions, model.emissions):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.covariance, b.covariance)
+        assert np.array_equal(back.means, model.means)
+        assert np.array_equal(back.covariances, model.covariances)
 
 
 def test_model_file_round_trip(tmp_path):
@@ -501,6 +518,7 @@ def test_model_from_json_rejects_invalid_model():
 
 @pytest.mark.parametrize("corrupt", [
     lambda doc: doc.update(n_states=4),                          # shape mismatch
+    lambda doc: doc.update(n_dims=2),
     lambda doc: doc["emissions"][1].update(mean=[float("nan")]),
     lambda doc: doc["A_band"][0].__setitem__(0, -0.5),            # negative probability
 ])

@@ -13,10 +13,9 @@ from helpers import random_banded_model, sample_sequence
 def _model_and_set(rng, n_states=5, shift=0.0, n_seqs=4):
     model = random_banded_model(rng, n_states, 1)
     if shift:
-        from lrhmm import GaussianEmission, LrHmmModel
-        emissions = tuple(GaussianEmission(e.mean + shift, e.covariance)
-                          for e in model.emissions)
-        model = LrHmmModel(n_states, 1, model.log_pi, model.log_A, emissions, 1)
+        from lrhmm import LrHmmModel
+        model = LrHmmModel(model.log_pi, model.log_A, model.means + shift,
+                           model.covariances, 1)
     seqs = [sample_sequence(rng, model, n_states, trial_id=k) for k in range(n_seqs)]
     return model, seqs
 

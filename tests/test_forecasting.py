@@ -6,7 +6,6 @@ import pytest
 import lrhmm.inference
 from lrhmm import (
     FORECAST_CSV_HEADER,
-    GaussianEmission,
     LrHmmModel,
     ObservationSequence,
     UsageError,
@@ -31,9 +30,8 @@ def _ladder_model(n_states, advance=0.9, means=None, var=0.04):
         log_a[i, i] = math.log(1.0 - advance)
         log_a[i, i + 1] = math.log(advance)
     log_a[-1, -1] = 0.0
-    emissions = tuple(GaussianEmission(np.array([m]), np.array([[var]]))
-                      for m in means)
-    return LrHmmModel(n_states, 1, log_pi, log_a, emissions, 1)
+    return LrHmmModel(log_pi, log_a, np.array(means, dtype=float)[:, None],
+                      np.full((n_states, 1, 1), var), 1)
 
 
 def test_forecast_extends_along_the_most_probable_transitions():
@@ -147,10 +145,10 @@ def test_forecast_reads_the_winner_emissions_exactly():
         history = ObservationSequence(rng.normal(0.0, 2.0, (split, 3)), 0.05)
         traj = forecast(history, model_1, model_2)
         winner = model_1 if traj.class_label == 1 else model_2
-        future = [winner.emissions[j] for j in traj.state_path[split:]]
-        assert np.array_equal(traj.means, np.stack([e.mean for e in future]))
-        assert np.array_equal(traj.stddevs,
-                              np.stack([np.sqrt(np.diag(e.covariance)) for e in future]))
+        future = traj.state_path[split:]
+        assert np.array_equal(traj.means, np.stack([winner.means[j] for j in future]))
+        assert np.array_equal(traj.stddevs, np.stack(
+            [np.sqrt(np.diag(winner.covariances[j])) for j in future]))
 
 
 def test_forecast_scores_each_model_once(monkeypatch):
@@ -189,9 +187,8 @@ def test_forecast_with_multichannel_emissions(tmp_path):
     assert traj.stddevs.shape == (3, 2)
     winner = model_1 if traj.class_label == 1 else model_2
     for r, j in enumerate(traj.state_path[2:]):
-        e = winner.emissions[j]
-        assert np.array_equal(traj.means[r], e.mean)
-        assert np.allclose(traj.stddevs[r], np.sqrt(np.diag(e.covariance)))
+        assert np.array_equal(traj.means[r], winner.means[j])
+        assert np.allclose(traj.stddevs[r], np.sqrt(np.diag(winner.covariances[j])))
     rows = export_forecast(traj, 0.05)
     assert len(rows) == 6   # three steps times two channels
     write_forecast_csv(traj, 0.05, tmp_path / "fc.csv")

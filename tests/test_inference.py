@@ -20,10 +20,8 @@ from helpers import (enum_log_likelihood, enum_viterbi, random_banded_model, ref
 
 def _shifted_model(model, offset):
     """The same model with every emission mean translated by ``offset``."""
-    emissions = tuple(GaussianEmission(e.mean + offset, e.covariance)
-                      for e in model.emissions)
-    return LrHmmModel(model.n_states, model.n_dims, model.log_pi, model.log_A,
-                      emissions, model.band_width)
+    return LrHmmModel(model.log_pi, model.log_A, model.means + offset,
+                      model.covariances, model.band_width)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +38,8 @@ def test_forced_path_likelihood_is_a_density_sum():
     log_a[0, 1] = 0.0
     log_a[1, 2] = 0.0
     log_a[2, 2] = 0.0
-    model = LrHmmModel(3, 1, log_pi, log_a, emissions, 1)
+    model = LrHmmModel(log_pi, log_a, np.stack([e.mean for e in emissions]),
+                       np.stack([e.covariance for e in emissions]), 1)
     values = np.array([[0.1], [-0.7], [1.2]])
     seq = ObservationSequence(values, 0.025)
     expected = sum(gaussian_log_density(v, e) for v, e in zip(values, emissions))
@@ -147,7 +146,7 @@ def test_classify_is_reliable_at_wide_separation():
     # essentially every sampled sequence must be attributed correctly
     rng = np.random.default_rng(29)
     base = random_banded_model(rng, 6, 1)
-    sigma = math.sqrt(max(float(e.covariance[0, 0]) for e in base.emissions))
+    sigma = math.sqrt(float(base.covariances[:, 0, 0].max()))
     other = _shifted_model(base, 5.0 * sigma)
     correct = 0
     for k in range(50):
@@ -208,10 +207,9 @@ def test_viterbi_score_never_exceeds_total_likelihood():
 def test_viterbi_breaks_ties_toward_lower_states():
     # identical emissions and a 50/50 stay-or-advance row make the two
     # two-step paths (0,0) and (0,1) score identically
-    e = GaussianEmission(np.array([0.0]), np.array([[1.0]]))
     log_pi = np.array([0.0, -np.inf])
     log_a = np.array([[math.log(0.5), math.log(0.5)], [-np.inf, 0.0]])
-    model = LrHmmModel(2, 1, log_pi, log_a, (e, e), 1)
+    model = LrHmmModel(log_pi, log_a, np.zeros((2, 1)), np.ones((2, 1, 1)), 1)
     seq = ObservationSequence(np.zeros((2, 1)), 0.025)
     result = viterbi(seq, model)
     assert np.array_equal(result.path, [0, 0])
@@ -247,15 +245,15 @@ def test_viterbi_breaks_band_2_ties_like_the_reference_loop():
     # paths score the same; a last sample on state 6's mean pulls the path
     # to the top, so the predecessor chosen at each tie shows in it.
     n_states = 7
-    emissions = tuple(GaussianEmission(np.array([4.0 if j == 6 else 0.0]), np.array([[1.0]]))
-                      for j in range(n_states))
+    means = np.zeros((n_states, 1))
+    means[6] = 4.0
     log_a = np.full((n_states, n_states), -np.inf)
     for i in range(n_states):
         hi = min(i + 2, n_states - 1)
         log_a[i, i:hi + 1] = -math.log(hi - i + 1)
     log_pi = np.full(n_states, -np.inf)
     log_pi[:3] = -math.log(3.0)
-    model = LrHmmModel(n_states, 1, log_pi, log_a, emissions, 2)
+    model = LrHmmModel(log_pi, log_a, means, np.ones((n_states, 1, 1)), 2)
     for n_steps in (1, 2, 4, 5, 7):
         values = np.zeros((n_steps, 1))
         values[-1] = 4.0

@@ -8,7 +8,6 @@ from scipy.special import logsumexp
 import lrhmm.training
 from lrhmm import (
     DegenerateStateError,
-    GaussianEmission,
     LrHmmModel,
     ObservationSequence,
     SyntheticConfig,
@@ -131,10 +130,10 @@ def test_initialize_model_uses_per_step_statistics():
     seqs = [ObservationSequence(row, 0.025, trial_id=k) for k, row in enumerate(x)]
     model = initialize_model(seqs, TrainingConfig(rng_seed=0))
     step_means = x.mean(axis=0)
-    for j, e in enumerate(model.emissions):
-        assert abs(e.mean[0] - step_means[j]) < 0.05
-        assert e.covariance.shape == (1, 1)
-        assert e.covariance[0, 0] > 0
+    for j in range(model.n_states):
+        assert abs(model.means[j, 0] - step_means[j]) < 0.05
+        assert model.covariances[j].shape == (1, 1)
+        assert model.covariances[j, 0, 0] > 0
 
 
 def test_initialize_model_is_seeded():
@@ -143,9 +142,8 @@ def test_initialize_model_is_seeded():
     a = initialize_model(seqs, TrainingConfig(rng_seed=3))
     b = initialize_model(seqs, TrainingConfig(rng_seed=3))
     c = initialize_model(seqs, TrainingConfig(rng_seed=4))
-    means = lambda m: np.stack([e.mean for e in m.emissions])
-    assert np.array_equal(means(a), means(b))
-    assert not np.array_equal(means(a), means(c))
+    assert np.array_equal(a.means, b.means)
+    assert not np.array_equal(a.means, c.means)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +162,8 @@ def test_single_state_training_recovers_sample_statistics():
     mean = values.sum() / len(values)
     scatter = sum((v - mean) ** 2 for v in values) / len(values)
     floor = max(config.covariance_floor_eps * scatter, 1e-9)
-    assert abs(model.emissions[0].mean[0] - mean) < 1e-12
-    assert abs(model.emissions[0].covariance[0, 0] - (scatter + floor)) < 1e-12
+    assert abs(model.means[0, 0] - mean) < 1e-12
+    assert abs(model.covariances[0, 0, 0] - (scatter + floor)) < 1e-12
     assert model.log_pi[0] == 0.0
     assert model.log_A[0, 0] == 0.0
     assert trace.converged
@@ -215,9 +213,8 @@ def _assert_order_invariant():
     model_b, trace_b = baum_welch(list(reversed(seqs)), config)
     assert trace_a.log_likelihoods == trace_b.log_likelihoods
     assert np.array_equal(model_a.log_A, model_b.log_A)
-    for e_a, e_b in zip(model_a.emissions, model_b.emissions):
-        assert np.array_equal(e_a.mean, e_b.mean)
-        assert np.array_equal(e_a.covariance, e_b.covariance)
+    assert np.array_equal(model_a.means, model_b.means)
+    assert np.array_equal(model_a.covariances, model_b.covariances)
 
 
 def test_training_is_invariant_to_sequence_order():
@@ -248,9 +245,8 @@ def test_training_is_invariant_to_chunking(monkeypatch, n_dims, band):
     with np.errstate(over="ignore"):
         np.testing.assert_allclose(np.exp(split.log_A), np.exp(whole.log_A),
                                    rtol=1e-10, atol=1e-300)
-    for e_s, e_w in zip(split.emissions, whole.emissions):
-        np.testing.assert_allclose(e_s.mean, e_w.mean, rtol=1e-10)
-        np.testing.assert_allclose(e_s.covariance, e_w.covariance, rtol=1e-10)
+    np.testing.assert_allclose(split.means, whole.means, rtol=1e-10)
+    np.testing.assert_allclose(split.covariances, whole.covariances, rtol=1e-10)
 
 
 def test_training_memory_does_not_grow_with_the_number_of_sequences():
@@ -459,9 +455,8 @@ def _spaced_model(rng, n_states, band, spacing):
     """A random banded model whose state j's mean is moved by spacing * j."""
     model = random_banded_model(rng, n_states, 1, band_width=band,
                                 canonical_pi=bool(rng.integers(0, 2)))
-    emissions = tuple(GaussianEmission(e.mean + spacing * j, e.covariance)
-                      for j, e in enumerate(model.emissions))
-    return LrHmmModel(n_states, 1, model.log_pi, model.log_A, emissions, band)
+    means = model.means + spacing * np.arange(n_states)[:, None]
+    return LrHmmModel(model.log_pi, model.log_A, means, model.covariances, band)
 
 
 def test_windowed_posteriors_match_enumeration(monkeypatch):
@@ -494,10 +489,8 @@ def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
                                  [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]]))
-    emissions = tuple(GaussianEmission(np.array([12.0 * j]), np.array([[1.0]]))
-                      for j in range(4))
-    model = LrHmmModel(4, 1, np.array([0.0, -np.inf, -np.inf, -np.inf]), log_a,
-                       emissions, 1)
+    model = LrHmmModel(np.array([0.0, -np.inf, -np.inf, -np.inf]), log_a,
+                       12.0 * np.arange(4.0)[:, None], np.ones((4, 1, 1)), 1)
     seq = ObservationSequence(np.array([[0.0], [12.0], [0.0], [0.0]]), 0.025)
 
     x = seq.values[None]
@@ -527,9 +520,7 @@ def test_posteriors_of_a_forward_state_behind_by_e705():
     far = math.sqrt(2000.0)                    # e^-1000 density ratio
     log_pi = np.array([-705.0, math.log1p(-math.exp(-705.0))])
     log_a = np.array([[math.log(0.5), math.log(0.5)], [-np.inf, 0.0]])
-    emissions = (GaussianEmission(np.array([0.0]), np.array([[1.0]])),
-                 GaussianEmission(np.array([far]), np.array([[1.0]])))
-    model = LrHmmModel(2, 1, log_pi, log_a, emissions, 1)
+    model = LrHmmModel(log_pi, log_a, np.array([[0.0], [far]]), np.ones((2, 1, 1)), 1)
     seq = ObservationSequence(np.array([[far / 2], [0.0]]), 0.025)
     cache = forward_backward(seq, model)
 
@@ -548,9 +539,8 @@ def test_pair_posteriors_ignore_a_state_the_band_cannot_reach_yet():
     # not reach the pair posteriors as 0 * inf.
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
-    emissions = tuple(GaussianEmission(np.array([mean]), np.array([[1.0]]))
-                      for mean in (0.0, 1.0, 60.0))
-    model = LrHmmModel(3, 1, np.array([0.0, -np.inf, -np.inf]), log_a, emissions, 1)
+    model = LrHmmModel(np.array([0.0, -np.inf, -np.inf]), log_a,
+                       np.array([[0.0], [1.0], [60.0]]), np.ones((3, 1, 1)), 1)
     seq = ObservationSequence(np.array([[0.0], [60.0]]), 0.025)
     cache = forward_backward(seq, model)
     assert abs(cache.log_likelihood - enum_log_likelihood(seq.values, model)) < 1e-9
@@ -582,8 +572,7 @@ def test_converged_model_is_a_fixed_point():
     assert trace_2.log_likelihoods[0] == trace.log_likelihoods[-1]
     assert trace_2.converged
     assert trace_2.iterations_run == 2
-    for e_a, e_b in zip(model.emissions, model_2.emissions):
-        assert np.allclose(e_a.mean, e_b.mean, rtol=1e-6, atol=1e-9)
+    assert np.allclose(model.means, model_2.means, rtol=1e-6, atol=1e-9)
 
 
 def test_training_accepts_explicit_initial_model():
@@ -605,12 +594,8 @@ def test_degenerate_state_is_reported_by_index():
     log_pi = np.array([0.0, -np.inf, -np.inf])
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
-    emissions = (
-        GaussianEmission(np.array([0.0]), np.array([[1.0]])),
-        GaussianEmission(np.array([1e6]), np.array([[1e-6]])),
-        GaussianEmission(np.array([0.0]), np.array([[1.0]])),
-    )
-    start = LrHmmModel(3, 1, log_pi, log_a, emissions, 1)
+    start = LrHmmModel(log_pi, log_a, np.array([[0.0], [1e6], [0.0]]),
+                       np.array([[[1.0]], [[1e-6]], [[1.0]]]), 1)
     with pytest.raises(DegenerateStateError, match="state 1"):
         baum_welch(data, TrainingConfig(max_iterations=5), initial_model=start)
 
@@ -642,6 +627,9 @@ def test_training_input_validation():
     dict(loglik_rel_tolerance=0.0),
     dict(covariance_floor_eps=0.0),
     dict(band_width=0),
+    dict(loglik_rel_tolerance=math.inf),
+    dict(covariance_floor_eps=math.inf),
+    dict(covariance_floor_eps=math.nan),
 ])
 def test_training_config_validation(kwargs):
     with pytest.raises(UsageError):
