@@ -208,26 +208,53 @@ def _log_b(values, means: np.ndarray, chols: np.ndarray,
         out = np.empty(values.shape[:-1] + means.shape[:1])
     whitened = []
     scratch = np.empty_like(out) if n_dims > 1 else None
-    for i in range(n_dims):
-        last = i == n_dims - 1
-        # the last row's y is not kept, so it needs no array of its own
-        y = out if n_dims == 1 else scratch if last else np.empty_like(out)
-        np.subtract(values[..., i, None], means[:, i], out=y)
-        for k, y_k in enumerate(whitened):
-            product = y_k if last else scratch      # the last row reads y_k last
-            np.multiply(chols[:, i, k], y_k, out=product)
-            y -= product
-        y /= chols[:, i, i]
-        if i == 0:
-            np.multiply(y, y, out=out)              # the quadratic form
-        else:
-            square = y if last else scratch
-            np.multiply(y, y, out=square)
-            out += square
-        whitened.append(y)
+    # a quadratic form that overflows to inf is a density of exactly 0
+    with np.errstate(over="ignore"):
+        for i in range(n_dims):
+            last = i == n_dims - 1
+            # the last row's y is not kept, so it needs no array of its own
+            y = out if n_dims == 1 else scratch if last else np.empty_like(out)
+            np.subtract(values[..., i, None], means[:, i], out=y)
+            for k, y_k in enumerate(whitened):
+                product = y_k if last else scratch      # the last row reads y_k last
+                np.multiply(chols[:, i, k], y_k, out=product)
+                y -= product
+            y /= chols[:, i, i]
+            if i == 0:
+                np.multiply(y, y, out=out)              # the quadratic form
+            else:
+                square = y if last else scratch
+                np.multiply(y, y, out=square)
+                out += square
+            whitened.append(y)
     out *= -0.5                         # (-0.5 q) + c is exactly c - 0.5 q
     out += log_norms
     return out
+
+
+def _live_spans(log_pi: np.ndarray, diags: list[np.ndarray]) -> tuple[tuple, tuple]:
+    """The states [lo_t, hi_t) that can hold forward mass at step t, from the
+    start distribution and the log band diagonals ``diags`` of A: the tuples
+    (lo_0, .., lo_{N-1}) and (hi_0, .., hi_{N-1}).
+
+    A path starts at a state of finite ``log_pi`` and moves at most
+    len(diags) - 1 states per step, so it lies below hi_t = last start + 1 +
+    (len(diags) - 1) t.  It must move on from every state whose self-loop
+    (``diags[0]``) is -inf, so it lies at or above lo_t = min(first start +
+    t, the first state from there with a finite self-loop).  Forward and
+    Viterbi variables outside the span are -inf whatever the data.  A model
+    without a start state has empty spans.
+    """
+    n_states = log_pi.size
+    steps = np.arange(n_states)
+    starts = np.flatnonzero(log_pi > -np.inf)
+    if not starts.size:
+        return (0,) * n_states, (0,) * n_states
+    first, last = starts[0], starts[-1]
+    loops = np.flatnonzero(diags[0][first:] > -np.inf)
+    settle = first + loops[0] if loops.size else n_states
+    return (tuple(np.minimum(first + steps, settle).tolist()),
+            tuple(np.minimum(last + 1 + (len(diags) - 1) * steps, n_states).tolist()))
 
 
 def gaussian_log_density(x, emission: GaussianEmission) -> float:
@@ -289,6 +316,9 @@ class LrHmmModel:
                             ("covariances", covs), ("_chols", chols),
                             ("_log_norms", _log_norms(chols))):
             object.__setattr__(self, name, _frozen_array(value))
+        diags = tuple(_frozen_array(diag) for diag in _band_diagonals(log_A, self.band_width))
+        object.__setattr__(self, "_diags", diags)
+        object.__setattr__(self, "_spans", _live_spans(log_pi, diags))
 
     @property
     def n_states(self) -> int:
@@ -392,7 +422,7 @@ def model_to_json(model: LrHmmModel) -> str:
     with np.errstate(over="ignore"):
         pi = np.exp(model.log_pi)
         a_band = [np.exp(diag).tolist()
-                  for diag in _band_diagonals(model.log_A, model.band_width)]
+                  for diag in model._diags]
     doc = {
         "n_states": model.n_states,
         "n_dims": model.n_dims,

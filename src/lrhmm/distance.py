@@ -14,8 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import LrHmmError, LrHmmModel, UsageError
-from .inference import log_likelihood
+from .inference import _set_log_likelihoods
+from .training import _check_scorable
 
 
 @dataclass(frozen=True)
@@ -30,12 +33,22 @@ class CrossFitnessReport:
 
 
 def _score_set(sequences, model: LrHmmModel, set_name: str) -> float:
-    total = 0.0
+    """Summed log-likelihood of ``sequences`` under ``model``, in set order;
+    sequences of one length are scored together in one batched pass."""
     for seq in sequences:
         try:
-            total += log_likelihood(seq, model)
+            _check_scorable(seq, model)
         except LrHmmError as exc:
             raise type(exc)(f"{set_name} trial {seq.trial_id}: {exc}") from exc
+    lengths = np.array([seq.n_steps for seq in sequences])
+    scores = np.empty(len(sequences))
+    for n_steps in np.unique(lengths):
+        group = np.flatnonzero(lengths == n_steps)
+        scores[group] = _set_log_likelihoods([sequences[i] for i in group], model)
+    # one by one: the built-in sum compensates its rounding from Python 3.12 on
+    total = 0.0
+    for score in scores.tolist():
+        total += score
     return total
 
 

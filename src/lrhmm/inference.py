@@ -3,7 +3,9 @@
 Histories may be shorter than the model horizon: the forward likelihood is
 terminated by summing over all states at the last observed step, and the
 Viterbi score maximizes over all states there.  Longer-than-horizon input
-is a usage error.
+is a usage error.  Every step of both recursions runs over the states that
+can hold mass at that step (``core._live_spans``) and gives the same bits
+as a recursion over all states.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LrHmmModel, ObservationSequence, UsageError, _band_diagonals, _log_b,
-                   _logsumexp)
+from .core import LrHmmModel, ModelError, ObservationSequence, UsageError, _log_b, _logsumexp
 from .training import _check_scorable, _forward
 
 
@@ -40,10 +41,14 @@ class ViterbiResult:
     log_prob: float
 
 
-# Log emission densities kept for the scorers called inside one
+# Log emission blocks kept for the scorers called inside one
 # ``_shared_emissions`` block, keyed by the identities of the sequence and the
 # model; the caller of the block holds both, so the identities stay unique.
 _emission_memo: ContextVar[dict | None] = ContextVar("_emission_memo", default=None)
+
+# Steps per block of emission scoring: a history of up to 64 steps, such as
+# every T = 40 one, is scored in one call of the kernel.
+_SCORING_BLOCK = 64
 
 
 @contextmanager
@@ -56,51 +61,92 @@ def _shared_emissions():
         _emission_memo.reset(token)
 
 
-def _emissions(seq: ObservationSequence, model: LrHmmModel) -> np.ndarray:
-    """Log densities (T, N) of a scorable ``seq`` under every state of ``model``."""
+def _span_blocks(x: np.ndarray, model: LrHmmModel):
+    """Log densities of sequences ``x`` (..., T, M) under the states that
+    :func:`training._forward` reads, ``_SCORING_BLOCK`` steps at a time:
+    blocks (base, scores), scores (..., steps, W) of states base .. base +
+    W - 1, over the states from lo_{t0-2} to hi_{t1-1} for steps t0 .. t1-1."""
+    lo, hi = model._spans
+    n_steps = x.shape[-2]
+    for t0 in range(0, n_steps, _SCORING_BLOCK):
+        t1 = min(t0 + _SCORING_BLOCK, n_steps)
+        states = slice(lo[max(t0 - 2, 0)], hi[t1 - 1])
+        yield states.start, _log_b(x[..., t0:t1, :], model.means[states],
+                                   model._chols[states], model._log_norms[states])
+
+
+def _emissions(seq: ObservationSequence, model: LrHmmModel):
+    """The log emission blocks of a scorable ``seq`` under ``model``."""
     _check_scorable(seq, model)
     memo = _emission_memo.get()
     key = (id(seq), id(model))
-    if memo is not None and key in memo:
-        return memo[key]
-    log_b = _log_b(seq.values, model.means, model._chols, model._log_norms)
-    if memo is not None:
-        memo[key] = log_b
-    return log_b
+    if memo is None:
+        return _span_blocks(seq.values, model)
+    if key not in memo:
+        memo[key] = list(_span_blocks(seq.values, model))
+    return memo[key]
 
 
-def _forward_table(seq: ObservationSequence, model: LrHmmModel) -> np.ndarray:
-    diags = _band_diagonals(model.log_A, model.band_width)
-    return _forward(_emissions(seq, model), model.log_pi, diags)
+def _prefix_scores(log_b, model: LrHmmModel, batch: tuple, ends: list) -> np.ndarray:
+    """Log-likelihoods (S, *batch) of the prefixes that end at steps
+    ``ends`` (distinct, 0-based) of sequences with emission blocks ``log_b``
+    (batch dimensions ``batch``).  The forward rolls through two rows and
+    keeps the S it returns."""
+    kept = np.empty((len(ends),) + batch + (model.n_states,))
+    _forward(log_b, model.log_pi, model._diags, model._spans,
+             np.empty(batch + (2, model.n_states)),
+             keep={t: kept[i] for i, t in enumerate(ends)})
+    return _logsumexp(kept)
+
+
+def _set_log_likelihoods(sequences, model: LrHmmModel) -> np.ndarray:
+    """Log-likelihoods (K,) of scorable sequences that share one length,
+    scored together in one pass."""
+    x = np.stack([seq.values for seq in sequences])
+    return _prefix_scores(_span_blocks(x, model), model, (len(x),), [x.shape[1] - 1])[0]
 
 
 def log_likelihood(seq: ObservationSequence, model: LrHmmModel) -> float:
     """Forward log-likelihood log P(seq | model) for a history of length <= N."""
-    log_alpha = _forward_table(seq, model)
-    return float(_logsumexp(log_alpha[-1, :]))
+    return float(_prefix_scores(_emissions(seq, model), model, (), [seq.n_steps - 1])[0])
 
 
 def prefix_log_likelihoods(seq: ObservationSequence, model: LrHmmModel,
                            steps) -> np.ndarray:
-    """Log-likelihoods of several prefixes of ``seq`` from one forward pass.
+    """Log-likelihoods of several prefixes of ``seq`` from one forward pass
+    over the longest of them.
 
-    ``steps`` holds prefix lengths (1-based step counts); entry ``s`` of the
-    result equals ``log_likelihood(seq truncated to s steps, model)``.
+    ``steps`` holds prefix lengths (1-based whole step counts); entry ``s``
+    of the result equals ``log_likelihood(seq truncated to s steps, model)``.
     """
-    steps = np.asarray(steps, dtype=int)
-    if steps.size == 0:
+    _check_scorable(seq, model)
+    steps = np.asarray(steps)
+    if steps.dtype.kind not in "iu" and not (
+            steps.dtype.kind == "f" and np.all(np.isfinite(steps))
+            and np.all(steps == np.round(steps))):
+        raise UsageError(f"prefix lengths must be whole numbers of steps, got {steps}")
+    lengths = steps.ravel().tolist()
+    if not lengths:
         raise UsageError("steps must be non-empty")
-    if steps.min() < 1 or steps.max() > seq.n_steps:
+    if min(lengths) < 1 or max(lengths) > seq.n_steps:
         raise UsageError(f"prefix lengths must lie in [1, {seq.n_steps}]")
-    log_alpha = _forward_table(seq, model)
-    return _logsumexp(log_alpha[steps - 1, :])
+    distinct = sorted({int(length) for length in lengths})
+    scores = _prefix_scores(_span_blocks(seq.values[:distinct[-1]], model), model, (),
+                            [end - 1 for end in distinct])
+    index = {end: i for i, end in enumerate(distinct)}
+    return scores[[index[length] for length in lengths]].reshape(steps.shape)
 
 
 def classify(history: ObservationSequence, model_1: LrHmmModel,
              model_2: LrHmmModel) -> ClassDecision:
-    """Label a history 1 or 2 by comparing forward log-likelihoods."""
+    """Label a history 1 or 2 by comparing forward log-likelihoods.
+
+    Raises ModelError if the history has zero likelihood under both models.
+    """
     ll_1 = log_likelihood(history, model_1)
     ll_2 = log_likelihood(history, model_2)
+    if ll_1 == ll_2 == -np.inf:
+        raise ModelError("the history has zero likelihood under both models")
     if ll_1 >= ll_2:
         return ClassDecision(1, (ll_1, ll_2), ll_1 - ll_2)
     return ClassDecision(2, (ll_1, ll_2), ll_2 - ll_1)
@@ -110,33 +156,40 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     """Decode the most likely state path by max-plus recursion in log space.
 
     All argmax ties (per-step predecessor choice and the final state) break
-    toward the lowest state index, so decoding is deterministic.
+    toward the lowest state index, so decoding is deterministic.  Each step
+    runs over the model's live span, outside which delta is exactly -inf.
     """
     log_b = _emissions(seq, model)
     n_steps, n_states = seq.n_steps, model.n_states
-    diags = _band_diagonals(model.log_A, model.band_width)
-
+    diags = model._diags
     delta = np.full((n_steps, n_states), -np.inf)
     psi = np.zeros((n_steps, n_states), dtype=int)
-    delta[0] = model.log_pi + log_b[0]
     states = np.arange(n_states)
-    # delta is exactly -inf outside [lo, hi): below the first state of
-    # finite delta[0], and above the band's reach from its last
-    finite = np.flatnonzero(delta[0] > -np.inf)
-    lo, hi = (finite[0], finite[-1] + 1) if finite.size else (0, 0)
-    for t in range(1, n_steps):
-        hi = min(hi + model.band_width, n_states)
-        prev, best, arg = delta[t - 1], delta[t, lo:hi], psi[t, lo:hi]
-        np.add(prev[lo:hi], diags[0][lo:hi], out=best)
-        arg[:] = states[lo:hi]
-        # a farther predecessor replaces the best so far when at least as
-        # good, so ties go to the lowest predecessor
-        for d in range(1, len(diags)):
-            cand = prev[lo:hi - d] + diags[d][lo:hi - d]
-            better = cand >= best[d:]
-            np.copyto(best[d:], cand, where=better)
-            np.copyto(arg[d:], states[lo:hi - d], where=better)
-        best += log_b[t, lo:hi]
+    lows, highs = model._spans
+    t = 0
+    for base, block in log_b:
+        for step_scores in block:
+            lo, hi = lows[t], highs[t]
+            best, arg = delta[t, lo:hi], psi[t, lo:hi]
+            scores = step_scores[lo - base:hi - base]
+            if t == 0:
+                np.add(model.log_pi[lo:hi], scores, out=best)
+            else:
+                prev = delta[t - 1]
+                np.add(prev[lo:hi], diags[0][lo:hi], out=best)
+                arg[:] = states[lo:hi]
+                # a farther predecessor replaces the best so far when at
+                # least as good, so ties go to the lowest predecessor
+                for d in range(1, len(diags)):
+                    start = max(lo, d)
+                    if start >= hi:
+                        continue
+                    cand = prev[start - d:hi - d] + diags[d][start - d:hi - d]
+                    better = cand >= best[start - lo:]
+                    np.copyto(best[start - lo:], cand, where=better)
+                    np.copyto(arg[start - lo:], states[start - d:hi - d], where=better)
+                best += scores
+            t += 1
 
     end = int(np.argmax(delta[-1]))
     path = np.empty(n_steps, dtype=int)

@@ -28,11 +28,12 @@ from .core import (
     DegenerateStateError,
     ForwardBackwardCache,
     LrHmmModel,
+    ModelError,
     ObservationSequence,
     UsageError,
-    _band_diagonals,
     _cholesky_factors,
     _log_a_from_band,
+    _live_spans,
     _log_b,
     _log_norms,
     _logsumexp,
@@ -123,23 +124,51 @@ class TrainingTrace:
 # banded log-space recursions (leading batch dimensions allowed)
 # ---------------------------------------------------------------------------
 
-def _forward(log_b: np.ndarray, log_pi: np.ndarray, diags: list[np.ndarray],
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Forward log variables; ``log_b`` is (..., T, N), result matches and is
-    written to ``out`` if given."""
-    n_steps = log_b.shape[-2]
-    if out is None:
-        out = np.empty_like(log_b)
-    out[..., 0, :] = log_pi + log_b[..., 0, :]
-    for t in range(1, n_steps):
-        prev = out[..., t - 1, :]
-        acc = prev + diags[0]
-        for d in range(1, len(diags)):
-            if diags[d].size == 0:
-                continue
-            acc[..., d:] = np.logaddexp(acc[..., d:], prev[..., :-d] + diags[d])
-        out[..., t, :] = acc + log_b[..., t, :]
-    return out
+def _forward(log_b, log_pi, diags, spans, out, keep=None):
+    """Forward log variables (leading batch dimensions allowed), computed
+    over each step's live span (``spans`` from :func:`core._live_spans`);
+    outside it they are exactly -inf, as the recursion over all states
+    gives.
+
+    ``log_b`` holds the log emissions as blocks (base, scores) in step
+    order: scores (..., steps, W) are those of states base .. base + W - 1,
+    and cover at each of their steps t the states from lo_{t-2} to hi_t.
+    Step t goes to row t % R of ``out`` (..., R, N): with R = T it is the
+    table of every step, with R = 2 only the last two steps are held.  Step
+    t is computed from state lo_{t-2} on, so a rolling row's values of step
+    t - 2 below lo_t are overwritten with the -inf the recursion gives
+    there.  ``keep`` maps steps to arrays (..., N) that receive their rows.
+    """
+    rows = list(out.swapaxes(-2, 0))
+    n_rows = len(rows)
+    lo, hi = spans
+    firsts = lo[:1] * 2 + lo                        # lo_{t-2}, from lo_0
+    stay, moves = diags[0], list(enumerate(diags))[1:]
+    keep = keep or {}
+    out.fill(-np.inf)
+    t = 0
+    for base, block in log_b:
+        for scores in block.swapaxes(-2, 0):
+            first, end = firsts[t], hi[t]
+            row = rows[t % n_rows]
+            acc = row[..., first:end]
+            # positional out arguments: this loop runs once per step
+            if t == 0:
+                np.add(log_pi[first:end], scores[..., first - base:end - base], acc)
+            else:
+                np.add(prev[..., first:end], stay[first:end], acc)
+                for d, diag in moves:
+                    if first >= d:
+                        np.logaddexp(acc, prev[..., first - d:end - d] + diag[first - d:end - d],
+                                     acc)
+                    elif d < end:
+                        tail = acc[..., d - first:]
+                        np.logaddexp(tail, prev[..., :end - d] + diag[:end - d], tail)
+                np.add(acc, scores[..., first - base:end - base], acc)
+            if t in keep:
+                keep[t][...] = row
+            prev = row
+            t += 1
 
 
 def _backward(log_b: np.ndarray, diags: list[np.ndarray]) -> np.ndarray:
@@ -236,7 +265,7 @@ def _window_forward(x, params, log_pi, diags, log_b, alpha):
     dropped = np.full(n_seq, -np.inf)
     if width == n_states:
         _log_b(x, *params, out=log_b)
-        _forward(log_b, log_pi, diags, out=alpha)
+        _forward([(0, log_b)], log_pi, diags, _live_spans(log_pi, diags), alpha)
     else:
         band = len(diags) - 1
         tau = _WINDOW_NATS_PER_STEP * n_steps
@@ -401,7 +430,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     at the final step).  Posteriors come from the E-step that training runs.
     """
     _check_scorable(seq, model)
-    diags = _band_diagonals(model.log_A, model.band_width)
+    diags = model._diags
     x = seq.values[None]
     params = (model.means, model._chols, model._log_norms)
     n_steps, n_states = seq.n_steps, model.n_states
@@ -411,7 +440,8 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     gamma, xi, ok = _posteriors(log_b_w, alpha, lo, trusted, model.log_pi, diags,
                                 weighted, gamma)
     log_b = _log_b(x, *params)                                  # (1, T, N)
-    log_alpha = _forward(log_b, model.log_pi, diags)
+    log_alpha = np.empty_like(log_b)
+    _forward([(0, log_b)], model.log_pi, diags, model._spans, log_alpha)
     log_beta = _backward(log_b, diags)
     log_lik = _logsumexp(log_alpha[:, -1, :])
     if ok[0]:
@@ -486,15 +516,20 @@ def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
     emission mean is the cross-sequence mean of step ``j``, perturbed by
     seeded noise of scale 0.01x the per-channel standard deviation (pooled
     over sequences and steps); its covariance is the diagonal per-channel
-    variance of step ``j``, floored.
+    variance of step ``j``, floored.  Raises ModelError if the recordings
+    are so large that their variance overflows.
     """
     seqs, x = _prepare_batch(sequences)
     _, n_steps, n_dims = x.shape
     n_states = n_steps
 
-    step_means = x.mean(axis=0)                             # (T, M)
-    step_vars = x.var(axis=0)                               # (T, M)
-    pooled_std = x.std(axis=(0, 1))                         # (M,)
+    with np.errstate(over="ignore"):
+        step_means = x.mean(axis=0)                         # (T, M)
+        step_vars = x.var(axis=0)                           # (T, M)
+        pooled_std = x.std(axis=(0, 1))                     # (M,)
+    if not (np.all(np.isfinite(step_vars)) and np.all(np.isfinite(pooled_std))):
+        raise ModelError("the variance of the recordings overflows: their values are "
+                         "too large to train on")
     rng = np.random.default_rng(config.rng_seed)
     means = step_means + 0.01 * pooled_std * rng.standard_normal((n_states, n_dims))
 
@@ -569,7 +604,7 @@ def _log_space_e_step(stats, x, params, log_pi, diags, work) -> np.ndarray:
     """
     log_b, log_alpha = work
     _log_b(x, *params, out=log_b)
-    _forward(log_b, log_pi, diags, out=log_alpha)
+    _forward([(0, log_b)], log_pi, diags, _live_spans(log_pi, diags), log_alpha)
     log_lik = _logsumexp(log_alpha[:, -1, :])
     log_beta = _backward(log_b, diags)
     xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
@@ -726,7 +761,7 @@ def baum_welch(sequences, config: TrainingConfig,
         if model0.n_dims != n_dims:
             raise UsageError("initial model dimensionality does not match data")
     band_width = model0.band_width
-    start = (model0.log_pi, _band_diagonals(model0.log_A, band_width),
+    start = (model0.log_pi, model0._diags,
              model0.means, model0.covariances)
     del model0                          # its dense A is not needed during EM
     log_pi, log_diags, means, covs, trace = _expectation_maximization(x, *start, config)

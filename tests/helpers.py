@@ -116,6 +116,23 @@ def enum_viterbi(values, model):
     return np.array(best, dtype=int), float(best_score)
 
 
+def reference_forward(values, model):
+    """Forward log variables (T, N) by the plain recursion over all N states
+    at every step, with no live-span bookkeeping."""
+    log_b = _log_b(values, model.means, model._chols, model._log_norms)
+    diags = _band_diagonals(model.log_A, model.band_width)
+    alpha = np.empty_like(log_b)
+    alpha[0] = model.log_pi + log_b[0]
+    for t in range(1, len(log_b)):
+        prev = alpha[t - 1]
+        acc = prev + diags[0]
+        for d in range(1, len(diags)):
+            if diags[d].size:
+                acc[d:] = np.logaddexp(acc[d:], prev[:-d] + diags[d])
+        alpha[t] = acc + log_b[t]
+    return alpha
+
+
 def reference_viterbi(values, model):
     """Viterbi by the plain max-plus loop over all N states: per step, a
     (band + 1, N) candidate table whose row k holds predecessor j - (band - k),

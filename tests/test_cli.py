@@ -268,6 +268,42 @@ def test_non_positive_definite_em_covariance_exits_with_1(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_train_on_overflowing_recordings_exits_with_1(tmp_path):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    data.mkdir()
+    for k in range(6):
+        seq = ObservationSequence(1e200 * (1.0 + rng.normal(0.0, 1.0, 10)), 0.025,
+                                  sensor_id="s0", trial_id=k, label=1)
+        save_csv(seq, data / f"s0-class1-trial{k:03d}.csv")
+    result = run_cli("train", "--data", data, "--label", 1, "--out", tmp_path / "m.json")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "overflows" in result.stderr
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"],
+    ["forecast", "--history", "0.125"],
+], ids=["classify", "forecast"])
+def test_history_impossible_under_both_models_exits_with_1(workspace, tmp_path, command):
+    # readings at 1e200 have zero likelihood under both models: classify
+    # used to print a NaN margin and forecast a class-1 forecast, exit 0
+    recording = tmp_path / "far.csv"
+    save_csv(ObservationSequence(np.full(10, 1e200), 0.025, sensor_id="df2", label=1),
+             recording)
+    out = tmp_path / "out.csv"
+    result = run_cli(*command, "--model1", workspace / "m1.json",
+                     "--model2", workspace / "m2.json", "--input", recording, "--out", out)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "zero likelihood" in result.stderr
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == "" and not out.exists()
+
+
 def test_missing_config_file_exits_with_1(tmp_path):
     result = run_cli("generate", "--config", tmp_path / "missing.cfg",
                      "--out", tmp_path / "d")

@@ -219,8 +219,27 @@ def test_model_stacks_emission_parameters_read_only():
     covs[0, 0, 0] += 1.0
     assert np.array_equal(copy.means, model.means)
     assert np.array_equal(copy.covariances, model.covariances)
-    for stacked in (model.means, model.covariances, model._chols, model._log_norms):
+    for stacked in (model.means, model.covariances, model._chols, model._log_norms,
+                    *model._diags):
         assert not stacked.flags.writeable
+
+
+def test_live_spans_follow_the_forced_moves():
+    # band 1 from state 1: states 1..3 have no self-loop, so the forward
+    # mass moves one state per step until state 4, the first that can stay
+    with np.errstate(divide="ignore"):
+        a = np.zeros((7, 7))
+        for i in range(6):
+            a[i, i:i + 2] = (0.0, 1.0) if i < 4 else (0.5, 0.5)
+        a[6, 6] = 1.0
+        model = LrHmmModel(np.log(np.eye(7)[1]), np.log(a), np.zeros((7, 1)),
+                           np.ones((7, 1, 1)))
+        assert model._spans == ((1, 2, 3, 4, 4, 4, 4), (2, 3, 4, 5, 6, 7, 7))
+        # band 2 from states 0 and 2: state 0 can stay, the top moves by 2
+        wide = LrHmmModel(np.log([0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]),
+                          np.log(np.triu(np.tril(np.ones((7, 7)), 2)) / 3), np.zeros((7, 1)),
+                          np.ones((7, 1, 1)), band_width=2)
+    assert wide._spans == ((0,) * 7, (3, 5, 7, 7, 7, 7, 7))
 
 
 # ---------------------------------------------------------------------------

@@ -159,22 +159,26 @@ def test_forecast_scores_each_model_once(monkeypatch):
     label = classify(history, model_1, model_2).label
     path = viterbi(history, model_1 if label == 1 else model_2).path
 
-    scored = []
+    # history steps scored per model; a block of scores may cover any
+    # states of one model, so calls are told apart by the means they read
+    scored = {1: 0, 2: 0}
     real_log_b = lrhmm.inference._log_b
 
     def counting_log_b(values, means, *rest):
-        scored.append(means)
+        owners = [k for k, model in ((1, model_1), (2, model_2))
+                  if np.shares_memory(means, model.means)]
+        assert len(owners) == 1
+        scored[owners[0]] += values.shape[-2]
         return real_log_b(values, means, *rest)
 
     monkeypatch.setattr(lrhmm.inference, "_log_b", counting_log_b)
     traj = forecast(history, model_1, model_2)
     assert traj.class_label == label
     assert np.array_equal(traj.state_path[:3], path)
-    assert len(scored) == 2
-    assert scored[0] is model_1.means and scored[1] is model_2.means
+    assert scored == {1: 3, 2: 3}
     # the shared scores do not outlive the forecast
     log_likelihood(history, model_1)
-    assert len(scored) == 3
+    assert scored == {1: 6, 2: 3}
 
 
 def test_forecast_with_multichannel_emissions(tmp_path):

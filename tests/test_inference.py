@@ -6,6 +6,7 @@ import pytest
 from lrhmm import (
     GaussianEmission,
     LrHmmModel,
+    ModelError,
     ObservationSequence,
     UsageError,
     classify,
@@ -87,6 +88,28 @@ def test_prefix_likelihood_input_validation():
         prefix_log_likelihoods(seq, model, [5])
 
 
+@pytest.mark.parametrize("steps", [[2.7], [1, 2.5], [float("nan")], [float("inf")], [True]],
+                         ids=["fraction", "mixed", "nan", "inf", "bool"])
+def test_prefix_lengths_must_be_whole_steps(steps):
+    # a fractional length used to be truncated: [2.7] scored 2 steps
+    rng = np.random.default_rng(23)
+    model = random_banded_model(rng, 4, 1)
+    seq = ObservationSequence(np.zeros((4, 1)), 0.025)
+    with pytest.raises(UsageError, match="whole numbers"):
+        prefix_log_likelihoods(seq, model, steps)
+
+
+def test_prefix_lengths_may_be_whole_floats_in_any_shape():
+    rng = np.random.default_rng(23)
+    model = random_banded_model(rng, 4, 1)
+    seq = ObservationSequence(rng.normal(0.0, 1.0, (4, 1)), 0.025)
+    want = prefix_log_likelihoods(seq, model, [[3, 1], [3, 4]])
+    assert want.shape == (2, 2)
+    assert np.array_equal(prefix_log_likelihoods(seq, model, np.array([[3.0, 1.0], [3.0, 4.0]])),
+                          want)
+    assert want[0, 0] == want[1, 0] == prefix_log_likelihoods(seq, model, [3])[0]
+
+
 def test_likelihood_rejects_overlong_history():
     rng = np.random.default_rng(24)
     model = random_banded_model(rng, 3, 1)
@@ -139,6 +162,18 @@ def test_classify_breaks_exact_ties_toward_label_1():
     decision = classify(seq, model, model)
     assert decision.label == 1
     assert decision.margin == 0.0
+
+
+def test_classify_rejects_a_history_impossible_under_both_models():
+    # readings at 1e200 overflow every quadratic form: both densities are
+    # exactly 0, so there is no decision (the margin used to be NaN)
+    rng = np.random.default_rng(28)
+    model_1 = random_banded_model(rng, 3, 2)
+    model_2 = random_banded_model(rng, 3, 2)
+    seq = ObservationSequence(np.full((3, 2), 1e200), 0.025)
+    assert log_likelihood(seq, model_1) == -math.inf
+    with pytest.raises(ModelError, match="zero likelihood"):
+        classify(seq, model_1, model_2)
 
 
 def test_classify_is_reliable_at_wide_separation():

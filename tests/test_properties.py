@@ -1,13 +1,21 @@
-"""Property tests: model files round-trip for arbitrary valid models.
+"""Property tests: model files round-trip for arbitrary valid models, and
+scoring over live spans equals the recursions over all states.
 
 Examples are derandomized and bounded, so every run checks the same models.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lrhmm import LrHmmModel, model_from_json, model_to_json
+import lrhmm.inference
+from lrhmm import (LrHmmModel, ObservationSequence, log_likelihood, model_from_json,
+                   model_to_json, prefix_log_likelihoods, viterbi)
+from lrhmm.core import _logsumexp
+from lrhmm.inference import _set_log_likelihoods
+from helpers import reference_forward, reference_viterbi
 
 # in-band probabilities: exact zeros (structural -inf in log space) or
 # weights that stay normal floats after normalisation
@@ -62,3 +70,51 @@ def test_model_json_round_trip_for_arbitrary_models(model):
         # keeps the rest to 1e-15
         assert np.array_equal(np.isneginf(got), np.isneginf(want)), name
         assert np.allclose(got, want, rtol=1e-15, atol=1e-15), name
+
+
+@st.composite
+def holey_models_and_histories(draw):
+    """A valid model at band 1 to 3 whose band rows and start distribution
+    have zero entries anywhere, self-loops included, three histories of one
+    length between 1 and N steps, and prefix lengths in any order, repeats
+    allowed."""
+    n_states = draw(st.integers(1, 8))
+    n_dims = draw(st.integers(1, 2))
+    band = draw(st.integers(1, 3))
+    a = np.zeros((n_states, n_states))
+    for i in range(n_states - 1):
+        width = min(band, n_states - 1 - i) + 1
+        a[i, i:i + width] = _band_row(draw, width)
+    a[-1, -1] = 1.0
+    pi = _band_row(draw, n_states)
+    level = st.floats(-3.0, 3.0)
+    means = draw(arrays(float, (n_states, n_dims), elements=level))
+    scales = draw(arrays(float, (n_states, n_dims), elements=st.floats(0.3, 3.0)))
+    covs = scales[:, :, None] * np.eye(n_dims)
+    with np.errstate(divide="ignore"):
+        model = LrHmmModel(np.log(pi), np.log(a), means, covs, band)
+    n_steps = draw(st.integers(1, n_states))
+    histories = [ObservationSequence(draw(arrays(float, (n_steps, n_dims), elements=level)),
+                                     0.025, trial_id=k) for k in range(3)]
+    steps = draw(st.lists(st.integers(1, n_steps), min_size=1, max_size=2 * n_steps))
+    return model, histories, np.array(steps)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(holey_models_and_histories(), st.sampled_from([1, 2, 3, 64]))
+def test_span_scoring_equals_the_recursions_over_all_states(case, block):
+    model, histories, steps = case
+    totals = []
+    # short emission blocks put block boundaries inside these short histories
+    with mock.patch.object(lrhmm.inference, "_SCORING_BLOCK", block):
+        for seq in histories:
+            alpha = reference_forward(seq.values, model)
+            totals.append(_logsumexp(alpha[-1]))
+            assert log_likelihood(seq, model) == totals[-1]
+            assert np.array_equal(prefix_log_likelihoods(seq, model, steps),
+                                  _logsumexp(alpha[steps - 1]))
+            path, score = reference_viterbi(seq.values, model)
+            decoded = viterbi(seq, model)
+            assert np.isfinite(score)
+            assert np.array_equal(decoded.path, path) and decoded.log_prob == score
+        assert np.array_equal(_set_log_likelihoods(histories, model), totals)

@@ -9,6 +9,7 @@ import lrhmm.training
 from lrhmm import (
     DegenerateStateError,
     LrHmmModel,
+    ModelError,
     ObservationSequence,
     SyntheticConfig,
     TrainingConfig,
@@ -144,6 +145,18 @@ def test_initialize_model_is_seeded():
     c = initialize_model(seqs, TrainingConfig(rng_seed=4))
     assert np.array_equal(a.means, b.means)
     assert not np.array_equal(a.means, c.means)
+
+
+def test_recordings_whose_variance_overflows_are_a_model_error():
+    # values near 1e200 square to inf: a data problem, reported without a
+    # NumPy warning (it used to be a UsageError about non-finite parameters)
+    rng = np.random.default_rng(12)
+    seqs = [ObservationSequence(1e200 * (1.0 + rng.normal(0.0, 1.0, (10, 1))), 0.025,
+                                trial_id=k) for k in range(6)]
+    for train in (lambda: initialize_model(seqs, TrainingConfig()),
+                  lambda: baum_welch(seqs, TrainingConfig())):
+        with pytest.raises(ModelError, match="overflows"):
+            train()
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +510,7 @@ def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
     params = (model.means, model._chols, model._log_norms)
     log_b, alpha = np.empty((2, 1, 4, 2))
     lo, window_log_lik, trusted = lrhmm.training._window_forward(
-        x, params, model.log_pi, lrhmm.training._band_diagonals(model.log_A, 1),
+        x, params, model.log_pi, lrhmm.core._band_diagonals(model.log_A, 1),
         log_b, alpha)
     exact = enum_log_likelihood(seq.values, model)
     assert list(lo) == [0, 1, 1, 1]
