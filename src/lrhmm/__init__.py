@@ -11,14 +11,12 @@ cross-fitness likelihood distance.
 from .core import (
     DegenerateStateError,
     ForwardBackwardCache,
-    GaussianEmission,
     LrHmmError,
     LrHmmModel,
     ModelError,
     ObservationSequence,
     ParseError,
     UsageError,
-    gaussian_log_density,
     load_model,
     model_from_json,
     model_to_json,
@@ -86,7 +84,6 @@ __all__ = [
     "ExperimentConfig",
     "ForecastRecord",
     "ForwardBackwardCache",
-    "GaussianEmission",
     "LrHmmError",
     "LrHmmModel",
     "ModelError",
@@ -104,7 +101,6 @@ __all__ = [
     "export_forecast",
     "forecast",
     "forward_backward",
-    "gaussian_log_density",
     "generate_synthetic",
     "initialize_model",
     "load_csv",

@@ -142,34 +142,6 @@ def _cholesky_factors(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
         raise ModelError("covariance is not positive definite") from None
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianEmission:
-    """Gaussian observation density of one state: N(mean, covariance).
-
-    The covariance must be symmetric (to ``SYMMETRY_RTOL`` relative) and
-    positive definite; the Cholesky factor is computed once at construction.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.ndim == 0:
-            cov = cov[None, None]
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise UsageError(f"mean shape {mean.shape} and covariance shape {cov.shape} "
-                             "do not describe one Gaussian")
-        chol = _cholesky_factors(mean[None], cov[None])[0]
-        for name, value in (("mean", mean), ("covariance", cov), ("_chol", chol)):
-            object.__setattr__(self, name, _frozen_array(value))
-
-    @property
-    def n_dims(self) -> int:
-        return self.mean.shape[0]
-
-
 def _log_norms(chols: np.ndarray) -> np.ndarray:
     """Gaussian log normalisers -(M log 2pi + log det) / 2 from Cholesky
     factors (N, M, M): shape (N,)."""
@@ -257,37 +229,24 @@ def _live_spans(log_pi: np.ndarray, diags: list[np.ndarray]) -> tuple[tuple, tup
             tuple(np.minimum(last + 1 + (len(diags) - 1) * steps, n_states).tolist()))
 
 
-def gaussian_log_density(x, emission: GaussianEmission) -> float:
-    """Log density of observation ``x`` under ``emission``.
-
-    Evaluated through the cached Cholesky factor of the covariance.  A scalar
-    ``x`` is accepted for single-channel emissions.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (emission.n_dims,):
-        raise UsageError(
-            f"observation shape {x.shape} does not match emission dimension {emission.n_dims}"
-        )
-    chols = emission._chol[None]
-    return float(_log_b(x, emission.mean[None], chols, _log_norms(chols))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class LrHmmModel:
     """A left-right HMM: banded transitions, Gaussian state emissions.
 
-    ``log_pi`` and ``log_A`` store log probabilities with ``-inf`` for
-    structural zeros.  State j emits N(means[j], covariances[j]): ``means``
-    is (N, M), ``covariances`` (N, M, M).  Instances are immutable; semantic
-    invariants (stochastic rows, band structure) are checked by
-    :func:`validate_model`, not here.
+    ``log_pi`` (N,) and ``log_A_band`` store log probabilities with ``-inf``
+    for structural zeros.  ``log_A_band`` holds the band_width + 1 log
+    diagonals of the transition matrix A: diagonal d holds log A[i, i + d]
+    for i = 0..N-d-1, so it has max(N - d, 0) entries, and every transition
+    off the band is impossible.  State j emits N(means[j], covariances[j]):
+    ``means`` is (N, M), ``covariances`` (N, M, M).  Instances are
+    immutable; semantic invariants (stochastic rows, an absorbing final
+    state) are checked by :func:`validate_model`, not here.
     """
 
     log_pi: np.ndarray
-    log_A: np.ndarray
+    log_A_band: tuple
     means: np.ndarray
     covariances: np.ndarray
-    band_width: int = 1
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
@@ -297,28 +256,34 @@ class LrHmmModel:
         n, m = means.shape
         if covs.shape != (n, m, m):
             raise UsageError(f"covariances shape {covs.shape}, expected ({n}, {m}, {m})")
-        if self.band_width < 1:
-            raise UsageError("band_width must be >= 1")
         log_pi = np.asarray(self.log_pi, dtype=float)
-        log_A = np.asarray(self.log_A, dtype=float)
         if log_pi.shape != (n,):
             raise UsageError(f"log_pi shape {log_pi.shape}, expected ({n},)")
-        if log_A.shape != (n, n):
-            raise UsageError(f"log_A shape {log_A.shape}, expected ({n}, {n})")
-        if np.any(np.isnan(log_pi)) or np.any(np.isnan(log_A)):
+        diags = [np.asarray(diag, dtype=float) for diag in self.log_A_band]
+        if len(diags) < 2:
+            raise UsageError(f"log_A_band holds {len(diags)} diagonals; band_width + 1 "
+                             "must be at least 2")
+        for d, diag in enumerate(diags):
+            if diag.shape != (max(n - d, 0),):
+                raise UsageError(f"log_A_band diagonal {d} has shape {diag.shape}, "
+                                 f"expected ({max(n - d, 0)},)")
+        if np.any(np.isnan(log_pi)) or any(np.any(np.isnan(diag)) for diag in diags):
             raise UsageError("log probabilities contain NaN")
         if np.any(np.isposinf(log_pi)):
             raise UsageError("log_pi contains +inf")
-        if np.any(np.isposinf(log_A)):
-            raise UsageError("log_A contains +inf")
+        if any(np.any(np.isposinf(diag)) for diag in diags):
+            raise UsageError("log_A_band contains +inf")
         chols = _cholesky_factors(means, covs)
-        for name, value in (("log_pi", log_pi), ("log_A", log_A), ("means", means),
-                            ("covariances", covs), ("_chols", chols),
-                            ("_log_norms", _log_norms(chols))):
+        for name, value in (("log_pi", log_pi), ("means", means), ("covariances", covs),
+                            ("_chols", chols), ("_log_norms", _log_norms(chols))):
             object.__setattr__(self, name, _frozen_array(value))
-        diags = tuple(_frozen_array(diag) for diag in _band_diagonals(log_A, self.band_width))
-        object.__setattr__(self, "_diags", diags)
+        diags = tuple(_frozen_array(diag) for diag in diags)
+        object.__setattr__(self, "log_A_band", diags)
         object.__setattr__(self, "_spans", _live_spans(log_pi, diags))
+
+    @property
+    def band_width(self) -> int:
+        return len(self.log_A_band) - 1
 
     @property
     def n_states(self) -> int:
@@ -335,43 +300,38 @@ class ForwardBackwardCache:
 
     ``log_alpha`` and ``log_beta`` are the forward/backward log variables
     (T, N); ``gamma`` holds state posteriors as probabilities with exact 0.0
-    where the band makes a state unreachable; ``log_xi_sums`` is the (N, N)
-    log of pairwise transition posteriors summed over t = 1..T-1.
+    where the band makes a state unreachable; ``log_xi_sums`` holds the log
+    pairwise transition posteriors summed over t = 1..T-1, laid out as the
+    model's ``log_A_band``.
     """
 
     log_alpha: np.ndarray
     log_beta: np.ndarray
     gamma: np.ndarray
-    log_xi_sums: np.ndarray
+    log_xi_sums: tuple
     log_likelihood: float
 
 
 def validate_model(model: LrHmmModel) -> list[str]:
     """Check every model invariant; return a list of violations (empty = valid).
 
-    Checks the band structure of ``log_A``, row stochasticity of ``A`` and
-    ``pi`` (to ``ROW_SUM_TOL``), the absorbing final state, and symmetry /
-    positive definiteness of every emission covariance.  Never raises.
+    Checks row stochasticity of ``A`` and ``pi`` (to ``ROW_SUM_TOL``), the
+    absorbing final state, and symmetry / positive definiteness of every
+    emission covariance.  Never raises.
     """
     violations: list[str] = []
-    n = model.n_states
-    band = model.band_width
+    row_sums = np.zeros(model.n_states)
     with np.errstate(over="ignore"):
-        a = np.exp(model.log_A)
+        for diag in model.log_A_band:
+            row_sums[:diag.size] += np.exp(diag)
+        stay = float(np.exp(model.log_A_band[0][-1]))
         pi = np.exp(model.log_pi)
 
-    offset = np.arange(n)[None, :] - np.arange(n)[:, None]          # j - i
-    outside = ((offset < 0) | (offset > band)) & ~np.isneginf(model.log_A)
-    for i, j in np.argwhere(outside):
-        violations.append(f"transition {i}->{j} outside the band is not -inf")
-
-    row_sums = a.sum(axis=1)
     for i, s in enumerate(row_sums):
         if not np.isfinite(s) or abs(s - 1.0) > ROW_SUM_TOL:
             violations.append(f"row {i} of A sums to {float(s)!r}, expected 1")
-    if abs(a[n - 1, n - 1] - 1.0) > ROW_SUM_TOL:
-        violations.append("final state is not absorbing "
-                          f"(self-transition {float(a[n - 1, n - 1])!r})")
+    if abs(stay - 1.0) > ROW_SUM_TOL:
+        violations.append(f"final state is not absorbing (self-transition {stay!r})")
 
     pi_sum = pi.sum()
     if not np.isfinite(pi_sum) or abs(pi_sum - 1.0) > ROW_SUM_TOL:
@@ -389,27 +349,6 @@ def validate_model(model: LrHmmModel) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# band storage of the transition matrix
-# ---------------------------------------------------------------------------
-
-def _band_diagonals(log_a: np.ndarray, band_width: int) -> list[np.ndarray]:
-    """Diagonals 0..band_width of an (N, N) matrix; diagonal d has max(N - d, 0)
-    entries."""
-    return [np.ascontiguousarray(np.diagonal(log_a, offset=d))
-            for d in range(band_width + 1)]
-
-
-def _log_a_from_band(diags: list[np.ndarray], n_states: int) -> np.ndarray:
-    """The (N, N) log transition matrix with ``diags`` (log diagonals
-    0..band_width) on its band and -inf elsewhere."""
-    log_a = np.full((n_states, n_states), -np.inf)
-    for d, diag in enumerate(diags):
-        idx = np.arange(diag.size)
-        log_a[idx, idx + d] = diag
-    return log_a
-
-
-# ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
@@ -421,8 +360,7 @@ def model_to_json(model: LrHmmModel) -> str:
     """
     with np.errstate(over="ignore"):
         pi = np.exp(model.log_pi)
-        a_band = [np.exp(diag).tolist()
-                  for diag in model._diags]
+        a_band = [np.exp(diag).tolist() for diag in model.log_A_band]
     doc = {
         "n_states": model.n_states,
         "n_dims": model.n_dims,
@@ -437,38 +375,45 @@ def model_to_json(model: LrHmmModel) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _read_transitions(doc: dict, n_states: int, band_width: int) -> np.ndarray:
-    """Log transition matrix from a document's dense ``A`` or its ``A_band``.
+def _dense_band(a: np.ndarray, n_states: int, band_width: int) -> list[np.ndarray]:
+    """Diagonals 0..band_width of a dense transition matrix ``a`` (N, N).
+    Raises ModelError if ``a`` has another shape or mass outside the band."""
+    if a.shape != (n_states, n_states):
+        raise ModelError(f"invalid model: A has shape {a.shape}, "
+                         f"expected ({n_states}, {n_states})")
+    outside = (np.tril(a, -1) != 0) | (np.triu(a, band_width + 1) != 0)
+    if outside.any():
+        raise ModelError("invalid model: " + "; ".join(
+            f"transition {i}->{j} outside the band is not 0" for i, j in np.argwhere(outside)))
+    return [np.diagonal(a, offset=d) for d in range(band_width + 1)]
 
-    Diagonal count and lengths are checked before the (N, N) matrix is
-    allocated, so a document cannot claim a size its diagonals do not have.
-    """
+
+def _read_transitions(doc: dict, n_states: int, band_width: int) -> list[np.ndarray]:
+    """Log band diagonals of A from a document's ``A_band`` or its dense ``A``."""
     if ("A" in doc) == ("A_band" in doc):
         raise ParseError("malformed model document: expected exactly one of "
                          "'A' and 'A_band'")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if "A" in doc:
-            return np.log(np.asarray(doc["A"], dtype=float))
+    if "A" in doc:
+        diags = _dense_band(np.asarray(doc["A"], dtype=float), n_states, band_width)
+    else:
         diags = [np.asarray(diag, dtype=float) for diag in doc["A_band"]]
         if len(diags) != band_width + 1:
             raise ModelError(f"invalid model: A_band has {len(diags)} diagonals, "
                              f"expected band_width + 1 = {band_width + 1}")
-        for d, diag in enumerate(diags):
-            if diag.shape != (max(n_states - d, 0),):
-                raise ModelError(f"invalid model: A_band diagonal {d} has shape "
-                                 f"{diag.shape}, expected ({max(n_states - d, 0)},)")
-        return _log_a_from_band([np.log(diag) for diag in diags], n_states)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [np.log(diag) for diag in diags]
 
 
 def model_from_json(text: str) -> LrHmmModel:
     """Parse a model document; raises ModelError if invariants are violated.
 
     Reads transitions from either ``A_band`` (as written by
-    :func:`model_to_json`) or a dense ``A``.
+    :func:`model_to_json`) or a dense ``A``, which must be zero off the
+    band.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:     # deep nesting recurses
         raise ParseError(f"invalid model JSON: {exc}") from None
     try:
         header = [doc[key] for key in ("n_states", "n_dims", "band_width")]
@@ -482,9 +427,9 @@ def model_from_json(text: str) -> LrHmmModel:
             raise ModelError(f"invalid model: emission means have shape {means.shape}, "
                              f"expected ({n_states}, {n_dims})")
         pi = np.asarray(doc["pi"], dtype=float)
-        log_a = _read_transitions(doc, n_states, band_width)
+        log_a_band = _read_transitions(doc, n_states, band_width)
         with np.errstate(divide="ignore", invalid="ignore"):
-            model = LrHmmModel(np.log(pi), log_a, means, covs, band_width)
+            model = LrHmmModel(np.log(pi), log_a_band, means, covs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None
     except UsageError as exc:

@@ -26,6 +26,9 @@ from .core import ObservationSequence, ParseError, UsageError, _read_text
 
 RIGID_SENSOR_ID = "dr1"
 
+# Characters of an offending header that a parse error quotes.
+_QUOTE_CHARS = 80
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -132,6 +135,14 @@ def save_csv(seq: ObservationSequence, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _quote(text: str) -> str:
+    """``text`` quoted for an error message, cut to ``_QUOTE_CHARS``
+    characters and its length when longer."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 def _parse_file(path: Path) -> ObservationSequence:
     lines = _read_text(path, "sequence").splitlines()
     if not lines:
@@ -139,12 +150,12 @@ def _parse_file(path: Path) -> ObservationSequence:
     header = lines[0].strip()
     columns = [c.strip() for c in header.split(",")]
     if len(columns) < 2 or columns[0] != "t":
-        raise ParseError(f"{path}:1: header must be 't,<sensor>_c0[,...]', got {header!r}")
+        raise ParseError(f"{path}:1: header must be 't,<sensor>_c0[,...]', got {_quote(header)}")
     sensor_ids = set()
     for c, col in enumerate(columns[1:]):
         stem, sep, chan = col.rpartition("_c")
         if not sep or not chan.isdigit():
-            raise ParseError(f"{path}:1: channel column {col!r} is not '<sensor>_c<k>'")
+            raise ParseError(f"{path}:1: channel column {_quote(col)} is not '<sensor>_c<k>'")
         sensor_ids.add(stem)
     if len(sensor_ids) != 1:
         raise ParseError(f"{path}:1: channel columns name several sensors: {sorted(sensor_ids)}")

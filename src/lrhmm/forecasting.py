@@ -58,9 +58,10 @@ def forecast(history: ObservationSequence, model_1: LrHmmModel,
     path[:split] = prefix
     state = int(prefix[-1])
     for t in range(split, n_states):
-        hi = min(state + winner.band_width, n_states - 1)
-        # First max wins, so ties go to the lowest successor state.
-        state += int(np.argmax(winner.log_A[state, state:hi + 1]))
+        # A[state, state + d] for the in-band successors; the first max
+        # wins, so ties go to the lowest successor state.
+        moves = [diag[state] for diag in winner.log_A_band if state < diag.size]
+        state += moves.index(max(moves))
         path[t] = state
 
     future = path[split:]

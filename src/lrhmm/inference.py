@@ -93,7 +93,7 @@ def _prefix_scores(log_b, model: LrHmmModel, batch: tuple, ends: list) -> np.nda
     (batch dimensions ``batch``).  The forward rolls through two rows and
     keeps the S it returns."""
     kept = np.empty((len(ends),) + batch + (model.n_states,))
-    _forward(log_b, model.log_pi, model._diags, model._spans,
+    _forward(log_b, model.log_pi, model.log_A_band, model._spans,
              np.empty(batch + (2, model.n_states)),
              keep={t: kept[i] for i, t in enumerate(ends)})
     return _logsumexp(kept)
@@ -158,26 +158,31 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     All argmax ties (per-step predecessor choice and the final state) break
     toward the lowest state index, so decoding is deterministic.  Each step
     runs over the model's live span, outside which delta is exactly -inf.
+    Delta rolls through two rows and the back-pointers of each step cover
+    its span only, so no (T, N) table is allocated.  Raises ModelError if
+    the history has zero likelihood under the model: then no path is more
+    likely than another.
     """
     log_b = _emissions(seq, model)
     n_steps, n_states = seq.n_steps, model.n_states
-    diags = model._diags
-    delta = np.full((n_steps, n_states), -np.inf)
-    psi = np.zeros((n_steps, n_states), dtype=int)
+    diags = model.log_A_band
+    rows = np.full((2, n_states), -np.inf)
+    psi = []                            # step t: predecessors of states lo_t .. hi_t - 1
     states = np.arange(n_states)
     lows, highs = model._spans
     t = 0
     for base, block in log_b:
         for step_scores in block:
             lo, hi = lows[t], highs[t]
-            best, arg = delta[t, lo:hi], psi[t, lo:hi]
+            row = rows[t % 2]
+            row[lows[max(t - 2, 0)]:lo] = -np.inf       # step t - 2 below this span
+            best, arg = row[lo:hi], states[lo:hi].copy()
             scores = step_scores[lo - base:hi - base]
             if t == 0:
                 np.add(model.log_pi[lo:hi], scores, out=best)
             else:
-                prev = delta[t - 1]
+                prev = rows[(t - 1) % 2]
                 np.add(prev[lo:hi], diags[0][lo:hi], out=best)
-                arg[:] = states[lo:hi]
                 # a farther predecessor replaces the best so far when at
                 # least as good, so ties go to the lowest predecessor
                 for d in range(1, len(diags)):
@@ -189,11 +194,15 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
                     np.copyto(best[start - lo:], cand, where=better)
                     np.copyto(arg[start - lo:], states[start - d:hi - d], where=better)
                 best += scores
+            psi.append(arg)
             t += 1
 
-    end = int(np.argmax(delta[-1]))
+    last = rows[(n_steps - 1) % 2]
+    end = int(np.argmax(last))
+    if last[end] == -np.inf:
+        raise ModelError("the history has zero likelihood under the model")
     path = np.empty(n_steps, dtype=int)
     path[-1] = end
     for t in range(n_steps - 2, -1, -1):
-        path[t] = psi[t + 1, path[t + 1]]
-    return ViterbiResult(path, float(delta[-1, end]))
+        path[t] = psi[t + 1][path[t + 1] - lows[t + 1]]
+    return ViterbiResult(path, float(last[end]))

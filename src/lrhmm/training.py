@@ -32,7 +32,6 @@ from .core import (
     ObservationSequence,
     UsageError,
     _cholesky_factors,
-    _log_a_from_band,
     _live_spans,
     _log_b,
     _log_norms,
@@ -425,12 +424,14 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
 
     The sequence may be shorter than the model horizon (truncated history);
     it must not be longer.  Returns the log forward/backward variables, the
-    state posteriors, the (N, N) log sum of pairwise transition posteriors
-    over t = 1..T-1, and the forward log-likelihood (summed over all states
-    at the final step).  Posteriors come from the E-step that training runs.
+    state posteriors, the log sums of pairwise transition posteriors over
+    t = 1..T-1 per band diagonal, and the forward log-likelihood (summed
+    over all states at the final step).  Posteriors come from the E-step
+    that training runs.  Raises ModelError if the sequence has zero
+    likelihood under the model: it has no posteriors.
     """
     _check_scorable(seq, model)
-    diags = model._diags
+    diags = model.log_A_band
     x = seq.values[None]
     params = (model.means, model._chols, model._log_norms)
     n_steps, n_states = seq.n_steps, model.n_states
@@ -444,6 +445,8 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     _forward([(0, log_b)], model.log_pi, diags, model._spans, log_alpha)
     log_beta = _backward(log_b, diags)
     log_lik = _logsumexp(log_alpha[:, -1, :])
+    if log_lik[0] == -np.inf:
+        raise ModelError("the sequence has zero likelihood under the model")
     if ok[0]:
         dense = np.zeros((n_steps, n_states))
         dense[np.arange(n_steps)[:, None], lo[:, None] + np.arange(width)] = gamma[0]
@@ -451,7 +454,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
         xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
         dense = _state_posteriors(log_alpha.copy(), log_beta)[0]
     with np.errstate(divide="ignore"):
-        log_xi = _log_a_from_band([np.log(sums) for sums in xi], n_states)
+        log_xi = tuple(np.log(sums) for sums in xi)
     return ForwardBackwardCache(log_alpha[0], log_beta[0], dense, log_xi,
                                 float(log_lik[0]))
 
@@ -502,10 +505,10 @@ def _floor_covariances(covs: np.ndarray, eps_rel: float) -> np.ndarray:
     return out
 
 
-def _banded_uniform_log_a(n_states: int, band_width: int) -> np.ndarray:
+def _banded_uniform_log_a(n_states: int, band_width: int) -> list[np.ndarray]:
+    """Log band diagonals of transition rows uniform over the band."""
     widths = np.minimum(band_width, n_states - 1 - np.arange(n_states)) + 1
-    return _log_a_from_band([-np.log(widths[:n_states - d]) for d in range(band_width + 1)],
-                            n_states)
+    return [-np.log(widths[:max(n_states - d, 0)]) for d in range(band_width + 1)]
 
 
 def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
@@ -540,8 +543,8 @@ def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
 
     log_pi = np.full(n_states, -np.inf)
     log_pi[0] = 0.0
-    log_a = _banded_uniform_log_a(n_states, config.band_width)
-    return LrHmmModel(log_pi, log_a, means, covs, config.band_width)
+    log_a_band = _banded_uniform_log_a(n_states, config.band_width)
+    return LrHmmModel(log_pi, log_a_band, means, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +748,7 @@ def baum_welch(sequences, config: TrainingConfig,
     Returns the fitted model and a :class:`TrainingTrace`.  The trace's
     log-likelihood list is non-decreasing (up to tiny rounding); permuting
     the input sequences does not change the result because accumulation
-    order is fixed by ``trial_id``.  Transitions stay band diagonals through
-    the EM loop; the dense (N, N) matrix is built once, for the model.
+    order is fixed by ``trial_id``.
     """
     seqs, x = _prepare_batch(sequences)
     _, n_steps, n_dims = x.shape
@@ -760,10 +762,6 @@ def baum_welch(sequences, config: TrainingConfig,
                 f"{n_steps} steps")
         if model0.n_dims != n_dims:
             raise UsageError("initial model dimensionality does not match data")
-    band_width = model0.band_width
-    start = (model0.log_pi, model0._diags,
-             model0.means, model0.covariances)
-    del model0                          # its dense A is not needed during EM
-    log_pi, log_diags, means, covs, trace = _expectation_maximization(x, *start, config)
-    return LrHmmModel(log_pi, _log_a_from_band(log_diags, n_steps), means, covs,
-                      band_width), trace
+    log_pi, log_diags, means, covs, trace = _expectation_maximization(
+        x, model0.log_pi, model0.log_A_band, model0.means, model0.covariances, config)
+    return LrHmmModel(log_pi, log_diags, means, covs), trace

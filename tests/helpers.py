@@ -17,7 +17,7 @@ import numpy as np
 
 import lrhmm
 from lrhmm import LrHmmModel, ObservationSequence
-from lrhmm.core import _band_diagonals, _log_b
+from lrhmm.core import _log_b
 
 # the directory holding the lrhmm package these tests imported
 # (``src`` in a checkout), as an absolute path
@@ -50,6 +50,22 @@ def oracle_log_density(x, mean, cov):
     return -0.5 * (x.size * math.log(2.0 * math.pi) + logdet + quad)
 
 
+def band_diagonals(a, band_width):
+    """Diagonals 0..band_width of an (N, N) matrix; diagonal d has max(N - d, 0)
+    entries, the layout of ``LrHmmModel.log_A_band``."""
+    return [np.diagonal(a, offset=d) for d in range(band_width + 1)]
+
+
+def dense_log_a(diags, n_states):
+    """The (N, N) log matrix with ``diags`` (log diagonals 0..band_width) on
+    its band and -inf elsewhere: the dense view the oracles read."""
+    log_a = np.full((n_states, n_states), -np.inf)
+    for d, diag in enumerate(diags):
+        idx = np.arange(diag.size)
+        log_a[idx, idx + d] = diag
+    return log_a
+
+
 def random_spd(rng, n_dims):
     a = rng.normal(0.0, 1.0, (n_dims, n_dims))
     return a @ a.T + (0.3 + 0.1 * n_dims) * np.eye(n_dims)
@@ -73,17 +89,18 @@ def random_banded_model(rng, n_states, n_dims, band_width=1, canonical_pi=True):
 
     means = rng.normal(0.0, 2.0, (n_states, n_dims))
     covs = np.stack([random_spd(rng, n_dims) for _ in range(n_states)])
-    return LrHmmModel(log_pi, log_a, means, covs, band_width)
+    return LrHmmModel(log_pi, band_diagonals(log_a, band_width), means, covs)
 
 
 def path_log_score(values, model, path):
     """Joint log probability of one complete state path and the data."""
+    log_a = dense_log_a(model.log_A_band, model.n_states)
     j = path[0]
     score = float(model.log_pi[j]) + oracle_log_density(
         values[0], model.means[j], model.covariances[j])
     for t in range(1, len(path)):
         j = path[t]
-        score += float(model.log_A[path[t - 1], j])
+        score += float(log_a[path[t - 1], j])
         score += oracle_log_density(values[t], model.means[j], model.covariances[j])
     return score
 
@@ -120,7 +137,7 @@ def reference_forward(values, model):
     """Forward log variables (T, N) by the plain recursion over all N states
     at every step, with no live-span bookkeeping."""
     log_b = _log_b(values, model.means, model._chols, model._log_norms)
-    diags = _band_diagonals(model.log_A, model.band_width)
+    diags = model.log_A_band
     alpha = np.empty_like(log_b)
     alpha[0] = model.log_pi + log_b[0]
     for t in range(1, len(log_b)):
@@ -141,7 +158,7 @@ def reference_viterbi(values, model):
     log_b = _log_b(values, model.means, model._chols, model._log_norms)
     n_steps, n_states = log_b.shape
     band = model.band_width
-    diags = _band_diagonals(model.log_A, band)
+    diags = model.log_A_band
     delta = np.empty((n_steps, n_states))
     psi = np.zeros((n_steps, n_states), dtype=int)
     delta[0] = model.log_pi + log_b[0]
@@ -181,7 +198,7 @@ def enum_pair_posteriors(values, model):
 def sample_sequence(rng, model, n_steps, dt=0.025, **kwargs):
     """Draw one observation sequence from a model's own generative process."""
     pi = np.exp(model.log_pi)
-    a = np.exp(model.log_A)
+    a = np.exp(dense_log_a(model.log_A_band, model.n_states))
     chols = [np.linalg.cholesky(cov) for cov in model.covariances]
     state = int(rng.choice(model.n_states, p=pi))
     rows = []

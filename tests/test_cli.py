@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from lrhmm import (
     save_csv,
 )
 from lrhmm.cli import parse_durations, read_config
-from helpers import BROKEN_BAND_DOCS, run_cli
+from helpers import _PACKAGE_PARENT, BROKEN_BAND_DOCS, run_cli
 
 GEN_CFG = """\
 # small data set so the commands stay fast
@@ -69,6 +72,42 @@ def test_train_is_deterministic_for_a_seed(workspace, tmp_path):
                        "--out", tmp_path / out).returncode == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (workspace / "m1.json").read_bytes()
+
+
+def test_train_with_a_band_wider_than_the_recordings(workspace, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("band_width = 12\n")        # the recordings have 10 steps
+    result = run_cli("train", "--data", workspace / "data", "--label", 1,
+                     "--sensor", "df2", "--config", cfg, "--out", tmp_path / "m.json")
+    assert result.returncode == 0, result.stderr
+    assert load_model(tmp_path / "m.json").band_width == 12
+
+
+def test_commands_run_without_scipy(workspace, tmp_path):
+    # SciPy serves the tests only: train, classify and forecast must run,
+    # and train the same models, with every import of it failing
+    data = workspace / "data"
+    commands = [["train", "--data", data, "--label", label, "--sensor", "df2",
+                 "--seed", label, "--config", workspace / "gen.cfg",
+                 "--out", tmp_path / f"m{label}.json"] for label in (1, 2)]
+    models = ["--model1", tmp_path / "m1.json", "--model2", tmp_path / "m2.json",
+              "--input", data / "df2-class1-trial000.csv"]
+    commands += [["classify", *models, "--out", tmp_path / "decision.csv"],
+                 ["forecast", *models, "--history", 0.1, "--out", tmp_path / "fc.csv"]]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lrhmm.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n")
+    argv = json.dumps([[str(arg) for arg in command] for command in commands])
+    result = subprocess.run([sys.executable, "-c", code, argv], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=_PACKAGE_PARENT))
+    assert result.returncode == 0, result.stderr
+    for label in (1, 2):
+        assert ((tmp_path / f"m{label}.json").read_bytes()
+                == (workspace / f"m{label}.json").read_bytes())
+    assert (tmp_path / "decision.csv").read_text().startswith("label,ll_1,ll_2,margin\n1,")
+    assert (tmp_path / "fc.csv").stat().st_size > 0
 
 
 def test_train_requires_sensor_choice_on_mixed_data(workspace):
@@ -203,6 +242,18 @@ def test_broken_band_model_file_exits_with_1(workspace, tmp_path, defect):
                      "--input", workspace / "data" / "df2-class1-trial000.csv")
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", [["classify"], ["forecast", "--history", 0.1]])
+def test_deeply_nested_model_file_exits_with_1(workspace, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    result = run_cli(*command, "--model1", deep, "--model2", workspace / "m2.json",
+                     "--input", workspace / "data" / "df2-class1-trial000.csv",
+                     "--out", tmp_path / "out.csv")
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: invalid model JSON")
     assert "Traceback" not in result.stderr
 
 

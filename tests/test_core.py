@@ -10,22 +10,21 @@ import pytest
 from scipy.special import logsumexp
 
 from lrhmm import (
-    GaussianEmission,
     LrHmmModel,
     ModelError,
     ObservationSequence,
     ParseError,
     UsageError,
-    gaussian_log_density,
     load_model,
+    log_likelihood,
     model_from_json,
     model_to_json,
     save_model,
     validate_model,
 )
-from lrhmm.core import _log_b, _logsumexp
-from helpers import (_PACKAGE_PARENT, BROKEN_BAND_DOCS, oracle_log_density, random_banded_model,
-                     random_spd)
+from lrhmm.core import _cholesky_factors, _log_b, _log_norms, _logsumexp
+from helpers import (_PACKAGE_PARENT, BROKEN_BAND_DOCS, band_diagonals, oracle_log_density,
+                     random_banded_model, random_spd)
 
 
 # ---------------------------------------------------------------------------
@@ -73,23 +72,27 @@ def test_sequence_rejects_bad_input(bad):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian emissions and densities
+# Gaussian densities
 # ---------------------------------------------------------------------------
 
+def _log_density(x, mean, cov):
+    """The log density of ``x`` under N(mean, cov) from the stacked kernel."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    chols = _cholesky_factors(mean[None], np.atleast_2d(cov)[None])
+    return float(_log_b(np.atleast_1d(x), mean[None], chols, _log_norms(chols))[0])
+
+
 def test_standard_normal_density_at_mean():
-    e = GaussianEmission(np.zeros(1), np.eye(1))
-    assert abs(gaussian_log_density(0.0, e) - (-0.9189385332046727)) < 1e-12
+    assert abs(_log_density(0.0, 0.0, 1.0) - (-0.9189385332046727)) < 1e-12
 
 
 def test_standard_normal_density_one_sigma_out():
-    e = GaussianEmission(np.zeros(1), np.eye(1))
-    assert abs(gaussian_log_density(1.0, e) - (-1.4189385332046727)) < 1e-12
+    assert abs(_log_density(1.0, 0.0, 1.0) - (-1.4189385332046727)) < 1e-12
 
 
 def test_correlated_bivariate_density():
-    e = GaussianEmission(np.array([0.5, -0.25]),
+    value = _log_density(np.array([1.0, 1.0]), np.array([0.5, -0.25]),
                          np.array([[2.0, 0.3], [0.3, 1.0]]))
-    value = gaussian_log_density(np.array([1.0, 1.0]), e)
     assert abs(value - (-2.94676900157474)) < 1e-12
 
 
@@ -100,50 +103,28 @@ def test_density_matches_literal_formula():
         mean = rng.normal(0.0, 3.0, m)
         cov = random_spd(rng, m)
         x = rng.normal(0.0, 3.0, m)
-        e = GaussianEmission(mean, cov)
-        assert abs(gaussian_log_density(x, e) - oracle_log_density(x, mean, cov)) < 1e-10
+        assert abs(_log_density(x, mean, cov) - oracle_log_density(x, mean, cov)) < 1e-10
 
 
 def test_density_integrates_to_one():
     # Midpoint rule over +-8 sigma for a single-channel emission.
-    e = GaussianEmission(np.array([1.5]), np.array([[0.49]]))
     grid = np.linspace(1.5 - 8 * 0.7, 1.5 + 8 * 0.7, 20001)
     step = grid[1] - grid[0]
-    total = sum(math.exp(gaussian_log_density(x, e)) for x in grid) * step
+    total = sum(math.exp(_log_density(x, 1.5, 0.49)) for x in grid) * step
     assert abs(total - 1.0) < 1e-3
 
 
 def test_density_rejects_dimension_mismatch():
-    e = GaussianEmission(np.zeros(2), np.eye(2))
+    model = random_banded_model(np.random.default_rng(8), 3, 2)
     with pytest.raises(UsageError):
-        gaussian_log_density(np.zeros(3), e)
-
-
-def test_emission_accepts_scalar_parameters():
-    e = GaussianEmission(0.5, 2.0)
-    assert e.n_dims == 1
-    assert e.covariance.shape == (1, 1)
-
-
-def test_emission_rejects_asymmetric_covariance():
-    with pytest.raises(ModelError):
-        GaussianEmission(np.zeros(2), np.array([[1.0, 0.2], [0.1, 1.0]]))
+        log_likelihood(ObservationSequence(np.zeros((2, 3)), 0.1), model)
 
 
 def test_emission_rejects_non_positive_definite():
-    with pytest.raises(ModelError):
-        GaussianEmission(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ModelError):
-        GaussianEmission(np.zeros(1), np.array([[0.0]]))
-
-
-def test_emission_rejects_non_finite_and_bad_shapes():
-    with pytest.raises(UsageError):
-        GaussianEmission(np.array([np.inf]), np.eye(1))
-    with pytest.raises(UsageError):
-        GaussianEmission(np.zeros(2), np.eye(3))
-    with pytest.raises(UsageError):
-        GaussianEmission(np.zeros((2, 2)), np.eye(2))
+    for cov in ([[1.0, 2.0], [2.0, 1.0]], [[0.0]]):
+        n_dims = len(cov)
+        with pytest.raises(ModelError, match="not positive definite"):
+            LrHmmModel([0.0], ([0.0], []), np.zeros((1, n_dims)), np.array([cov]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +195,13 @@ def test_model_stacks_emission_parameters_read_only():
     model = random_banded_model(rng, 4, 3)
     assert (model.n_states, model.n_dims) == (4, 3)
     means, covs = np.array(model.means), np.array(model.covariances)
-    copy = LrHmmModel(model.log_pi, model.log_A, means, covs, 1)
+    copy = LrHmmModel(model.log_pi, model.log_A_band, means, covs)
     means[0, 0] += 1.0                  # the model keeps copies of its arrays
     covs[0, 0, 0] += 1.0
     assert np.array_equal(copy.means, model.means)
     assert np.array_equal(copy.covariances, model.covariances)
     for stacked in (model.means, model.covariances, model._chols, model._log_norms,
-                    *model._diags):
+                    *model.log_A_band):
         assert not stacked.flags.writeable
 
 
@@ -232,13 +213,13 @@ def test_live_spans_follow_the_forced_moves():
         for i in range(6):
             a[i, i:i + 2] = (0.0, 1.0) if i < 4 else (0.5, 0.5)
         a[6, 6] = 1.0
-        model = LrHmmModel(np.log(np.eye(7)[1]), np.log(a), np.zeros((7, 1)),
-                           np.ones((7, 1, 1)))
+        model = LrHmmModel(np.log(np.eye(7)[1]), band_diagonals(np.log(a), 1),
+                           np.zeros((7, 1)), np.ones((7, 1, 1)))
         assert model._spans == ((1, 2, 3, 4, 4, 4, 4), (2, 3, 4, 5, 6, 7, 7))
         # band 2 from states 0 and 2: state 0 can stay, the top moves by 2
         wide = LrHmmModel(np.log([0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]),
-                          np.log(np.triu(np.tril(np.ones((7, 7)), 2)) / 3), np.zeros((7, 1)),
-                          np.ones((7, 1, 1)), band_width=2)
+                          [np.log(np.full(7 - d, 1 / 3)) for d in range(3)], np.zeros((7, 1)),
+                          np.ones((7, 1, 1)))
     assert wide._spans == ((0,) * 7, (3, 5, 7, 7, 7, 7, 7))
 
 
@@ -256,7 +237,27 @@ def _canonical_model(n_states=3, n_dims=1):
     log_a[-1, -1] = 0.0
     means = np.repeat(np.arange(n_states, dtype=float)[:, None], n_dims, axis=1)
     covs = np.broadcast_to(np.eye(n_dims), (n_states, n_dims, n_dims))
-    return LrHmmModel(log_pi, log_a, means, covs, 1)
+    return LrHmmModel(log_pi, band_diagonals(log_a, 1), means, covs)
+
+
+def _with_band(model, entries, log_pi=None):
+    """``model`` with the band entries ``{(d, i): log A[i, i + d]}`` and the
+    start distribution ``log_pi`` replaced."""
+    diags = [np.array(diag) for diag in model.log_A_band]
+    for (d, i), value in entries.items():
+        diags[d][i] = value
+    return LrHmmModel(model.log_pi if log_pi is None else log_pi, diags, model.means,
+                      model.covariances)
+
+
+def _dense_doc(model):
+    """``model``'s document with its transitions written as the dense ``A``."""
+    doc = json.loads(model_to_json(model))
+    a = np.zeros((model.n_states, model.n_states))
+    for d, diag in enumerate(doc.pop("A_band")):
+        a[np.arange(len(diag)), np.arange(len(diag)) + d] = diag
+    doc["A"] = a.tolist()
+    return doc
 
 
 def test_valid_model_has_no_violations():
@@ -269,10 +270,7 @@ def test_valid_model_has_no_violations():
 
 
 def test_validate_flags_bad_row_sum():
-    model = _canonical_model()
-    log_a = np.array(model.log_A)
-    log_a[1, 1] = math.log(0.4)   # row 1 now sums to 0.9
-    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 1)
+    bad = _with_band(_canonical_model(), {(0, 1): math.log(0.4)})   # row 1 sums to 0.9
     problems = validate_model(bad)
     assert len(problems) == 1
     assert "row 1" in problems[0]
@@ -280,12 +278,11 @@ def test_validate_flags_bad_row_sum():
 
 def test_validate_messages_print_plain_numbers():
     model = _canonical_model()
-    log_a = np.array(model.log_A)
-    log_a[0, :2] = math.log(0.25)     # row 0 halved
-    log_a[2, 2] = math.log(0.5)       # final state no longer absorbing
     log_pi = np.array(model.log_pi)
     log_pi[0] = math.log(0.5)
-    bad = LrHmmModel(log_pi, log_a, model.means, model.covariances, 1)
+    bad = _with_band(model, {(0, 0): math.log(0.25), (1, 0): math.log(0.25),  # row 0 halved
+                             (0, 2): math.log(0.5)},    # final state no longer absorbing
+                     log_pi)
     assert validate_model(bad) == [
         "row 0 of A sums to 0.5, expected 1",
         "row 2 of A sums to 0.5, expected 1",
@@ -294,48 +291,44 @@ def test_validate_messages_print_plain_numbers():
     ]
 
 
+# A model holds only its band, so transitions off the band can come only
+# from a dense ``A`` in a model file, where the reader rejects them.
+
 def test_validate_flags_out_of_band_transition():
-    model = _canonical_model()
-    log_a = np.array(model.log_A)
-    log_a[0, 0] = math.log(1.0 / 3.0)   # keep the row stochastic...
-    log_a[0, 1] = math.log(1.0 / 3.0)
-    log_a[0, 2] = math.log(1.0 / 3.0)   # ...but jump over state 1
-    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 1)
-    problems = validate_model(bad)
-    assert len(problems) == 1
-    assert "0->2" in problems[0]
+    doc = _dense_doc(_canonical_model())
+    doc["A"][0] = [1.0 / 3.0] * 3       # the row stays stochastic but jumps over state 1
+    with pytest.raises(ModelError, match="invalid model: transition 0->2 outside the band "
+                                         "is not 0$"):
+        model_from_json(json.dumps(doc))
 
 
 def test_validate_flags_backward_transition_and_non_absorbing_end():
-    model = _canonical_model()
-    log_a = np.array(model.log_A)
-    log_a[2, 1] = math.log(0.5)
-    log_a[2, 2] = math.log(0.5)
-    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 1)
-    problems = validate_model(bad)
-    assert any("2->1" in p for p in problems)
+    doc = _dense_doc(_canonical_model())
+    doc["A"][2] = [0.0, 0.5, 0.5]
+    with pytest.raises(ModelError, match="2->1"):
+        model_from_json(json.dumps(doc))
+    problems = validate_model(_with_band(_canonical_model(), {(0, 2): math.log(0.5)}))
     assert any("absorbing" in p for p in problems)
 
 
 def test_validate_band_check_matches_the_double_loop():
     rng = np.random.default_rng(4)
-    model = random_banded_model(rng, 9, 1, band_width=2)
-    log_a = np.array(model.log_A)
+    doc = _dense_doc(random_banded_model(rng, 9, 1, band_width=2))
     for i, j in ((0, 3), (2, 1), (4, 8), (5, 0), (8, 6), (3, 7)):
-        log_a[i, j] = math.log(0.1)
-    bad = LrHmmModel(model.log_pi, log_a, model.means, model.covariances, 2)
-    expected = [f"transition {i}->{j} outside the band is not -inf"
+        doc["A"][i][j] = 0.1
+    expected = [f"transition {i}->{j} outside the band is not 0"
                 for i in range(9) for j in range(9)
-                if not i <= j <= min(i + 2, 8) and not np.isneginf(log_a[i, j])]
-    band_problems = [p for p in validate_model(bad) if p.startswith("transition")]
+                if not i <= j <= min(i + 2, 8) and doc["A"][i][j] != 0.0]
     assert len(expected) == 6
-    assert band_problems == expected
+    with pytest.raises(ModelError) as info:
+        model_from_json(json.dumps(doc))
+    assert str(info.value) == "invalid model: " + "; ".join(expected)
 
 
 def test_validate_flags_bad_start_distribution():
     model = _canonical_model()
     log_pi = np.full(3, math.log(0.25))
-    bad = LrHmmModel(log_pi, model.log_A, model.means, model.covariances, 1)
+    bad = LrHmmModel(log_pi, model.log_A_band, model.means, model.covariances)
     problems = validate_model(bad)
     assert len(problems) == 1
     assert "pi" in problems[0]
@@ -343,20 +336,24 @@ def test_validate_flags_bad_start_distribution():
 
 @pytest.mark.parametrize("mutate", [
     lambda kw: kw.update(log_pi=np.zeros(4)),
-    lambda kw: kw.update(log_A=np.zeros((2, 2))),
+    lambda kw: kw.update(log_A_band=(np.zeros(2), np.zeros(1))),
     lambda kw: kw.update(log_pi=np.array([np.nan, -np.inf, -np.inf])),
     lambda kw: kw.update(log_pi=np.array([np.inf, -np.inf, -np.inf])),
     lambda kw: kw.update(means=np.zeros((0, 1)), covariances=np.zeros((0, 1, 1))),
-    lambda kw: kw.update(band_width=0),
+    lambda kw: kw.update(log_A_band=(np.zeros(3),)),
     lambda kw: kw.update(means=np.zeros(3)),
     lambda kw: kw.update(covariances=np.ones((2, 1, 1))),
-    lambda kw: kw.update(log_A=np.zeros((4, 4))),
+    lambda kw: kw.update(log_A_band=(np.zeros(3), np.zeros(3))),
     lambda kw: kw.update(means=np.array([[0.0], [np.inf], [2.0]])),
+    lambda kw: kw.update(log_A_band=(np.zeros(3), np.zeros(2), np.zeros(2))),
+    lambda kw: kw.update(log_A_band=(np.zeros(3), np.array([0.0, np.nan]))),
+    lambda kw: kw.update(log_A_band=(np.array([0.0, np.inf, 0.0]), np.zeros(2))),
+    lambda kw: kw.update(log_A_band=(np.zeros(3), np.zeros(2), np.zeros(1), np.zeros(1))),
 ])
 def test_model_constructor_rejects_malformed_input(mutate):
     model = _canonical_model()
-    kwargs = dict(log_pi=model.log_pi, log_A=model.log_A, means=model.means,
-                  covariances=model.covariances, band_width=1)
+    kwargs = dict(log_pi=model.log_pi, log_A_band=model.log_A_band, means=model.means,
+                  covariances=model.covariances)
     mutate(kwargs)
     with pytest.raises(UsageError):
         LrHmmModel(**kwargs)
@@ -366,7 +363,7 @@ def test_model_rejects_mismatched_emission_dimension():
     model = _canonical_model()
     covs = np.broadcast_to(np.eye(2), (3, 2, 2))
     with pytest.raises(UsageError):
-        LrHmmModel(model.log_pi, model.log_A, model.means, covs, 1)
+        LrHmmModel(model.log_pi, model.log_A_band, model.means, covs)
 
 
 @pytest.mark.parametrize("cov, message", [
@@ -378,15 +375,18 @@ def test_model_rejects_a_bad_covariance(cov, message):
     covs = np.array(model.covariances)
     covs[1] = cov
     with pytest.raises(ModelError, match=message):
-        LrHmmModel(model.log_pi, model.log_A, model.means, covs, 1)
+        LrHmmModel(model.log_pi, model.log_A_band, model.means, covs)
 
 
 def test_model_is_immutable():
     model = _canonical_model()
     with pytest.raises(Exception):
         model.n_states = 5
+    with pytest.raises(Exception):
+        model.band_width = 2
     with pytest.raises(ValueError):
-        model.log_A[0, 0] = 0.0
+        model.log_A_band[0][0] = 0.0
+    assert isinstance(model.log_A_band, tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,8 @@ def test_model_json_round_trip():
         # exp -> decimal text -> log keeps 1e-15 relative accuracy, and
         # structural -inf entries survive exactly.
         assert np.allclose(back.log_pi, model.log_pi, rtol=1e-15, atol=1e-15)
-        assert np.allclose(back.log_A, model.log_A, rtol=1e-15, atol=1e-15)
+        for got, want in zip(back.log_A_band, model.log_A_band, strict=True):
+            assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
         assert np.array_equal(back.means, model.means)
         assert np.array_equal(back.covariances, model.covariances)
 
@@ -414,7 +415,8 @@ def test_model_file_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
-    assert np.array_equal(back.log_A, model.log_A)
+    for got, want in zip(back.log_A_band, model.log_A_band, strict=True):
+        assert np.array_equal(got, want)
     assert np.array_equal(back.log_pi, model.log_pi)
 
 
@@ -500,18 +502,20 @@ def test_model_json_is_plain_probabilities():
     assert doc["A_band"] == [[0.5, 0.5, 1.0], [0.5, 0.5]]
     assert doc["A_band"][0][2] == 1.0
 
-    # the dense format is still read
+    # the dense format is still read, as its band
     dense = model_from_json(_DENSE_MODEL_JSON)
-    assert np.exp(dense.log_A[2]).tolist() == [0.0, 0.0, 1.0]
-    assert np.exp(dense.log_A[0, 2]) == 0.0
+    assert dense.band_width == 1
+    assert [diag.size for diag in dense.log_A_band] == [3, 2]
+    assert np.exp(dense.log_A_band[0][2]) == 1.0
 
 
 def test_dense_model_file_loads_as_its_band_rewrite():
     dense_doc = json.loads(_DENSE_MODEL_JSON)
     dense = model_from_json(_DENSE_MODEL_JSON)
     banded = model_from_json(json.dumps(_banded_doc(dense_doc)))
-    for name in ("log_pi", "log_A", "means", "covariances"):
+    for name in ("log_pi", "means", "covariances"):
         assert getattr(dense, name).tobytes() == getattr(banded, name).tobytes(), name
+    assert [d.tobytes() for d in dense.log_A_band] == [d.tobytes() for d in banded.log_A_band]
     # the writer produces that rewrite
     assert json.loads(model_to_json(dense)) == _banded_doc(dense_doc)
 
@@ -523,6 +527,11 @@ def test_model_from_json_rejects_garbage():
         model_from_json(json.dumps({"n_states": 2}))
 
 
+def test_deeply_nested_model_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid model JSON"):
+        model_from_json("[" * 100000)
+
+
 def test_model_from_json_rejects_invalid_model():
     # row 0 of A no longer sums to 1
     doc = json.loads(model_to_json(_canonical_model()))
@@ -532,6 +541,9 @@ def test_model_from_json_rejects_invalid_model():
     doc = json.loads(_DENSE_MODEL_JSON)
     doc["A"][0] = [0.4, 0.4, 0.0]
     with pytest.raises(ModelError):
+        model_from_json(json.dumps(doc))
+    doc["A"] = doc["A"][:2]
+    with pytest.raises(ModelError, match=r"A has shape \(2, 3\), expected \(3, 3\)"):
         model_from_json(json.dumps(doc))
 
 

@@ -193,6 +193,18 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
         load_csv(path)
 
 
+@pytest.mark.parametrize("header", ["x" * 200_000, "t," + "x" * 200_000],
+                         ids=["header", "channel_column"])
+def test_a_long_bad_header_is_quoted_cut_short(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n0.0,1.0\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    message = str(info.value)
+    assert f"{'x' * 80}'... (" in message and "characters)" in message
+    assert len(message) < len(str(path)) + 200
+
+
 def test_time_column_rounded_on_export_loads(tmp_path):
     # dt = 1/30 s with times rounded to milliseconds: off the exact grid by
     # up to half a millisecond, far less than half a step

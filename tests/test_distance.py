@@ -14,8 +14,8 @@ def _model_and_set(rng, n_states=5, shift=0.0, n_seqs=4):
     model = random_banded_model(rng, n_states, 1)
     if shift:
         from lrhmm import LrHmmModel
-        model = LrHmmModel(model.log_pi, model.log_A, model.means + shift,
-                           model.covariances, 1)
+        model = LrHmmModel(model.log_pi, model.log_A_band, model.means + shift,
+                           model.covariances)
     seqs = [sample_sequence(rng, model, n_states, trial_id=k) for k in range(n_seqs)]
     return model, seqs
 

@@ -16,7 +16,7 @@ from lrhmm import (
     viterbi,
     write_forecast_csv,
 )
-from helpers import random_banded_model
+from helpers import band_diagonals, random_banded_model
 
 
 def _ladder_model(n_states, advance=0.9, means=None, var=0.04):
@@ -30,8 +30,8 @@ def _ladder_model(n_states, advance=0.9, means=None, var=0.04):
         log_a[i, i] = math.log(1.0 - advance)
         log_a[i, i + 1] = math.log(advance)
     log_a[-1, -1] = 0.0
-    return LrHmmModel(log_pi, log_a, np.array(means, dtype=float)[:, None],
-                      np.full((n_states, 1, 1), var), 1)
+    return LrHmmModel(log_pi, band_diagonals(log_a, 1), np.array(means, dtype=float)[:, None],
+                      np.full((n_states, 1, 1), var))
 
 
 def test_forecast_extends_along_the_most_probable_transitions():

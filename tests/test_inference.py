@@ -4,25 +4,23 @@ import numpy as np
 import pytest
 
 from lrhmm import (
-    GaussianEmission,
     LrHmmModel,
     ModelError,
     ObservationSequence,
     UsageError,
     classify,
-    gaussian_log_density,
     log_likelihood,
     prefix_log_likelihoods,
     viterbi,
 )
-from helpers import (enum_log_likelihood, enum_viterbi, random_banded_model, reference_viterbi,
-                     sample_sequence)
+from helpers import (band_diagonals, enum_log_likelihood, enum_viterbi, oracle_log_density,
+                     random_banded_model, reference_viterbi, sample_sequence)
 
 
 def _shifted_model(model, offset):
     """The same model with every emission mean translated by ``offset``."""
-    return LrHmmModel(model.log_pi, model.log_A, model.means + offset,
-                      model.covariances, model.band_width)
+    return LrHmmModel(model.log_pi, model.log_A_band, model.means + offset,
+                      model.covariances)
 
 
 # ---------------------------------------------------------------------------
@@ -32,18 +30,13 @@ def _shifted_model(model, offset):
 def test_forced_path_likelihood_is_a_density_sum():
     # all advance probabilities are 1, so the only path is 0 -> 1 -> 2 and
     # the likelihood reduces to a sum of per-step densities
-    emissions = tuple(GaussianEmission(np.array([float(j)]), np.array([[0.81]]))
-                      for j in range(3))
+    means = np.arange(3.0)[:, None]
     log_pi = np.array([0.0, -np.inf, -np.inf])
-    log_a = np.full((3, 3), -np.inf)
-    log_a[0, 1] = 0.0
-    log_a[1, 2] = 0.0
-    log_a[2, 2] = 0.0
-    model = LrHmmModel(log_pi, log_a, np.stack([e.mean for e in emissions]),
-                       np.stack([e.covariance for e in emissions]), 1)
+    log_a_band = ([-np.inf, -np.inf, 0.0], [0.0, 0.0])
+    model = LrHmmModel(log_pi, log_a_band, means, np.full((3, 1, 1), 0.81))
     values = np.array([[0.1], [-0.7], [1.2]])
     seq = ObservationSequence(values, 0.025)
-    expected = sum(gaussian_log_density(v, e) for v, e in zip(values, emissions))
+    expected = sum(oracle_log_density(v, mean, [[0.81]]) for v, mean in zip(values, means))
     assert abs(log_likelihood(seq, model) - expected) < 1e-12
 
 
@@ -176,6 +169,15 @@ def test_classify_rejects_a_history_impossible_under_both_models():
         classify(seq, model_1, model_2)
 
 
+def test_viterbi_rejects_a_history_with_zero_likelihood():
+    # every path has probability 0, so no path is the most likely one (the
+    # decoder used to return the path [0, 0, 0] with log_prob -inf)
+    model = random_banded_model(np.random.default_rng(29), 3, 1)
+    seq = ObservationSequence(np.full((3, 1), 1e200), 0.025)
+    with pytest.raises(ModelError, match="zero likelihood"):
+        viterbi(seq, model)
+
+
 def test_classify_is_reliable_at_wide_separation():
     # the two models differ by five standard deviations per step, so
     # essentially every sampled sequence must be attributed correctly
@@ -243,8 +245,8 @@ def test_viterbi_breaks_ties_toward_lower_states():
     # identical emissions and a 50/50 stay-or-advance row make the two
     # two-step paths (0,0) and (0,1) score identically
     log_pi = np.array([0.0, -np.inf])
-    log_a = np.array([[math.log(0.5), math.log(0.5)], [-np.inf, 0.0]])
-    model = LrHmmModel(log_pi, log_a, np.zeros((2, 1)), np.ones((2, 1, 1)), 1)
+    log_a_band = ([math.log(0.5), 0.0], [math.log(0.5)])
+    model = LrHmmModel(log_pi, log_a_band, np.zeros((2, 1)), np.ones((2, 1, 1)))
     seq = ObservationSequence(np.zeros((2, 1)), 0.025)
     result = viterbi(seq, model)
     assert np.array_equal(result.path, [0, 0])
@@ -288,7 +290,7 @@ def test_viterbi_breaks_band_2_ties_like_the_reference_loop():
         log_a[i, i:hi + 1] = -math.log(hi - i + 1)
     log_pi = np.full(n_states, -np.inf)
     log_pi[:3] = -math.log(3.0)
-    model = LrHmmModel(log_pi, log_a, means, np.ones((n_states, 1, 1)), 2)
+    model = LrHmmModel(log_pi, band_diagonals(log_a, 2), means, np.ones((n_states, 1, 1)))
     for n_steps in (1, 2, 4, 5, 7):
         values = np.zeros((n_steps, 1))
         values[-1] = 4.0

@@ -1,21 +1,24 @@
-"""Property tests: model files round-trip for arbitrary valid models, and
-scoring over live spans equals the recursions over all states.
+"""Property tests: model files round-trip for arbitrary valid models, a
+dense transition matrix reads as its band, and scoring over live spans
+equals the recursions over all states.
 
 Examples are derandomized and bounded, so every run checks the same models.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lrhmm.inference
-from lrhmm import (LrHmmModel, ObservationSequence, log_likelihood, model_from_json,
-                   model_to_json, prefix_log_likelihoods, viterbi)
+from lrhmm import (LrHmmModel, ModelError, ObservationSequence, log_likelihood,
+                   model_from_json, model_to_json, prefix_log_likelihoods, viterbi)
 from lrhmm.core import _logsumexp
 from lrhmm.inference import _set_log_likelihoods
-from helpers import reference_forward, reference_viterbi
+from helpers import band_diagonals, reference_forward, reference_viterbi
 
 # in-band probabilities: exact zeros (structural -inf in log space) or
 # weights that stay normal floats after normalisation
@@ -32,16 +35,17 @@ def _band_row(draw, width):
 
 @st.composite
 def banded_models(draw):
-    """A valid model: random band rows at band 1 or 2, arbitrary finite
-    means and covariances L L^T of random lower-triangular L."""
+    """A valid model: random band diagonals at band 1 to 7, so that some
+    bands reach past the last state and end in empty diagonals, arbitrary
+    finite means and covariances L L^T of random lower-triangular L."""
     n_states = draw(st.integers(1, 6))
     n_dims = draw(st.integers(1, 3))
-    band = draw(st.sampled_from([1, 2]))
-    a = np.zeros((n_states, n_states))
+    band = draw(st.integers(1, 7))
+    diags = [np.zeros(max(n_states - d, 0)) for d in range(band + 1)]
     for i in range(n_states - 1):
-        width = min(band, n_states - 1 - i) + 1
-        a[i, i:i + width] = _band_row(draw, width)
-    a[-1, -1] = 1.0
+        for d, p in enumerate(_band_row(draw, min(band, n_states - 1 - i) + 1)):
+            diags[d][i] = p
+    diags[0][-1] = 1.0
     pi = np.zeros(n_states)
     pi[:min(band + 1, n_states)] = _band_row(draw, min(band + 1, n_states))
 
@@ -54,7 +58,7 @@ def banded_models(draw):
     covs = chol @ chol.transpose(0, 2, 1)
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     with np.errstate(divide="ignore"):
-        return LrHmmModel(np.log(pi), np.log(a), means, covs, band)
+        return LrHmmModel(np.log(pi), [np.log(diag) for diag in diags], means, covs)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -64,12 +68,49 @@ def test_model_json_round_trip_for_arbitrary_models(model):
     assert back.band_width == model.band_width
     assert back.means.tobytes() == model.means.tobytes()
     assert back.covariances.tobytes() == model.covariances.tobytes()
-    for name in ("log_pi", "log_A"):
-        got, want = getattr(back, name), getattr(model, name)
+    pairs = [("log_pi", back.log_pi, model.log_pi)]
+    pairs += [(f"diagonal {d}", got, want)
+              for d, (got, want) in enumerate(zip(back.log_A_band, model.log_A_band))]
+    for name, got, want in pairs:
         # structural -inf entries survive exactly; exp -> decimal text -> log
         # keeps the rest to 1e-15
+        assert got.shape == want.shape, name
         assert np.array_equal(np.isneginf(got), np.isneginf(want)), name
         assert np.allclose(got, want, rtol=1e-15, atol=1e-15), name
+
+
+def _dense_twin(doc: dict) -> dict:
+    """A model document with its ``A_band`` written as the dense ``A``."""
+    n = doc["n_states"]
+    a = np.zeros((n, n))
+    for d, diag in enumerate(doc["A_band"]):
+        a[np.arange(len(diag)), np.arange(len(diag)) + d] = diag
+    twin = {key: value for key, value in doc.items() if key != "A_band"}
+    twin["A"] = a.tolist()
+    return twin
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(banded_models())
+def test_dense_a_file_loads_as_its_band_twin(model):
+    doc = json.loads(model_to_json(model))
+    banded = model_from_json(json.dumps(doc))
+    dense = model_from_json(json.dumps(_dense_twin(doc)))
+    for name in ("log_pi", "means", "covariances"):
+        assert getattr(dense, name).tobytes() == getattr(banded, name).tobytes(), name
+    assert [d.tobytes() for d in dense.log_A_band] == [d.tobytes() for d in banded.log_A_band]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(banded_models().filter(lambda model: model.n_states > 1), st.data())
+def test_dense_a_with_mass_outside_the_band_is_a_model_error(model, data):
+    twin = _dense_twin(json.loads(model_to_json(model)))
+    n, band = model.n_states, model.band_width
+    outside = [(i, j) for i in range(n) for j in range(n) if not i <= j <= i + band]
+    i, j = data.draw(st.sampled_from(outside))
+    twin["A"][i][j] = data.draw(st.floats(5e-324, 1.0))
+    with pytest.raises(ModelError, match=f"transition {i}->{j} outside the band"):
+        model_from_json(json.dumps(twin))
 
 
 @st.composite
@@ -92,7 +133,7 @@ def holey_models_and_histories(draw):
     scales = draw(arrays(float, (n_states, n_dims), elements=st.floats(0.3, 3.0)))
     covs = scales[:, :, None] * np.eye(n_dims)
     with np.errstate(divide="ignore"):
-        model = LrHmmModel(np.log(pi), np.log(a), means, covs, band)
+        model = LrHmmModel(np.log(pi), band_diagonals(np.log(a), band), means, covs)
     n_steps = draw(st.integers(1, n_states))
     histories = [ObservationSequence(draw(arrays(float, (n_steps, n_dims), elements=level)),
                                      0.025, trial_id=k) for k in range(3)]

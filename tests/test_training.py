@@ -22,6 +22,8 @@ from lrhmm import (
     validate_model,
 )
 from helpers import (
+    band_diagonals,
+    dense_log_a,
     enum_log_likelihood,
     enum_pair_posteriors,
     enum_paths,
@@ -71,7 +73,7 @@ def test_forward_backward_matches_enumeration():
         assert np.abs(cache.gamma - gamma_ref).max() < 1e-9
 
         xi_ref = enum_pair_posteriors(seq.values, model)
-        assert np.abs(np.exp(cache.log_xi_sums) - xi_ref).max() < 1e-9
+        assert np.abs(np.exp(dense_log_a(cache.log_xi_sums, n_states)) - xi_ref).max() < 1e-9
 
 
 def test_posteriors_are_normalized_with_exact_structural_zeros():
@@ -93,7 +95,16 @@ def test_forward_backward_single_step_sequence():
     seq = ObservationSequence(np.array([[0.3]]), 0.025)
     cache = forward_backward(seq, model)
     assert abs(cache.log_likelihood - enum_log_likelihood(seq.values, model)) < 1e-9
-    assert np.all(np.isneginf(cache.log_xi_sums))
+    assert all(np.all(np.isneginf(sums)) for sums in cache.log_xi_sums)
+
+
+def test_forward_backward_rejects_a_sequence_with_zero_likelihood():
+    # posteriors given an impossible sequence are 0 / 0; they used to come
+    # back NaN after a RuntimeWarning, which the test configuration raises
+    rng = np.random.default_rng(10)
+    model = initialize_model(_random_sequences(rng, 4, 3, 1), TrainingConfig())
+    with pytest.raises(ModelError, match="zero likelihood"):
+        forward_backward(ObservationSequence(np.full((3, 1), 1e200), 0.025), model)
 
 
 def test_forward_backward_rejects_overlong_and_mismatched_input():
@@ -119,9 +130,9 @@ def test_initialize_model_structure():
     assert model.log_pi[0] == 0.0
     assert np.all(np.isneginf(model.log_pi[1:]))
     # uniform over the band: {stay, advance} everywhere except the end
-    assert model.log_A[0, 0] == pytest.approx(math.log(0.5))
-    assert model.log_A[0, 1] == pytest.approx(math.log(0.5))
-    assert model.log_A[6, 6] == 0.0
+    assert model.log_A_band[0][0] == pytest.approx(math.log(0.5))
+    assert model.log_A_band[1][0] == pytest.approx(math.log(0.5))
+    assert model.log_A_band[0][6] == 0.0
 
 
 def test_initialize_model_uses_per_step_statistics():
@@ -178,7 +189,7 @@ def test_single_state_training_recovers_sample_statistics():
     assert abs(model.means[0, 0] - mean) < 1e-12
     assert abs(model.covariances[0, 0, 0] - (scatter + floor)) < 1e-12
     assert model.log_pi[0] == 0.0
-    assert model.log_A[0, 0] == 0.0
+    assert model.log_A_band[0][0] == 0.0
     assert trace.converged
 
 
@@ -210,12 +221,8 @@ def test_trained_model_keeps_left_right_structure():
     assert validate_model(model) == []
     assert model.log_pi[0] == 0.0
     assert np.all(np.isneginf(model.log_pi[1:]))
-    assert model.log_A[5, 5] == 0.0
-    n = model.n_states
-    for i in range(n):
-        for j in range(n):
-            if not i <= j <= min(i + 1, n - 1):
-                assert np.isneginf(model.log_A[i, j])
+    assert model.log_A_band[0][5] == 0.0
+    assert [diag.size for diag in model.log_A_band] == [6, 5]
 
 
 def _assert_order_invariant():
@@ -225,7 +232,8 @@ def _assert_order_invariant():
     model_a, trace_a = baum_welch(list(seqs), config)
     model_b, trace_b = baum_welch(list(reversed(seqs)), config)
     assert trace_a.log_likelihoods == trace_b.log_likelihoods
-    assert np.array_equal(model_a.log_A, model_b.log_A)
+    assert np.array_equal(np.concatenate(model_a.log_A_band),
+                          np.concatenate(model_b.log_A_band))
     assert np.array_equal(model_a.means, model_b.means)
     assert np.array_equal(model_a.covariances, model_b.covariances)
 
@@ -256,7 +264,8 @@ def test_training_is_invariant_to_chunking(monkeypatch, n_dims, band):
     np.testing.assert_allclose(trace_split.log_likelihoods, trace_whole.log_likelihoods,
                                rtol=1e-10)
     with np.errstate(over="ignore"):
-        np.testing.assert_allclose(np.exp(split.log_A), np.exp(whole.log_A),
+        np.testing.assert_allclose(np.exp(np.concatenate(split.log_A_band)),
+                                   np.exp(np.concatenate(whole.log_A_band)),
                                    rtol=1e-10, atol=1e-300)
     np.testing.assert_allclose(split.means, whole.means, rtol=1e-10)
     np.testing.assert_allclose(split.covariances, whole.covariances, rtol=1e-10)
@@ -349,7 +358,8 @@ def _assert_same_fit(fit, log_fit):
     with np.errstate(over="ignore"):
         np.testing.assert_allclose(np.exp(model.log_pi), np.exp(log_model.log_pi),
                                    rtol=1e-10, atol=1e-300)
-        np.testing.assert_allclose(np.exp(model.log_A), np.exp(log_model.log_A),
+        np.testing.assert_allclose(np.exp(np.concatenate(model.log_A_band)),
+                                   np.exp(np.concatenate(log_model.log_A_band)),
                                    rtol=1e-10, atol=1e-300)
     np.testing.assert_allclose(model.means, log_model.means, rtol=1e-10)
     np.testing.assert_allclose(model.covariances, log_model.covariances, rtol=1e-10)
@@ -461,7 +471,8 @@ def _assert_matches_enumeration(seq, model, cache):
             gamma_ref[t, j] += w
     assert np.abs(cache.gamma - gamma_ref).max() < 1e-9
     xi_ref = enum_pair_posteriors(seq.values, model)
-    assert np.abs(np.exp(cache.log_xi_sums) - xi_ref).max() < 1e-9
+    xi = np.exp(dense_log_a(cache.log_xi_sums, model.n_states))
+    assert np.abs(xi - xi_ref).max() < 1e-9
 
 
 def _spaced_model(rng, n_states, band, spacing):
@@ -469,7 +480,7 @@ def _spaced_model(rng, n_states, band, spacing):
     model = random_banded_model(rng, n_states, 1, band_width=band,
                                 canonical_pi=bool(rng.integers(0, 2)))
     means = model.means + spacing * np.arange(n_states)[:, None]
-    return LrHmmModel(model.log_pi, model.log_A, means, model.covariances, band)
+    return LrHmmModel(model.log_pi, model.log_A_band, means, model.covariances)
 
 
 def test_windowed_posteriors_match_enumeration(monkeypatch):
@@ -502,16 +513,15 @@ def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
                                  [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]]))
-    model = LrHmmModel(np.array([0.0, -np.inf, -np.inf, -np.inf]), log_a,
-                       12.0 * np.arange(4.0)[:, None], np.ones((4, 1, 1)), 1)
+    model = LrHmmModel(np.array([0.0, -np.inf, -np.inf, -np.inf]), band_diagonals(log_a, 1),
+                       12.0 * np.arange(4.0)[:, None], np.ones((4, 1, 1)))
     seq = ObservationSequence(np.array([[0.0], [12.0], [0.0], [0.0]]), 0.025)
 
     x = seq.values[None]
     params = (model.means, model._chols, model._log_norms)
     log_b, alpha = np.empty((2, 1, 4, 2))
     lo, window_log_lik, trusted = lrhmm.training._window_forward(
-        x, params, model.log_pi, lrhmm.core._band_diagonals(model.log_A, 1),
-        log_b, alpha)
+        x, params, model.log_pi, model.log_A_band, log_b, alpha)
     exact = enum_log_likelihood(seq.values, model)
     assert list(lo) == [0, 1, 1, 1]
     assert window_log_lik[0] < exact - 60.0
@@ -532,8 +542,8 @@ def test_posteriors_of_a_forward_state_behind_by_e705():
     # the sequence to the log-space path.
     far = math.sqrt(2000.0)                    # e^-1000 density ratio
     log_pi = np.array([-705.0, math.log1p(-math.exp(-705.0))])
-    log_a = np.array([[math.log(0.5), math.log(0.5)], [-np.inf, 0.0]])
-    model = LrHmmModel(log_pi, log_a, np.array([[0.0], [far]]), np.ones((2, 1, 1)), 1)
+    log_a_band = ([math.log(0.5), 0.0], [math.log(0.5)])
+    model = LrHmmModel(log_pi, log_a_band, np.array([[0.0], [far]]), np.ones((2, 1, 1)))
     seq = ObservationSequence(np.array([[far / 2], [0.0]]), 0.025)
     cache = forward_backward(seq, model)
 
@@ -552,13 +562,13 @@ def test_pair_posteriors_ignore_a_state_the_band_cannot_reach_yet():
     # not reach the pair posteriors as 0 * inf.
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
-    model = LrHmmModel(np.array([0.0, -np.inf, -np.inf]), log_a,
-                       np.array([[0.0], [1.0], [60.0]]), np.ones((3, 1, 1)), 1)
+    model = LrHmmModel(np.array([0.0, -np.inf, -np.inf]), band_diagonals(log_a, 1),
+                       np.array([[0.0], [1.0], [60.0]]), np.ones((3, 1, 1)))
     seq = ObservationSequence(np.array([[0.0], [60.0]]), 0.025)
     cache = forward_backward(seq, model)
     assert abs(cache.log_likelihood - enum_log_likelihood(seq.values, model)) < 1e-9
     xi_ref = enum_pair_posteriors(seq.values, model)
-    assert np.abs(np.exp(cache.log_xi_sums) - xi_ref).max() < 1e-9
+    assert np.abs(np.exp(dense_log_a(cache.log_xi_sums, 3)) - xi_ref).max() < 1e-9
 
 
 def test_training_set_with_a_glitch_fits_as_in_log_space(monkeypatch):
@@ -607,8 +617,8 @@ def test_degenerate_state_is_reported_by_index():
     log_pi = np.array([0.0, -np.inf, -np.inf])
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
-    start = LrHmmModel(log_pi, log_a, np.array([[0.0], [1e6], [0.0]]),
-                       np.array([[[1.0]], [[1e-6]], [[1.0]]]), 1)
+    start = LrHmmModel(log_pi, band_diagonals(log_a, 1), np.array([[0.0], [1e6], [0.0]]),
+                       np.array([[[1.0]], [[1e-6]], [[1.0]]]))
     with pytest.raises(DegenerateStateError, match="state 1"):
         baum_welch(data, TrainingConfig(max_iterations=5), initial_model=start)
 
@@ -647,6 +657,24 @@ def test_training_input_validation():
 def test_training_config_validation(kwargs):
     with pytest.raises(UsageError):
         TrainingConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n_steps", [20, 70])
+def test_band_wider_than_the_recordings_fits_as_the_full_band(n_steps):
+    # every band_width >= T - 1 allows every forward move; the diagonals
+    # past the last state are empty (T = 70 runs the windowed E-step)
+    rng = np.random.default_rng(24)
+    seqs = _random_sequences(rng, 3, n_steps, 1, scale=0.5)
+    full, trace = baum_welch(seqs, TrainingConfig(max_iterations=3, band_width=n_steps - 1))
+    for band in (n_steps, n_steps + 1, n_steps + 5):
+        wide, wide_trace = baum_welch(seqs, TrainingConfig(max_iterations=3, band_width=band))
+        assert wide.band_width == band
+        assert wide_trace.log_likelihoods == trace.log_likelihoods
+        for name in ("log_pi", "means", "covariances"):
+            assert np.array_equal(getattr(wide, name), getattr(full, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(wide.log_A_band, full.log_A_band))
+        assert all(diag.size == 0 for diag in wide.log_A_band[n_steps:])
+        assert validate_model(wide) == []
 
 
 def test_wider_band_is_trainable():
