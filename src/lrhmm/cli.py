@@ -1,11 +1,12 @@
 """Command line interface.
 
 Subcommands: ``generate``, ``train``, ``classify``, ``forecast``,
-``distance``, ``accuracy-curve``.  Options shared by several subcommands:
-``--seed`` fixes the random stream, ``--config`` points at a ``key=value``
-text file, ``--out`` names the output file or directory, ``--durations``
-takes ``start:stop:step`` (inclusive) or a comma list of seconds, and
-``--workers`` sizes the process pool used by the experiment subcommands.
+``distance``, ``accuracy-curve``.  ``--out`` names the output file or
+directory.  All but ``classify`` and ``forecast`` take ``--seed``, which
+fixes the random stream, and ``--config``, a ``key=value`` text file; the
+experiment subcommands also take ``--workers``, their process pool size.
+``--durations`` takes ``start:stop:step`` (inclusive) or a comma list of
+seconds.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on data or model errors.
 """
@@ -33,7 +34,6 @@ from .experiments import (
     ExperimentConfig,
     run_accuracy_experiment,
     run_distance_experiment,
-    run_forecast_demo,
 )
 from .forecasting import forecast, write_forecast_csv
 from .inference import classify
@@ -271,20 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Left-right HMM motion classification and forecasting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0):
+    def seeded(p, seed_default=0, workers=False):
         p.add_argument("--seed", type=int, default=seed_default,
                        help="base random seed")
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--workers", type=int, default=1,
-                       help="process pool size for experiment subcommands")
+        if workers:
+            p.add_argument("--workers", type=int, default=1, help="process pool size")
 
     p = sub.add_parser("generate", help="write a synthetic two-class data set")
-    common(p)
+    seeded(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train one class model from sequence CSVs")
-    common(p, seed_default=None)
+    seeded(p, seed_default=None)
     p.add_argument("--data", required=True, help="sequence CSV file or directory")
     p.add_argument("--label", type=int, required=True, choices=(1, 2))
     p.add_argument("--sensor", help="sensor id (required if the data has several)")
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("classify", help="label a recording with two models")
-    common(p)
     p.add_argument("--model1", required=True)
     p.add_argument("--model2", required=True)
     p.add_argument("--input", required=True, help="sequence CSV file")
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("forecast", help="forecast the remainder of a recording")
-    common(p)
     p.add_argument("--model1", required=True)
     p.add_argument("--model2", required=True)
     p.add_argument("--input", required=True, help="sequence CSV file")
@@ -312,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("distance", help="mean cross-fitness distance per sensor")
-    common(p)
+    seeded(p, workers=True)
     p.add_argument("--data", required=True, help="sequence CSV directory")
     p.add_argument("--reps", type=int, help="number of repetitions (default 10)")
     p.add_argument("--out", required=True, help="output distance CSV path")
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("accuracy-curve",
                        help="leave-one-out accuracy over history durations")
-    common(p)
+    seeded(p, workers=True)
     p.add_argument("--data", required=True, help="sequence CSV directory")
     p.add_argument("--reps", type=int, help="number of repetitions (default 100)")
     p.add_argument("--durations", help="start:stop:step or comma list of seconds")

@@ -205,17 +205,19 @@ def _log_b(values, means: np.ndarray, chols: np.ndarray,
 
 
 def _live_spans(log_pi: np.ndarray, diags: list[np.ndarray]) -> tuple[tuple, tuple]:
-    """The states [lo_t, hi_t) that can hold forward mass at step t, from the
-    start distribution and the log band diagonals ``diags`` of A: the tuples
-    (lo_0, .., lo_{N-1}) and (hi_0, .., hi_{N-1}).
+    """The states [first_t, end_t) a forward rolling through two rows
+    computes step t over, from the start distribution and the log band
+    diagonals ``diags`` of A: the tuples (first_0, ..) and (end_0, ..).
 
-    A path starts at a state of finite ``log_pi`` and moves at most
-    len(diags) - 1 states per step, so it lies below hi_t = last start + 1 +
-    (len(diags) - 1) t.  It must move on from every state whose self-loop
-    (``diags[0]``) is -inf, so it lies at or above lo_t = min(first start +
-    t, the first state from there with a finite self-loop).  Forward and
-    Viterbi variables outside the span are -inf whatever the data.  A model
-    without a start state has empty spans.
+    Only the states [lo_t, hi_t) can hold forward mass at step t.  A path
+    starts at a state of finite ``log_pi`` and moves at most len(diags) - 1
+    states per step, so it lies below hi_t = last start + 1 + (len(diags) -
+    1) t.  It must move on from every state whose self-loop (``diags[0]``)
+    is -inf, so it lies at or above lo_t = min(first start + t, the first
+    state from there with a finite self-loop).  Forward and Viterbi
+    variables outside the span are -inf whatever the data.  A rolling row
+    still holds step t - 2, so first_t = lo_{max(t-2, 0)} and end_t = hi_t.
+    A model without a start state has empty ranges.
     """
     n_states = log_pi.size
     steps = np.arange(n_states)
@@ -225,7 +227,7 @@ def _live_spans(log_pi: np.ndarray, diags: list[np.ndarray]) -> tuple[tuple, tup
     first, last = starts[0], starts[-1]
     loops = np.flatnonzero(diags[0][first:] > -np.inf)
     settle = first + loops[0] if loops.size else n_states
-    return (tuple(np.minimum(first + steps, settle).tolist()),
+    return (tuple(np.minimum(first + np.maximum(steps - 2, 0), settle).tolist()),
             tuple(np.minimum(last + 1 + (len(diags) - 1) * steps, n_states).tolist()))
 
 

@@ -2,9 +2,9 @@
 
 File format (one file per trial): the first line is the header
 ``t,<sensor_id>_c0[,<sensor_id>_c1,...]``; lines starting with ``#`` carry
-``key=value`` metadata (``trial_id``, ``label``, ``dt``); every other line
-is one sampling step.  Values are written with ``repr`` so a round trip is
-exact.
+``key=value`` metadata (``trial_id``, ``label``, ``dt``), each key at most
+once; every other line is one sampling step.  Values are written with
+``repr`` so a round trip is exact.
 
 The generator mimics a crank mechanism observed by one rigidly attached
 sensor and a family of loosely attached ones: every channel is a harmonic
@@ -26,7 +26,7 @@ from .core import ObservationSequence, ParseError, UsageError, _read_text
 
 RIGID_SENSOR_ID = "dr1"
 
-# Characters of an offending header that a parse error quotes.
+# Characters of an offending header, cell or key that a parse error quotes.
 _QUOTE_CHARS = 80
 
 
@@ -171,18 +171,22 @@ def _parse_file(path: Path) -> ObservationSequence:
         if not line:
             continue
         if line.startswith("#"):
-            key, sep, value = line.lstrip("#").strip().partition("=")
+            key, sep, value = (part.strip() for part in line.lstrip("#").partition("="))
             if sep:
-                meta[key.strip()] = value.strip()
+                if key in meta:
+                    raise ParseError(f"{path}:{lineno}: metadata key {_quote(key)} repeated")
+                meta[key] = value
             continue
         cells = line.split(",")
         if len(cells) != len(columns):
             raise ParseError(
                 f"{path}:{lineno}: expected {len(columns)} columns, got {len(cells)}")
-        try:
-            numbers = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        numbers = []
+        for cell in cells:
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: not a number: {_quote(cell)}") from None
         if not all(math.isfinite(v) for v in numbers):
             raise ParseError(f"{path}:{lineno}: non-finite value")
         times.append(numbers[0])

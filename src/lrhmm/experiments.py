@@ -25,7 +25,7 @@ from .core import (
     UsageError,
     _grid_steps,
 )
-from .dataio import SyntheticConfig, generate_synthetic, load_csv, preprocess
+from .dataio import generate_synthetic, load_csv, preprocess
 from .distance import cross_fitness_distance
 from .forecasting import forecast, write_forecast_csv
 from .inference import prefix_log_likelihoods

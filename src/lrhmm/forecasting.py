@@ -60,7 +60,7 @@ def forecast(history: ObservationSequence, model_1: LrHmmModel,
     for t in range(split, n_states):
         # A[state, state + d] for the in-band successors; the first max
         # wins, so ties go to the lowest successor state.
-        moves = [diag[state] for diag in winner.log_A_band if state < diag.size]
+        moves = [diag[state] for diag in winner.log_A_band[:n_states - state]]
         state += moves.index(max(moves))
         path[t] = state
 

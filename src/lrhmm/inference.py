@@ -4,8 +4,8 @@ Histories may be shorter than the model horizon: the forward likelihood is
 terminated by summing over all states at the last observed step, and the
 Viterbi score maximizes over all states there.  Longer-than-horizon input
 is a usage error.  Every step of both recursions runs over the states that
-can hold mass at that step (``core._live_spans``) and gives the same bits
-as a recursion over all states.
+can hold mass at that step or two steps before (``core._live_spans``) and
+gives the same bits as a recursion over all states.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ def _span_blocks(x: np.ndarray, model: LrHmmModel):
     """Log densities of sequences ``x`` (..., T, M) under the states that
     :func:`training._forward` reads, ``_SCORING_BLOCK`` steps at a time:
     blocks (base, scores), scores (..., steps, W) of states base .. base +
-    W - 1, over the states from lo_{t0-2} to hi_{t1-1} for steps t0 .. t1-1."""
-    lo, hi = model._spans
+    W - 1, over the states from first_{t0} to end_{t1-1} for steps t0 .. t1-1."""
+    firsts, ends = model._spans
     n_steps = x.shape[-2]
     for t0 in range(0, n_steps, _SCORING_BLOCK):
         t1 = min(t0 + _SCORING_BLOCK, n_steps)
-        states = slice(lo[max(t0 - 2, 0)], hi[t1 - 1])
+        states = slice(firsts[t0], ends[t1 - 1])
         yield states.start, _log_b(x[..., t0:t1, :], model.means[states],
                                    model._chols[states], model._log_norms[states])
 
@@ -157,25 +157,24 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
 
     All argmax ties (per-step predecessor choice and the final state) break
     toward the lowest state index, so decoding is deterministic.  Each step
-    runs over the model's live span, outside which delta is exactly -inf.
-    Delta rolls through two rows and the back-pointers of each step cover
-    its span only, so no (T, N) table is allocated.  Raises ModelError if
-    the history has zero likelihood under the model: then no path is more
-    likely than another.
+    runs over the range the forward computes (``core._live_spans``),
+    outside whose live span delta is exactly -inf.  Delta rolls through two
+    rows and the back-pointers of each step cover its range only, so no
+    (T, N) table is allocated.  Raises ModelError if the history has zero
+    likelihood under the model: then no path is more likely than another.
     """
     log_b = _emissions(seq, model)
     n_steps, n_states = seq.n_steps, model.n_states
     diags = model.log_A_band
     rows = np.full((2, n_states), -np.inf)
-    psi = []                            # step t: predecessors of states lo_t .. hi_t - 1
+    psi = []                            # step t: predecessors of states first_t .. end_t - 1
     states = np.arange(n_states)
-    lows, highs = model._spans
+    firsts, ends = model._spans
     t = 0
     for base, block in log_b:
         for step_scores in block:
-            lo, hi = lows[t], highs[t]
+            lo, hi = firsts[t], ends[t]
             row = rows[t % 2]
-            row[lows[max(t - 2, 0)]:lo] = -np.inf       # step t - 2 below this span
             best, arg = row[lo:hi], states[lo:hi].copy()
             scores = step_scores[lo - base:hi - base]
             if t == 0:
@@ -185,7 +184,7 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
                 np.add(prev[lo:hi], diags[0][lo:hi], out=best)
                 # a farther predecessor replaces the best so far when at
                 # least as good, so ties go to the lowest predecessor
-                for d in range(1, len(diags)):
+                for d in range(1, min(len(diags), hi)):
                     start = max(lo, d)
                     if start >= hi:
                         continue
@@ -204,5 +203,5 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     path = np.empty(n_steps, dtype=int)
     path[-1] = end
     for t in range(n_steps - 2, -1, -1):
-        path[t] = psi[t + 1][path[t + 1] - lows[t + 1]]
+        path[t] = psi[t + 1][path[t + 1] - firsts[t + 1]]
     return ViterbiResult(path, float(last[end]))

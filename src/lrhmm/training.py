@@ -123,32 +123,32 @@ class TrainingTrace:
 # banded log-space recursions (leading batch dimensions allowed)
 # ---------------------------------------------------------------------------
 
-def _forward(log_b, log_pi, diags, spans, out, keep=None):
-    """Forward log variables (leading batch dimensions allowed), computed
-    over each step's live span (``spans`` from :func:`core._live_spans`);
-    outside it they are exactly -inf, as the recursion over all states
-    gives.
+def _forward(log_b, log_pi, diags, ranges, out, keep=None, after=None):
+    """Forward log variables (leading batch dimensions allowed), each step t
+    computed over the states [first_t, end_t) that ``ranges`` (firsts, ends)
+    give, read one step at a time; outside them a row keeps what it held.
 
     ``log_b`` holds the log emissions as blocks (base, scores) in step
     order: scores (..., steps, W) are those of states base .. base + W - 1,
-    and cover at each of their steps t the states from lo_{t-2} to hi_t.
+    and cover at each of their steps t the states first_t .. end_t - 1.
     Step t goes to row t % R of ``out`` (..., R, N): with R = T it is the
-    table of every step, with R = 2 only the last two steps are held.  Step
-    t is computed from state lo_{t-2} on, so a rolling row's values of step
-    t - 2 below lo_t are overwritten with the -inf the recursion gives
-    there.  ``keep`` maps steps to arrays (..., N) that receive their rows.
+    table of every step, with R = 2 only the last two steps are held, and
+    ranges from :func:`core._live_spans` overwrite a rolling row's values
+    of step t - 2 with the -inf the recursion gives there.  ``keep`` maps
+    steps to arrays (..., N) that receive their rows.  ``after(t, row, base,
+    scores)`` runs after each step; it may change the row and append the
+    range of step t + 1.
     """
     rows = list(out.swapaxes(-2, 0))
     n_rows = len(rows)
-    lo, hi = spans
-    firsts = lo[:1] * 2 + lo                        # lo_{t-2}, from lo_0
-    stay, moves = diags[0], list(enumerate(diags))[1:]
+    firsts, ends = ranges
+    stay, moves = diags[0], list(enumerate(diags[:diags[0].size]))[1:]    # the non-empty
     keep = keep or {}
     out.fill(-np.inf)
     t = 0
     for base, block in log_b:
         for scores in block.swapaxes(-2, 0):
-            first, end = firsts[t], hi[t]
+            first, end = firsts[t], ends[t]
             row = rows[t % n_rows]
             acc = row[..., first:end]
             # positional out arguments: this loop runs once per step
@@ -166,20 +166,20 @@ def _forward(log_b, log_pi, diags, spans, out, keep=None):
                 np.add(acc, scores[..., first - base:end - base], acc)
             if t in keep:
                 keep[t][...] = row
+            if after:
+                after(t, row, base, scores)
             prev = row
             t += 1
 
 
 def _backward(log_b: np.ndarray, diags: list[np.ndarray]) -> np.ndarray:
-    n_steps = log_b.shape[-2]
+    n_steps, n_states = log_b.shape[-2:]
     out = np.empty_like(log_b)
     out[..., n_steps - 1, :] = 0.0
     for t in range(n_steps - 2, -1, -1):
         nxt = log_b[..., t + 1, :] + out[..., t + 1, :]
         acc = nxt + diags[0]
-        for d in range(1, len(diags)):
-            if diags[d].size == 0:
-                continue
+        for d in range(1, min(len(diags), n_states)):
             acc[..., :-d] = np.logaddexp(acc[..., :-d], nxt[..., d:] + diags[d])
         out[..., t, :] = acc
     return out
@@ -198,16 +198,15 @@ def _state_posteriors(log_alpha: np.ndarray, log_beta: np.ndarray) -> np.ndarray
 
 def _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik):
     """Pairwise posteriors summed over sequences and t = 1..T-1, one vector
-    per band diagonal, a block of steps at a time.  Exponents are bounded
-    above by ~0, so this is safe to accumulate in probability space."""
+    per non-empty band diagonal, a block of steps at a time.  Exponents are
+    bounded above by ~0, so this is safe to accumulate in probability space."""
     n_steps, n_states = log_alpha.shape[-2:]
     ll = np.asarray(log_lik)[..., None, None]
+    diags = diags[:n_states]
     sums = [np.zeros(diag.size) for diag in diags]
     for t0 in range(0, n_steps - 1, _BLOCK):
         t1 = min(t0 + _BLOCK, n_steps - 1)
         for d, diag in enumerate(diags):
-            if diag.size == 0:
-                continue
             expo = (log_alpha[..., t0:t1, :n_states - d] + diag
                     + log_b[..., t0 + 1:t1 + 1, d:] + log_beta[..., t0 + 1:t1 + 1, d:] - ll)
             term = np.exp(expo)
@@ -244,9 +243,12 @@ def _window_forward(x, params, log_pi, diags, log_b, alpha):
     Row t of ``log_b`` and ``alpha`` (K, T, W) receives states lo[t] ..
     lo[t] + W - 1, shared by the chunk; lo advances by at most the band
     width per step.  The window keeps every state within tau nats of some
-    sequence's best state.  Emissions are scored a block of steps at a
-    time, over the states the window can reach in the block.  With W = N
-    this is the dense forward and nothing is dropped.
+    sequence's best state.  The recursion is :func:`_forward` over two
+    rolling rows of all N states; after each step its hook slides the
+    window, copies the window's columns out, sets the dropped ones to -inf
+    and appends the next step's range.  Emissions are scored a block of
+    steps at a time, over the states those ranges cover.  With W = N this
+    is the dense forward and nothing is dropped.
 
     Certificate: let m be a sequence's worst dropped margin (a dropped log
     forward variable minus its step's best; -inf if none), L_t the log sum
@@ -260,49 +262,43 @@ def _window_forward(x, params, log_pi, diags, log_b, alpha):
     means, chols, log_norms = params
     n_seq, n_steps, width = alpha.shape
     n_states = means.shape[0]
-    lo = np.zeros(n_steps, dtype=int)
-    dropped = np.full(n_seq, -np.inf)
     if width == n_states:
         _log_b(x, *params, out=log_b)
         _forward([(0, log_b)], log_pi, diags, _live_spans(log_pi, diags), alpha)
-    else:
-        band = len(diags) - 1
-        tau = _WINDOW_NATS_PER_STEP * n_steps
-        scores = _log_b(x[:, 0], *params)               # step 0 scores every state
-        first = log_pi + scores
-        shift = _slide(first, n_states - width, tau, width, dropped)
-        lo[0] = shift
-        alpha[:, 0], log_b[:, 0] = first[:, shift:shift + width], scores[:, shift:shift + width]
-        row = np.empty((n_seq, width + band))
+        return np.zeros(n_steps, dtype=int), _logsumexp(alpha[:, -1, :]), np.ones(n_seq, bool)
+    band = len(diags) - 1
+    tau = _WINDOW_NATS_PER_STEP * n_steps
+    lo = [0] * n_steps
+    dropped = np.full(n_seq, -np.inf)
+    firsts, ends = [0], [n_states]                      # step 0 scores every state
+
+    def blocks():
+        yield 0, _log_b(x[:, :1], *params)
         for t0 in range(1, n_steps, _BLOCK):
             t1 = min(t0 + _BLOCK, n_steps)
-            base = lo[t0 - 1]
-            top = min(base + width + band * (t1 - t0), n_states)
-            block = _log_b(x[:, t0:t1], means[base:top], chols[base:top],
-                           log_norms[base:top])
-            for t in range(t0, t1):
-                prev, start = alpha[:, t - 1], lo[t - 1]
-                ext = row[:, :min(width + band, n_states - start)]
-                np.add(prev, diags[0][start:start + width], out=ext[:, :width])
-                ext[:, width:] = -np.inf
-                for d in range(1, band + 1):
-                    hi = min(width, ext.shape[1] - d)
-                    if hi > 0:
-                        np.logaddexp(ext[:, d:d + hi], prev[:, :hi] + diags[d][start:start + hi],
-                                     out=ext[:, d:d + hi])
-                scores = block[:, t - t0, start - base:]
-                ext += scores[:, :ext.shape[1]]
-                shift = _slide(ext, min(band, n_states - width - start), tau, width, dropped)
-                lo[t] = start + shift
-                alpha[:, t], log_b[:, t] = (ext[:, shift:shift + width],
-                                            scores[:, shift:shift + width])
+            base = firsts[t0]
+            top = min(base + width + band * (t1 - t0 + 1), n_states)
+            yield base, _log_b(x[:, t0:t1], means[base:top], chols[base:top],
+                               log_norms[base:top])
+
+    def slide(t, row, base, scores):
+        start, end = lo[t - 1] if t else 0, ends[t]
+        limit = min(band if t else n_states, n_states - width - start)
+        lo[t] = low = start + _slide(row[:, start:end], limit, tau, width, dropped)
+        alpha[:, t] = row[:, low:low + width]
+        log_b[:, t] = scores[:, low - base:low - base + width]
+        row[:, start:low] = row[:, low + width:end] = -np.inf
+        # the next step's row still holds step t - 1, from lo[t - 1] on
+        firsts.append(lo[max(t - 1, 0)])
+        ends.append(min(low + width + band, n_states))
+
+    _forward(blocks(), log_pi, diags, (firsts, ends), np.empty((n_seq, 2, n_states)),
+             after=slide)
     log_lik = _logsumexp(alpha[:, -1, :])
-    if width == n_states:
-        return lo, log_lik, np.ones(n_seq, dtype=bool)
     with np.errstate(invalid="ignore"):
         regain = (n_steps - 1) * log_norms.max() - (log_lik - _logsumexp(alpha[:, 0, :]))
         trusted = dropped + regain + math.log(n_states * n_steps) <= -_CERTIFICATE_NATS
-    return lo, log_lik, trusted
+    return np.array(lo), log_lik, trusted
 
 
 def _exp_flushed(x: np.ndarray) -> None:
@@ -336,9 +332,9 @@ def _state_sums(subscripts, operands, lo, size, col0=0, rows=None) -> np.ndarray
 
 
 def _xi_sums(alpha, weighted, lo, a_diags):
-    """Pairwise posteriors per band diagonal, summed over sequences and
-    steps, from the filtered forward variables and the scaled emissions
-    times backward variables (K, T, W).  State lo[t] + w moves by diagonal
+    """Pairwise posteriors per non-empty band diagonal, summed over
+    sequences and steps, from the filtered forward variables and the scaled
+    emissions times backward variables (K, T, W).  State lo[t] + w moves by diagonal
     d to column w + d - s of row t + 1, s = lo[t+1] - lo[t]."""
     width = alpha.shape[2]
     shifts = np.diff(lo)
@@ -375,12 +371,8 @@ def _posteriors(log_b, alpha, lo, trusted, log_pi, diags, weighted, gamma):
     zero and add nothing to the sums.
     """
     n_steps, width = log_b.shape[1:]
-    n_states = diags[0].size
-    a_diags = [np.exp(diag) for diag in diags]
-    starts = np.flatnonzero(log_pi > -np.inf)
-    first = starts[-1] + 1 if starts.size else n_states
-    reach = np.minimum(first + (len(diags) - 1) * np.arange(n_steps), n_states)
-    reach = np.clip(reach - lo, 0, width)              # in window columns
+    a_diags = [np.exp(diag) for diag in diags[:diags[0].size]]
+    reach = np.clip(_live_spans(log_pi, diags)[1][:n_steps] - lo, 0, width)    # hi_t
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         peak = alpha.max(axis=2, keepdims=True)
         alpha -= peak
@@ -440,11 +432,9 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     lo, _, trusted = _window_forward(x, params, model.log_pi, diags, log_b_w, alpha)
     gamma, xi, ok = _posteriors(log_b_w, alpha, lo, trusted, model.log_pi, diags,
                                 weighted, gamma)
-    log_b = _log_b(x, *params)                                  # (1, T, N)
-    log_alpha = np.empty_like(log_b)
-    _forward([(0, log_b)], model.log_pi, diags, model._spans, log_alpha)
+    log_b, log_alpha = np.empty((2, 1, n_steps, n_states))     # W = N: the dense forward
+    log_lik = _window_forward(x, params, model.log_pi, diags, log_b, log_alpha)[1]
     log_beta = _backward(log_b, diags)
-    log_lik = _logsumexp(log_alpha[:, -1, :])
     if log_lik[0] == -np.inf:
         raise ModelError("the sequence has zero likelihood under the model")
     if ok[0]:
@@ -454,7 +444,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
         xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
         dense = _state_posteriors(log_alpha.copy(), log_beta)[0]
     with np.errstate(divide="ignore"):
-        log_xi = tuple(np.log(sums) for sums in xi)
+        log_xi = tuple(np.log(sums) for sums in xi) + diags[len(xi):]   # and the empty
     return ForwardBackwardCache(log_alpha[0], log_beta[0], dense, log_xi,
                                 float(log_lik[0]))
 
@@ -567,7 +557,7 @@ class _Statistics:
         self.mass = np.zeros(n_states)                      # sum of gamma
         self.first = np.zeros((n_states, n_dims))           # sum of gamma x
         self.second = np.zeros((n_states, n_dims, n_dims))  # about ref_means
-        self.xi = [np.zeros(max(n_states - d, 0)) for d in range(n_diags)]
+        self.xi = [np.zeros(n_states - d) for d in range(min(n_diags, n_states))]
 
     def add(self, x, gamma, lo, scratch, xi) -> None:
         """Add the sums of posteriors ``gamma`` (K, T, W) of sequences ``x``
@@ -606,13 +596,11 @@ def _log_space_e_step(stats, x, params, log_pi, diags, work) -> np.ndarray:
     variables, then the posteriors, to ``work[1]``, both (1, T, N).
     """
     log_b, log_alpha = work
-    _log_b(x, *params, out=log_b)
-    _forward([(0, log_b)], log_pi, diags, _live_spans(log_pi, diags), log_alpha)
-    log_lik = _logsumexp(log_alpha[:, -1, :])
+    lo, log_lik, _ = _window_forward(x, params, log_pi, diags, log_b, log_alpha)  # W = N
     log_beta = _backward(log_b, diags)
     xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
     gamma = _state_posteriors(log_alpha, log_beta)
-    stats.add(x, gamma, np.zeros(x.shape[1], dtype=int), (log_b, log_beta), xi)
+    stats.add(x, gamma, lo, (log_b, log_beta), xi)
     return log_lik
 
 
@@ -660,6 +648,7 @@ def _m_step(stats: _Statistics, log_diags_old, eps_rel):
         log_diags = [np.log(np.where(evidence[:numer.size], numer / row_sums[:numer.size],
                                      np.exp(old)))
                      for numer, old in zip(stats.xi, log_diags_old)]
+    log_diags += log_diags_old[len(log_diags):]             # the empty diagonals
 
     mass = stats.mass
     weakest = int(np.argmin(mass))

@@ -209,6 +209,17 @@ def test_usage_errors_exit_with_2(workspace, tmp_path):
     assert result.returncode == 2   # argparse rejects the label choice
 
 
+@pytest.mark.parametrize("args", [
+    ("classify", "--model1", "m1.json", "--model2", "m2.json", "--input", "r.csv",
+     "--config", "missing.cfg"),
+    ("train", "--data", "data", "--label", 1, "--out", "m.json", "--workers", 2),
+], ids=["classify_config", "train_workers"])
+def test_options_a_subcommand_never_reads_are_usage_errors(workspace, args):
+    result = run_cli(*args, cwd=workspace)
+    assert result.returncode == 2
+    assert "error: unrecognized arguments: " in result.stderr
+
+
 def test_data_errors_exit_with_1(tmp_path):
     result = run_cli("distance", "--data", tmp_path / "missing",
                      "--out", tmp_path / "d.csv")

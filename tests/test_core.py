@@ -207,7 +207,8 @@ def test_model_stacks_emission_parameters_read_only():
 
 def test_live_spans_follow_the_forced_moves():
     # band 1 from state 1: states 1..3 have no self-loop, so the forward
-    # mass moves one state per step until state 4, the first that can stay
+    # mass moves one state per step until state 4, the first that can stay:
+    # lo_t = 1, 2, 3, 4, 4, .., and step t is computed from lo_{t-2} on
     with np.errstate(divide="ignore"):
         a = np.zeros((7, 7))
         for i in range(6):
@@ -215,7 +216,7 @@ def test_live_spans_follow_the_forced_moves():
         a[6, 6] = 1.0
         model = LrHmmModel(np.log(np.eye(7)[1]), band_diagonals(np.log(a), 1),
                            np.zeros((7, 1)), np.ones((7, 1, 1)))
-        assert model._spans == ((1, 2, 3, 4, 4, 4, 4), (2, 3, 4, 5, 6, 7, 7))
+        assert model._spans == ((1, 1, 1, 2, 3, 4, 4), (2, 3, 4, 5, 6, 7, 7))
         # band 2 from states 0 and 2: state 0 can stay, the top moves by 2
         wide = LrHmmModel(np.log([0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]),
                           [np.log(np.full(7 - d, 1 / 3)) for d in range(3)], np.zeros((7, 1)),

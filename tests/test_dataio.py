@@ -205,6 +205,16 @@ def test_a_long_bad_header_is_quoted_cut_short(tmp_path, header):
     assert len(message) < len(str(path)) + 200
 
 
+def test_a_long_bad_cell_is_quoted_cut_short(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,df2_c0\n0.0,1.0\n0.025,{'x' * 100_001}\n")
+    with pytest.raises(ParseError, match="bad.csv:3: not a number") as info:
+        load_csv(path)
+    message = str(info.value)
+    assert f"{'x' * 80}'... (100001 characters)" in message
+    assert len(message) < len(str(path)) + 200
+
+
 def test_time_column_rounded_on_export_loads(tmp_path):
     # dt = 1/30 s with times rounded to milliseconds: off the exact grid by
     # up to half a millisecond, far less than half a step
@@ -247,6 +257,15 @@ def test_bad_metadata_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,df2_c0\n# trial_id=xyz\n0.0,1.0\n0.1,2.0\n")
     with pytest.raises(ParseError, match="metadata"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("key", ["label", "dt", "trial_id"])
+def test_a_repeated_metadata_key_is_a_parse_error(tmp_path, key):
+    # a second value would silently replace the first
+    path = tmp_path / "twice.csv"
+    path.write_text(f"t,df2_c0\n# {key}=1\n0.0,1.0\n#{key} = 2\n1.0,2.0\n")
+    with pytest.raises(ParseError, match=f"twice.csv:4: metadata key '{key}' repeated"):
         load_csv(path)
 
 

@@ -666,7 +666,7 @@ def test_band_wider_than_the_recordings_fits_as_the_full_band(n_steps):
     rng = np.random.default_rng(24)
     seqs = _random_sequences(rng, 3, n_steps, 1, scale=0.5)
     full, trace = baum_welch(seqs, TrainingConfig(max_iterations=3, band_width=n_steps - 1))
-    for band in (n_steps, n_steps + 1, n_steps + 5):
+    for band in (n_steps, n_steps + 1, n_steps + 5, n_steps + 10_000):
         wide, wide_trace = baum_welch(seqs, TrainingConfig(max_iterations=3, band_width=band))
         assert wide.band_width == band
         assert wide_trace.log_likelihoods == trace.log_likelihoods
