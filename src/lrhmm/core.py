@@ -269,11 +269,12 @@ class LrHmmModel:
             if diag.shape != (max(n - d, 0),):
                 raise UsageError(f"log_A_band diagonal {d} has shape {diag.shape}, "
                                  f"expected ({max(n - d, 0)},)")
-        if np.any(np.isnan(log_pi)) or any(np.any(np.isnan(diag)) for diag in diags):
+        band = np.concatenate(diags)
+        if np.any(np.isnan(log_pi)) or np.any(np.isnan(band)):
             raise UsageError("log probabilities contain NaN")
         if np.any(np.isposinf(log_pi)):
             raise UsageError("log_pi contains +inf")
-        if any(np.any(np.isposinf(diag)) for diag in diags):
+        if np.any(np.isposinf(band)):
             raise UsageError("log_A_band contains +inf")
         chols = _cholesky_factors(means, covs)
         for name, value in (("log_pi", log_pi), ("means", means), ("covariances", covs),

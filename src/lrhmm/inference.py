@@ -3,9 +3,10 @@
 Histories may be shorter than the model horizon: the forward likelihood is
 terminated by summing over all states at the last observed step, and the
 Viterbi score maximizes over all states there.  Longer-than-horizon input
-is a usage error.  Every step of both recursions runs over the states that
-can hold mass at that step or two steps before (``core._live_spans``) and
-gives the same bits as a recursion over all states.
+is a usage error.  Both recursions are :func:`training._forward`, Viterbi's
+with ``np.maximum`` in place of log-sum-exp; every step runs over the states
+that can hold mass at that step or two steps before (``core._live_spans``)
+and gives the same bits as a recursion over all states.
 """
 
 from __future__ import annotations
@@ -93,9 +94,14 @@ def _prefix_scores(log_b, model: LrHmmModel, batch: tuple, ends: list) -> np.nda
     (batch dimensions ``batch``).  The forward rolls through two rows and
     keeps the S it returns."""
     kept = np.empty((len(ends),) + batch + (model.n_states,))
+    slots = {t: kept[i] for i, t in enumerate(ends)}
+
+    def keep(t, row, base, scores):
+        if t in slots:
+            slots[t][...] = row
+
     _forward(log_b, model.log_pi, model.log_A_band, model._spans,
-             np.empty(batch + (2, model.n_states)),
-             keep={t: kept[i] for i, t in enumerate(ends)})
+             np.empty(batch + (2, model.n_states)), after=keep)
     return _logsumexp(kept)
 
 
@@ -155,53 +161,39 @@ def classify(history: ObservationSequence, model_1: LrHmmModel,
 def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     """Decode the most likely state path by max-plus recursion in log space.
 
-    All argmax ties (per-step predecessor choice and the final state) break
-    toward the lowest state index, so decoding is deterministic.  Each step
-    runs over the range the forward computes (``core._live_spans``),
-    outside whose live span delta is exactly -inf.  Delta rolls through two
-    rows and the back-pointers of each step cover its range only, so no
-    (T, N) table is allocated.  Raises ModelError if the history has zero
-    likelihood under the model: then no path is more likely than another.
+    Delta rolls through two rows; each step's is kept over the range the
+    forward computes, outside which it is exactly -inf, so no (T, N) table
+    is allocated.  Backtracking recovers the predecessors from the kept
+    delta by the recursion's own sums.  All argmax ties (per-step
+    predecessor choice and the final state) break toward the lowest state
+    index, so decoding is deterministic.  Raises ModelError if the history
+    has zero likelihood under the model: then no path is more likely than
+    another.
     """
-    log_b = _emissions(seq, model)
-    n_steps, n_states = seq.n_steps, model.n_states
     diags = model.log_A_band
-    rows = np.full((2, n_states), -np.inf)
-    psi = []                            # step t: predecessors of states first_t .. end_t - 1
-    states = np.arange(n_states)
     firsts, ends = model._spans
-    t = 0
-    for base, block in log_b:
-        for step_scores in block:
-            lo, hi = firsts[t], ends[t]
-            row = rows[t % 2]
-            best, arg = row[lo:hi], states[lo:hi].copy()
-            scores = step_scores[lo - base:hi - base]
-            if t == 0:
-                np.add(model.log_pi[lo:hi], scores, out=best)
-            else:
-                prev = rows[(t - 1) % 2]
-                np.add(prev[lo:hi], diags[0][lo:hi], out=best)
-                # a farther predecessor replaces the best so far when at
-                # least as good, so ties go to the lowest predecessor
-                for d in range(1, min(len(diags), hi)):
-                    start = max(lo, d)
-                    if start >= hi:
-                        continue
-                    cand = prev[start - d:hi - d] + diags[d][start - d:hi - d]
-                    better = cand >= best[start - lo:]
-                    np.copyto(best[start - lo:], cand, where=better)
-                    np.copyto(arg[start - lo:], states[start - d:hi - d], where=better)
-                best += scores
-            psi.append(arg)
-            t += 1
+    kept = []                           # step t: delta of states first_t .. end_t - 1
+    rows = np.empty((2, model.n_states))
+    _forward(_emissions(seq, model), model.log_pi, diags, model._spans, rows,
+             after=lambda t, row, base, scores: kept.append(row[firsts[t]:ends[t]].copy()),
+             combine=np.maximum)
 
-    last = rows[(n_steps - 1) % 2]
-    end = int(np.argmax(last))
-    if last[end] == -np.inf:
+    last = rows[(seq.n_steps - 1) % 2]
+    path = np.empty(seq.n_steps, dtype=int)
+    path[-1] = state = int(np.argmax(last))
+    if last[state] == -np.inf:
         raise ModelError("the history has zero likelihood under the model")
-    path = np.empty(n_steps, dtype=int)
-    path[-1] = end
-    for t in range(n_steps - 2, -1, -1):
-        path[t] = psi[t + 1][path[t + 1] - firsts[t + 1]]
-    return ViterbiResult(path, float(last[end]))
+    for t in range(seq.n_steps - 2, -1, -1):
+        delta, first, end = kept[t], firsts[t], ends[t]
+        best = -np.inf
+        # a farther predecessor replaces the best so far when at least as
+        # good, so ties go to the lowest state; one outside the range is
+        # -inf and cannot precede a state of the path, whose delta is finite
+        for d in range(min(len(diags) - 1, state) + 1):
+            i = state - d
+            if first <= i < end:
+                cand = delta[i - first] + diags[d][i]
+                if cand >= best:
+                    best, path[t] = cand, i
+        state = path[t]
+    return ViterbiResult(path, float(last[path[-1]]))

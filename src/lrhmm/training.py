@@ -123,7 +123,7 @@ class TrainingTrace:
 # banded log-space recursions (leading batch dimensions allowed)
 # ---------------------------------------------------------------------------
 
-def _forward(log_b, log_pi, diags, ranges, out, keep=None, after=None):
+def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp):
     """Forward log variables (leading batch dimensions allowed), each step t
     computed over the states [first_t, end_t) that ``ranges`` (firsts, ends)
     give, read one step at a time; outside them a row keeps what it held.
@@ -134,16 +134,15 @@ def _forward(log_b, log_pi, diags, ranges, out, keep=None, after=None):
     Step t goes to row t % R of ``out`` (..., R, N): with R = T it is the
     table of every step, with R = 2 only the last two steps are held, and
     ranges from :func:`core._live_spans` overwrite a rolling row's values
-    of step t - 2 with the -inf the recursion gives there.  ``keep`` maps
-    steps to arrays (..., N) that receive their rows.  ``after(t, row, base,
-    scores)`` runs after each step; it may change the row and append the
-    range of step t + 1.
+    of step t - 2 with the -inf the recursion gives there.  ``after(t, row,
+    base, scores)`` runs after each step; it may read or change the row and
+    append the range of step t + 1.  ``combine`` folds each state's terms,
+    stay first, then outward: np.logaddexp sums, np.maximum gives Viterbi.
     """
     rows = list(out.swapaxes(-2, 0))
     n_rows = len(rows)
     firsts, ends = ranges
     stay, moves = diags[0], list(enumerate(diags[:diags[0].size]))[1:]    # the non-empty
-    keep = keep or {}
     out.fill(-np.inf)
     t = 0
     for base, block in log_b:
@@ -151,21 +150,19 @@ def _forward(log_b, log_pi, diags, ranges, out, keep=None, after=None):
             first, end = firsts[t], ends[t]
             row = rows[t % n_rows]
             acc = row[..., first:end]
-            # positional out arguments: this loop runs once per step
+            # out by position, a little faster once per step; np.maximum's must be out=
             if t == 0:
                 np.add(log_pi[first:end], scores[..., first - base:end - base], acc)
             else:
                 np.add(prev[..., first:end], stay[first:end], acc)
                 for d, diag in moves:
                     if first >= d:
-                        np.logaddexp(acc, prev[..., first - d:end - d] + diag[first - d:end - d],
-                                     acc)
+                        combine(acc, prev[..., first - d:end - d] + diag[first - d:end - d],
+                                out=acc)
                     elif d < end:
                         tail = acc[..., d - first:]
-                        np.logaddexp(tail, prev[..., :end - d] + diag[:end - d], tail)
+                        combine(tail, prev[..., :end - d] + diag[:end - d], out=tail)
                 np.add(acc, scores[..., first - base:end - base], acc)
-            if t in keep:
-                keep[t][...] = row
             if after:
                 after(t, row, base, scores)
             prev = row
@@ -235,10 +232,12 @@ def _slide(row: np.ndarray, limit: int, tau: float, width: int,
     return shift
 
 
-def _window_forward(x, params, log_pi, diags, log_b, alpha):
-    """Exact log forward variables of sequences ``x`` (K, T, M) over a
-    sliding window of states.  Returns the window offsets ``lo`` (T,), the
-    log-likelihoods (K,) and which sequences' windows are certified.
+def _window_forward(x, params, chain, log_b, alpha):
+    """Exact log forward variables of sequences ``x`` (K, T, M) under
+    ``chain`` (log_pi, the log band diagonals and their ranges from
+    :func:`core._live_spans`) over a sliding window of states.  Returns the
+    window offsets ``lo`` (T,), the log-likelihoods (K,) and which
+    sequences' windows are certified.
 
     Row t of ``log_b`` and ``alpha`` (K, T, W) receives states lo[t] ..
     lo[t] + W - 1, shared by the chunk; lo advances by at most the band
@@ -260,11 +259,12 @@ def _window_forward(x, params, log_pi, diags, log_b, alpha):
     certified when m + G + log(N T) <= -40.
     """
     means, chols, log_norms = params
+    log_pi, diags, spans = chain
     n_seq, n_steps, width = alpha.shape
     n_states = means.shape[0]
     if width == n_states:
         _log_b(x, *params, out=log_b)
-        _forward([(0, log_b)], log_pi, diags, _live_spans(log_pi, diags), alpha)
+        _forward([(0, log_b)], log_pi, diags, spans, alpha)
         return np.zeros(n_steps, dtype=int), _logsumexp(alpha[:, -1, :]), np.ones(n_seq, bool)
     band = len(diags) - 1
     tau = _WINDOW_NATS_PER_STEP * n_steps
@@ -351,9 +351,9 @@ def _xi_sums(alpha, weighted, lo, a_diags):
     return xi
 
 
-def _posteriors(log_b, alpha, lo, trusted, log_pi, diags, weighted, gamma):
+def _posteriors(log_b, alpha, lo, trusted, chain, weighted, gamma):
     """State posteriors in the window, pairwise posterior sums per band
-    diagonal, and which sequences passed, for a chunk of K sequences.
+    diagonal, and which sequences passed, for K sequences of ``chain``.
 
     The (K, T, W) arrays are laid out as :func:`_window_forward` leaves
     them: ``log_b`` and ``alpha`` hold its log emissions and log forward
@@ -371,8 +371,9 @@ def _posteriors(log_b, alpha, lo, trusted, log_pi, diags, weighted, gamma):
     zero and add nothing to the sums.
     """
     n_steps, width = log_b.shape[1:]
+    _, diags, (_, ends) = chain
     a_diags = [np.exp(diag) for diag in diags[:diags[0].size]]
-    reach = np.clip(_live_spans(log_pi, diags)[1][:n_steps] - lo, 0, width)    # hi_t
+    reach = np.clip(ends[:n_steps] - lo, 0, width)      # hi_t
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         peak = alpha.max(axis=2, keepdims=True)
         alpha -= peak
@@ -429,11 +430,11 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     n_steps, n_states = seq.n_steps, model.n_states
     width = min(_WINDOW, n_states)
     log_b_w, alpha, weighted, gamma = np.empty((4, 1, n_steps, width))
-    lo, _, trusted = _window_forward(x, params, model.log_pi, diags, log_b_w, alpha)
-    gamma, xi, ok = _posteriors(log_b_w, alpha, lo, trusted, model.log_pi, diags,
-                                weighted, gamma)
+    chain = (model.log_pi, diags, model._spans)
+    lo, _, trusted = _window_forward(x, params, chain, log_b_w, alpha)
+    gamma, xi, ok = _posteriors(log_b_w, alpha, lo, trusted, chain, weighted, gamma)
     log_b, log_alpha = np.empty((2, 1, n_steps, n_states))     # W = N: the dense forward
-    log_lik = _window_forward(x, params, model.log_pi, diags, log_b, log_alpha)[1]
+    log_lik = _window_forward(x, params, chain, log_b, log_alpha)[1]
     log_beta = _backward(log_b, diags)
     if log_lik[0] == -np.inf:
         raise ModelError("the sequence has zero likelihood under the model")
@@ -587,16 +588,18 @@ class _Statistics:
                     self.second[:, p, m] += term
 
 
-def _log_space_e_step(stats, x, params, log_pi, diags, work) -> np.ndarray:
+def _log_space_e_step(stats, x, params, chain, work) -> np.ndarray:
     """Add the statistics of one sequence ``x`` (1, T, M) from the dense
     log-space recursions and return its log-likelihood (1,).
 
     ``params`` are the model's stacked means, Cholesky factors and log
-    normalisers.  The log emissions go to ``work[0]``, and the forward
-    variables, then the posteriors, to ``work[1]``, both (1, T, N).
+    normalisers, ``chain`` as for :func:`_window_forward`.  The log
+    emissions go to ``work[0]``, and the forward variables, then the
+    posteriors, to ``work[1]``, both (1, T, N).
     """
     log_b, log_alpha = work
-    lo, log_lik, _ = _window_forward(x, params, log_pi, diags, log_b, log_alpha)  # W = N
+    diags = chain[1]
+    lo, log_lik, _ = _window_forward(x, params, chain, log_b, log_alpha)  # W = N
     log_beta = _backward(log_b, diags)
     xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
     gamma = _state_posteriors(log_alpha, log_beta)
@@ -604,7 +607,7 @@ def _log_space_e_step(stats, x, params, log_pi, diags, work) -> np.ndarray:
     return log_lik
 
 
-def _finish_chunk(stats, work, x, lo, trusted, log_lik, params, log_pi, diags) -> int:
+def _finish_chunk(stats, work, x, lo, trusted, log_lik, params, chain) -> int:
     """Finish the E-step of one chunk of sequences ``x`` (K, T, M) from its
     windowed forward and add its statistics.
 
@@ -616,7 +619,7 @@ def _finish_chunk(stats, work, x, lo, trusted, log_lik, params, log_pi, diags) -
     value.  Returns the number of such sequences.
     """
     log_b, alpha, weighted, gamma = work[:, :len(x)]
-    gamma, xi, ok = _posteriors(log_b, alpha, lo, trusted, log_pi, diags, weighted, gamma)
+    gamma, xi, ok = _posteriors(log_b, alpha, lo, trusted, chain, weighted, gamma)
     stats.add(x, gamma, lo, (log_b, alpha), xi)
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -626,8 +629,7 @@ def _finish_chunk(stats, work, x, lo, trusted, log_lik, params, log_pi, diags) -
         dense = (flat[:size] if flat.size >= size else np.empty(size)).reshape(
             2, 1, n_steps, n_states)
         for k in bad:
-            log_lik[k:k + 1] = _log_space_e_step(stats, x[k:k + 1], params, log_pi,
-                                                 diags, dense)
+            log_lik[k:k + 1] = _log_space_e_step(stats, x[k:k + 1], params, chain, dense)
     return bad.size
 
 
@@ -694,16 +696,16 @@ def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
     for _ in range(config.max_iterations):
         chols = _cholesky_factors(means, covs)
         params = (means, chols, _log_norms(chols))
+        chain = (log_pi, log_diags, _live_spans(log_pi, log_diags))
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in starts:
             part = slice(begin, begin + chunk)
             log_b, alpha = work[:2, :len(x[part])]
-            lo, log_lik[part], trusted = _window_forward(x[part], params, log_pi,
-                                                         log_diags, log_b, alpha)
+            lo, log_lik[part], trusted = _window_forward(x[part], params, chain, log_b, alpha)
             pending = (x[part], lo, trusted, log_lik[part])
             # an uncertified likelihood is replaced before the convergence test
             if begin != starts[-1] or not trusted.all():
-                fallbacks += _finish_chunk(stats, work, *pending, params, log_pi, log_diags)
+                fallbacks += _finish_chunk(stats, work, *pending, params, chain)
                 pending = None
         total = float(log_lik.sum())
         trace.append(total)
@@ -715,7 +717,7 @@ def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
         # The last chunk's posteriors wait for the convergence test, so a
         # single-chunk fit skips them in its final iteration.
         if pending is not None:
-            fallbacks += _finish_chunk(stats, work, *pending, params, log_pi, log_diags)
+            fallbacks += _finish_chunk(stats, work, *pending, params, chain)
         log_pi, log_diags, means, covs = _m_step(stats, log_diags,
                                                  config.covariance_floor_eps)
     return (log_pi, log_diags, means, covs,

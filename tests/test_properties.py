@@ -25,9 +25,9 @@ from helpers import band_diagonals, reference_forward, reference_viterbi
 _WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 
 
-def _band_row(draw, width):
-    """A probability vector of ``width`` entries."""
-    w = np.array(draw(st.lists(_WEIGHTS, min_size=width, max_size=width)))
+def _band_row(draw, width, weights=_WEIGHTS):
+    """A probability vector of ``width`` entries drawn from ``weights``."""
+    w = np.array(draw(st.lists(weights, min_size=width, max_size=width)))
     if w.sum() == 0.0:
         w[0] = 1.0
     return w / w.sum()
@@ -118,19 +118,25 @@ def holey_models_and_histories(draw):
     """A valid model at band 1 to 3 whose band rows and start distribution
     have zero entries anywhere, self-loops included, three histories of one
     length between 1 and N steps, and prefix lengths in any order, repeats
-    allowed."""
+    allowed.  Some models are tied: their nonzero band and start
+    weights are equal, their covariances are unit, and means and histories
+    take the values -1, 0 and 1 only, so that paths often score exactly
+    alike."""
     n_states = draw(st.integers(1, 8))
     n_dims = draw(st.integers(1, 2))
     band = draw(st.integers(1, 3))
+    tied = draw(st.booleans())
+    weights = st.sampled_from([0.0, 1.0]) if tied else _WEIGHTS
     a = np.zeros((n_states, n_states))
     for i in range(n_states - 1):
         width = min(band, n_states - 1 - i) + 1
-        a[i, i:i + width] = _band_row(draw, width)
+        a[i, i:i + width] = _band_row(draw, width, weights)
     a[-1, -1] = 1.0
-    pi = _band_row(draw, n_states)
-    level = st.floats(-3.0, 3.0)
+    pi = _band_row(draw, n_states, weights)
+    level = st.sampled_from([-1.0, 0.0, 1.0]) if tied else st.floats(-3.0, 3.0)
     means = draw(arrays(float, (n_states, n_dims), elements=level))
-    scales = draw(arrays(float, (n_states, n_dims), elements=st.floats(0.3, 3.0)))
+    scales = draw(arrays(float, (n_states, n_dims),
+                         elements=st.just(1.0) if tied else st.floats(0.3, 3.0)))
     covs = scales[:, :, None] * np.eye(n_dims)
     with np.errstate(divide="ignore"):
         model = LrHmmModel(np.log(pi), band_diagonals(np.log(a), band), means, covs)

@@ -26,3 +26,31 @@ def test_every_imported_name_is_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree):
+    """Names of the module-level functions, classes and assignments of
+    ``tree`` that start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in Path(lrhmm.__file__).parent.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = sorted(f"{module}: {name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree) if name not in used)
+    assert not dead, f"private module-level names that nothing reads: {dead}"
