@@ -44,8 +44,41 @@ from .training import TrainingConfig, baum_welch
 # config files and argument parsing helpers
 # ---------------------------------------------------------------------------
 
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes"):
+        return True
+    if raw.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(x) for x in raw.split(",") if x.strip())
+
+
+# Every key some subcommand reads from a config file, with its type.
+_CONFIG_KEYS = {
+    # generation
+    "omega1": float, "omega2": float, "amplitude": float,
+    "artifact_amplitude": float, "artifact_phase_lag": float,
+    "artifact_phase_lag1": float, "artifact_phase_lag2": float,
+    "noise_std": float, "duration_s": float, "dt": float, "n_sequences": int,
+    "random_start_phase": _bool, "seed1": int, "seed2": int,
+    "artifact_levels": _floats,
+    # training
+    "max_iterations": int, "loglik_rel_tolerance": float,
+    "covariance_floor_eps": float, "band_width": int,
+    # experiments
+    "n_repetitions": int, "scale_divisor": float, "align": _bool, "motion_type": str,
+}
+
+
 def read_config(path) -> dict[str, str]:
-    """Parse a ``key=value`` text file; '#' starts a comment line."""
+    """Parse a ``key=value`` text file; '#' starts a comment line.
+
+    A key that no subcommand reads is a usage error, so a misspelt key
+    cannot silently leave its default in force.
+    """
     config: dict[str, str] = {}
     text = _read_text(path, "config")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -55,31 +88,18 @@ def read_config(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected 'key=value', got {line!r}")
-        config[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        config[key] = value.strip()
     return config
 
 
-def _get(config: dict, key: str, cast, default):
-    if key not in config:
-        return default
-    raw = config[key]
-    try:
-        if cast is bool:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from None
-
-
-def _get_floats(config: dict, key: str, default):
+def _get(config: dict, key: str, default):
     if key not in config:
         return default
     try:
-        return tuple(float(x) for x in config[key].split(",") if x.strip())
+        return _CONFIG_KEYS[key](config[key])
     except ValueError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from None
 
@@ -111,36 +131,34 @@ def parse_durations(text: str) -> tuple:
 
 def _training_config(config: dict) -> TrainingConfig:
     return TrainingConfig(
-        max_iterations=_get(config, "max_iterations", int, 100),
-        loglik_rel_tolerance=_get(config, "loglik_rel_tolerance", float, 1e-6),
-        covariance_floor_eps=_get(config, "covariance_floor_eps", float, 1e-6),
-        band_width=_get(config, "band_width", int, 1),
+        max_iterations=_get(config, "max_iterations", 100),
+        loglik_rel_tolerance=_get(config, "loglik_rel_tolerance", 1e-6),
+        covariance_floor_eps=_get(config, "covariance_floor_eps", 1e-6),
+        band_width=_get(config, "band_width", 1),
     )
 
 
 def _synthetic_pair(config: dict, seed: int):
     common = dict(
-        amplitude=_get(config, "amplitude", float, 1.0),
-        artifact_amplitude=_get(config, "artifact_amplitude", float, 0.0),
-        noise_std=_get(config, "noise_std", float, 0.05),
-        duration_s=_get(config, "duration_s", float, 5.0),
-        dt=_get(config, "dt", float, 0.025),
-        n_sequences=_get(config, "n_sequences", int, 30),
-        random_start_phase=_get(config, "random_start_phase", bool, False),
+        amplitude=_get(config, "amplitude", 1.0),
+        artifact_amplitude=_get(config, "artifact_amplitude", 0.0),
+        noise_std=_get(config, "noise_std", 0.05),
+        duration_s=_get(config, "duration_s", 5.0),
+        dt=_get(config, "dt", 0.025),
+        n_sequences=_get(config, "n_sequences", 30),
+        random_start_phase=_get(config, "random_start_phase", False),
     )
-    lag = _get(config, "artifact_phase_lag", float, math.pi / 2)
+    lag = _get(config, "artifact_phase_lag", math.pi / 2)
     # class 2 defaults to a seed in a disjoint XOR range so the two classes
     # never share per-trial noise streams
-    cfg_1 = SyntheticConfig(omega=_get(config, "omega1", float, 1.05 * math.pi),
-                            artifact_phase_lag=_get(config, "artifact_phase_lag1",
-                                                    float, lag),
-                            rng_seed=_get(config, "seed1", int, seed), **common)
-    cfg_2 = SyntheticConfig(omega=_get(config, "omega2", float, 1.48 * math.pi),
-                            artifact_phase_lag=_get(config, "artifact_phase_lag2",
-                                                    float, lag),
-                            rng_seed=_get(config, "seed2", int, seed + 2 ** 32),
+    cfg_1 = SyntheticConfig(omega=_get(config, "omega1", 1.05 * math.pi),
+                            artifact_phase_lag=_get(config, "artifact_phase_lag1", lag),
+                            rng_seed=_get(config, "seed1", seed), **common)
+    cfg_2 = SyntheticConfig(omega=_get(config, "omega2", 1.48 * math.pi),
+                            artifact_phase_lag=_get(config, "artifact_phase_lag2", lag),
+                            rng_seed=_get(config, "seed2", seed + 2 ** 32),
                             **common)
-    levels = _get_floats(config, "artifact_levels", (0.0, 0.3, 0.6, 1.0))
+    levels = _get(config, "artifact_levels", (0.0, 0.3, 0.6, 1.0))
     return cfg_1, cfg_2, levels
 
 
@@ -148,18 +166,18 @@ def _experiment_config(args, default_reps: int) -> ExperimentConfig:
     config = read_config(args.config) if args.config else {}
     durations = (parse_durations(args.durations) if getattr(args, "durations", None)
                  else DEFAULT_DURATIONS)
-    reps = args.reps if args.reps is not None else _get(config, "n_repetitions", int,
+    reps = args.reps if args.reps is not None else _get(config, "n_repetitions",
                                                         default_reps)
     return ExperimentConfig(
         n_repetitions=reps,
         history_durations=durations,
         rng_seed=args.seed,
         data_dir=args.data,
-        scale_divisor=_get(config, "scale_divisor", float, 1.0),
-        align=_get(config, "align", bool, False),
+        scale_divisor=_get(config, "scale_divisor", 1.0),
+        align=_get(config, "align", False),
         training=_training_config(config),
         n_workers=args.workers,
-        motion_type=_get(config, "motion_type", str, "simple_harmonic"),
+        motion_type=_get(config, "motion_type", "simple_harmonic"),
     )
 
 
@@ -189,8 +207,8 @@ def _load_training_pool(args, config: dict):
     elif sensor not in sensors:
         raise UsageError(f"sensor {sensor!r} not in data (found {sensors})")
     pool = [s for s in pool if s.sensor_id == sensor]
-    pool = preprocess(pool, _get(config, "scale_divisor", float, 1.0), None,
-                      _get(config, "align", bool, False))
+    pool = preprocess(pool, _get(config, "scale_divisor", 1.0), None,
+                      _get(config, "align", False))
     pool = [s for s in pool if s.label == args.label]
     if not pool:
         raise UsageError(f"no sequences with label {args.label} for sensor {sensor!r}")

@@ -119,22 +119,17 @@ def _grid_steps(duration_s: float, dt: float) -> int:
     return round(steps)
 
 
-def _asymmetric(covs: np.ndarray) -> np.ndarray:
-    """Which stacked covariances (N, M, M) are not symmetric to
-    ``SYMMETRY_RTOL`` relative to their largest entry: shape (N,)."""
-    scale = np.maximum(np.abs(covs).max(axis=(1, 2)), np.finfo(float).tiny)
-    skew = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
-    return skew > SYMMETRY_RTOL * scale
-
-
 def _cholesky_factors(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors (N, M, M) of the stacked covariances ``covs``
     of Gaussians with means ``means`` (N, M), in one batched factorisation.
     Raises UsageError if a parameter is not finite, and ModelError if a
-    covariance is not symmetric or not positive definite."""
+    covariance is not symmetric to ``SYMMETRY_RTOL`` relative to its largest
+    entry or not positive definite."""
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
         raise UsageError("emission parameters contain non-finite values")
-    if np.any(_asymmetric(covs)):
+    scale = np.maximum(np.abs(covs).max(axis=(1, 2)), np.finfo(float).tiny)
+    skew = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+    if np.any(skew > SYMMETRY_RTOL * scale):
         raise ModelError("covariance is not symmetric")
     try:
         return np.linalg.cholesky(covs)
@@ -318,9 +313,11 @@ class ForwardBackwardCache:
 def validate_model(model: LrHmmModel) -> list[str]:
     """Check every model invariant; return a list of violations (empty = valid).
 
-    Checks row stochasticity of ``A`` and ``pi`` (to ``ROW_SUM_TOL``), the
-    absorbing final state, and symmetry / positive definiteness of every
-    emission covariance.  Never raises.
+    Checks row stochasticity of ``A`` and ``pi`` (to ``ROW_SUM_TOL``) and
+    the absorbing final state.  Covariances need no check here: the
+    constructor's Cholesky factorisation is the one test of symmetry and
+    positive definiteness, so a model that scores also reloads.  Never
+    raises.
     """
     violations: list[str] = []
     row_sums = np.zeros(model.n_states)
@@ -339,15 +336,6 @@ def validate_model(model: LrHmmModel) -> list[str]:
     pi_sum = pi.sum()
     if not np.isfinite(pi_sum) or abs(pi_sum - 1.0) > ROW_SUM_TOL:
         violations.append(f"pi sums to {float(pi_sum)!r}, expected 1")
-
-    asymmetric = _asymmetric(model.covariances)
-    min_eigs = np.linalg.eigvalsh(model.covariances).min(axis=1)
-    for j in np.flatnonzero(asymmetric | ~(min_eigs > 0)):
-        if asymmetric[j]:
-            violations.append(f"emission {j} covariance is not symmetric")
-        else:
-            violations.append(f"emission {j} covariance is not positive definite "
-                              f"(min eigenvalue {float(min_eigs[j])!r})")
     return violations
 
 

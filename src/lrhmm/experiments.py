@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,6 @@ class ExperimentConfig:
     training: TrainingConfig = TrainingConfig()
     n_workers: int = 1
     motion_type: str = "simple_harmonic"
-    max_retrain_attempts: int = 20
 
     def __post_init__(self):
         if self.n_repetitions < 1:
@@ -74,8 +74,6 @@ class ExperimentConfig:
             raise UsageError("scale_divisor must be non-zero")
         if self.n_workers < 1:
             raise UsageError("n_workers must be >= 1")
-        if self.max_retrain_attempts < 1:
-            raise UsageError("max_retrain_attempts must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,72 +197,75 @@ def _duration_steps(durations, dt: float, n_steps: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# repetition workers (module level so process pools can pickle them)
+# the leave-one-out repetition (module level so process pools can pickle it)
 # ---------------------------------------------------------------------------
+
+_MAX_RETRAIN_ATTEMPTS = 20
+
 
 def _drop(sequences, index):
     return sequences[:index] + sequences[index + 1:]
 
 
-def _train_pair(class_1, class_2, training: TrainingConfig, rng,
-                max_attempts: int):
-    """Hold one trial out per class and train both models.
+def _train_pair(class_1, class_2, config: ExperimentConfig, rep: int):
+    """Hold one trial out per class and train both models for repetition
+    ``rep``, drawing from its stream ``default_rng(rng_seed XOR rep)``.
 
     Degenerate trainings are resampled from the same stream; returns
     ``(model_1, model_2, holdout_1, holdout_2, n_resampled)``.
     """
-    resamples = 0
-    for _ in range(max_attempts):
+    rng = np.random.default_rng(config.rng_seed ^ rep)
+    for resamples in range(_MAX_RETRAIN_ATTEMPTS):
         i_1 = int(rng.integers(len(class_1)))
         i_2 = int(rng.integers(len(class_2)))
         seed_1 = int(rng.integers(2 ** 63))
         seed_2 = int(rng.integers(2 ** 63))
         try:
             model_1, _ = baum_welch(_drop(class_1, i_1),
-                                    replace(training, rng_seed=seed_1))
+                                    replace(config.training, rng_seed=seed_1))
             model_2, _ = baum_welch(_drop(class_2, i_2),
-                                    replace(training, rng_seed=seed_2))
+                                    replace(config.training, rng_seed=seed_2))
         except DegenerateStateError:
-            resamples += 1
             continue
         return model_1, model_2, i_1, i_2, resamples
-    raise ModelError(f"training degenerated {max_attempts} times in a row")
+    raise ModelError(f"training degenerated {_MAX_RETRAIN_ATTEMPTS} times in a row")
 
 
-def _accuracy_repetition(args):
-    rep, base_seed, class_1, class_2, steps, training, max_attempts = args
-    rng = np.random.default_rng(base_seed ^ rep)
-    model_1, model_2, i_1, i_2, resamples = _train_pair(
-        class_1, class_2, training, rng, max_attempts)
+def _repetitions(fn, config: ExperimentConfig, *args):
+    """Run ``fn(config, *args, rep)`` for repetitions 0..n_repetitions-1.
+
+    ``fn`` returns ``(result, n_resampled)``.  Returns the results in
+    repetition order and their total resamples, the same whether the
+    repetitions run serially or on a pool of ``n_workers`` processes.
+    """
+    job = partial(fn, config, *args)
+    reps = range(config.n_repetitions)
+    if config.n_workers <= 1 or config.n_repetitions <= 1:
+        outcomes = list(map(job, reps))
+    else:
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+        with ProcessPoolExecutor(max_workers=config.n_workers,
+                                 mp_context=context) as pool:
+            outcomes = list(pool.map(job, reps))
+    return [result for result, _ in outcomes], sum(n for _, n in outcomes)
+
+
+def _accuracy_repetition(config, class_1, class_2, steps, rep):
+    model_1, model_2, i_1, i_2, resamples = _train_pair(class_1, class_2, config, rep)
     correct = np.zeros(len(steps), dtype=int)
-    holdout_1 = class_1[i_1]
-    label_1_wins = (prefix_log_likelihoods(holdout_1, model_1, steps)
-                    >= prefix_log_likelihoods(holdout_1, model_2, steps))
-    correct += label_1_wins.astype(int)
-    holdout_2 = class_2[i_2]
-    label_1_wins = (prefix_log_likelihoods(holdout_2, model_1, steps)
-                    >= prefix_log_likelihoods(holdout_2, model_2, steps))
-    correct += (~label_1_wins).astype(int)
+    for holdout, is_class_1 in ((class_1[i_1], True), (class_2[i_2], False)):
+        label_1_wins = (prefix_log_likelihoods(holdout, model_1, steps)
+                        >= prefix_log_likelihoods(holdout, model_2, steps))
+        correct += label_1_wins == is_class_1
     return correct, resamples
 
 
-def _distance_repetition(args):
-    rep, base_seed, class_1, class_2, training, max_attempts = args
-    rng = np.random.default_rng(base_seed ^ rep)
-    model_1, model_2, i_1, i_2, resamples = _train_pair(
-        class_1, class_2, training, rng, max_attempts)
+def _distance_repetition(config, class_1, class_2, rep):
+    model_1, model_2, i_1, i_2, resamples = _train_pair(class_1, class_2, config, rep)
     report = cross_fitness_distance(_drop(class_1, i_1), _drop(class_2, i_2),
                                     model_1, model_2)
     return report.distance, resamples
-
-
-def _map_ordered(fn, args_list, n_workers: int) -> list:
-    if n_workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
-        return list(pool.map(fn, args_list))
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +286,10 @@ def run_accuracy_experiment(config: ExperimentConfig) -> AccuracyCurve:
     for sensor in sorted(datasets):
         class_1, class_2 = datasets[sensor]
         steps = _duration_steps(config.history_durations, dt, class_1[0].n_steps)
-        args = [(rep, config.rng_seed, class_1, class_2, steps,
-                 config.training, config.max_retrain_attempts)
-                for rep in range(config.n_repetitions)]
-        totals = np.zeros(len(steps), dtype=int)
-        resamples = 0
-        for correct, rep_resamples in _map_ordered(
-                _accuracy_repetition, args, config.n_workers):
-            totals += correct
-            resamples += rep_resamples
-        for duration, count in zip(config.history_durations, totals):
+        corrects, resampled[sensor] = _repetitions(
+            _accuracy_repetition, config, class_1, class_2, steps)
+        for duration, count in zip(config.history_durations, sum(corrects)):
             table[(sensor, duration)] = int(count) / n_total
-        resampled[sensor] = resamples
     return AccuracyCurve(tuple(config.history_durations), table, n_total, resampled)
 
 
@@ -307,18 +300,13 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceTable:
     resampled: dict = {}
     for sensor in sorted(datasets):
         class_1, class_2 = datasets[sensor]
-        args = [(rep, config.rng_seed, class_1, class_2,
-                 config.training, config.max_retrain_attempts)
-                for rep in range(config.n_repetitions)]
+        distances, resampled[sensor] = _repetitions(
+            _distance_repetition, config, class_1, class_2)
         total = 0.0
-        resamples = 0
-        for distance, rep_resamples in _map_ordered(
-                _distance_repetition, args, config.n_workers):
+        for distance in distances:   # builtin sum() compensates from Python 3.12
             total += distance
-            resamples += rep_resamples
         rows.append(DistanceRow(sensor, config.motion_type,
                                 total / config.n_repetitions, config.n_repetitions))
-        resampled[sensor] = resamples
     return DistanceTable(tuple(rows), resampled)
 
 
@@ -329,7 +317,8 @@ def run_forecast_demo(config: ExperimentConfig, history_s: float,
     For every (sensor, class) pair this writes the forecast table and a
     companion ``truth_*`` file with the held-out trial's actual future, and
     reports how many future points fell inside the one-standard-deviation
-    band.
+    band.  The models and held-out trials are those of the leave-one-out
+    protocol's repetition 0.
     """
     datasets = load_datasets(config)
     dt = _common_dt(datasets)
@@ -344,9 +333,7 @@ def run_forecast_demo(config: ExperimentConfig, history_s: float,
             raise UsageError(
                 f"history of {history_s} s maps to {split} steps, needs 1 <= "
                 f"steps < {n_steps}")
-        rng = np.random.default_rng(config.rng_seed)
-        model_1, model_2, i_1, i_2, _ = _train_pair(
-            class_1, class_2, config.training, rng, config.max_retrain_attempts)
+        model_1, model_2, i_1, i_2, _ = _train_pair(class_1, class_2, config, 0)
         for true_label, holdout in ((1, class_1[i_1]), (2, class_2[i_2])):
             history = ObservationSequence(
                 holdout.values[:split], dt, sensor_id=sensor,

@@ -297,6 +297,18 @@ def test_bad_config_file_exits_with_2(workspace, tmp_path):
     assert "key=value" in result.stderr
 
 
+def test_unknown_config_key_exits_with_2(workspace, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("# one letter short of max_iterations\nmax_iteration = 1\n")
+    result = run_cli("train", "--data", workspace / "data", "--label", 1,
+                     "--sensor", "df2", "--config", cfg, "--out", tmp_path / "m.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "train.cfg:2" in result.stderr
+    assert "'max_iteration'" in result.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("key", ["covariance_floor_eps", "loglik_rel_tolerance"])
 def test_non_finite_training_config_exits_with_2(workspace, tmp_path, key):
     cfg = tmp_path / "train.cfg"

@@ -421,6 +421,19 @@ def test_model_file_round_trip(tmp_path):
     assert np.array_equal(back.log_pi, model.log_pi)
 
 
+def test_a_model_that_scores_also_reloads(tmp_path):
+    # Cholesky factors this covariance, yet eigvalsh puts its smallest
+    # eigenvalue at -2.7e-16: loading must apply the constructor's test
+    cov = np.array([[4.0, 2.0, 2.0], [2.0, 1.0 + 1e-15, 1.0], [2.0, 1.0, 1.0 + 1e-15]])
+    model = LrHmmModel([0.0], ([0.0], []), np.zeros((1, 3)), cov[None])
+    seq = ObservationSequence(np.zeros((1, 3)), 0.025)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert np.array_equal(back.covariances, model.covariances)
+    assert log_likelihood(seq, back) == log_likelihood(seq, model)
+
+
 # A model file in the dense format, written by model_to_json before it
 # switched to band diagonals.
 _DENSE_MODEL_JSON = """{

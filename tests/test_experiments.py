@@ -7,10 +7,13 @@ import pytest
 from lrhmm import (
     ACCURACY_CSV_HEADER,
     DISTANCE_CSV_HEADER,
+    DegenerateStateError,
     ExperimentConfig,
+    ModelError,
     SyntheticConfig,
     TrainingConfig,
     UsageError,
+    baum_welch,
     generate_synthetic,
     load_datasets,
     run_accuracy_experiment,
@@ -57,7 +60,6 @@ def test_config_requires_exactly_one_data_source(tmp_path):
     dict(history_durations=(0.0,)),
     dict(scale_divisor=0.0),
     dict(n_workers=0),
-    dict(max_retrain_attempts=0),
 ])
 def test_config_validation(kwargs):
     base = dict(synthetic=_synthetic_pair())
@@ -281,6 +283,41 @@ def test_identical_classes_have_near_zero_distance():
         n_repetitions=3, synthetic=apart, artifact_levels=(0.0,),
         sensors=("dr1",)))
     assert abs(near.mean_distance("dr1")) < 0.05 * abs(far.mean_distance("dr1"))
+
+
+# ---------------------------------------------------------------------------
+# resampling degenerate trainings
+# ---------------------------------------------------------------------------
+
+def _degenerate_when(monkeypatch, fails):
+    """Make every experiment fit whose training seed satisfies ``fails``
+    raise DegenerateStateError; a fork pool inherits the patch."""
+    def fit(sequences, training):
+        if fails(training.rng_seed):
+            raise DegenerateStateError("forced degeneracy")
+        return baum_welch(sequences, training)
+    monkeypatch.setattr("lrhmm.experiments.baum_welch", fit)
+
+
+@pytest.mark.parametrize("run", [run_accuracy_experiment, run_distance_experiment],
+                         ids=["accuracy", "distance"])
+def test_degenerate_trainings_are_resampled_alike_on_any_pool(monkeypatch, tmp_path,
+                                                              run):
+    _degenerate_when(monkeypatch, lambda seed: seed % 3 == 0)
+    config = _config(n_repetitions=2, sensors=("df2", "dr1"))
+    serial = run(config)
+    parallel = run(dataclasses.replace(config, n_workers=2))
+    assert all(n > 0 for n in serial.resampled.values())
+    assert serial.resampled == parallel.resampled
+    serial.to_csv(tmp_path / "serial.csv")
+    parallel.to_csv(tmp_path / "parallel.csv")
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
+
+def test_training_that_always_degenerates_is_an_error(monkeypatch):
+    _degenerate_when(monkeypatch, lambda seed: True)
+    with pytest.raises(ModelError, match="training degenerated 20 times in a row"):
+        run_accuracy_experiment(_config(n_repetitions=1, sensors=("df2",)))
 
 
 # ---------------------------------------------------------------------------
