@@ -5,12 +5,12 @@ the initializer can seed each state's emission from the cross-sequence
 statistics of the matching step.  All recursions run over the transition
 band only.  The E-step runs the exact log-space forward recursion over a
 sliding window of the states that hold the forward mass, then the backward
-pass in probability space on the filtered forward variables.  A sequence is
-redone by the dense log-space recursions when the mass its window dropped
-could show in its results, or when its posteriors fail an exact
-normalisation check.  Expectation quantities are accumulated over sequences
-in a canonical order (sorted by ``trial_id``) so that training results do
-not depend on how the caller happened to order the input list.
+recursion as the same forward on the reversed chain, over the same window,
+and takes the posteriors from both in log space.  A sequence is redone with
+the window as wide as the model (W = N) when the mass its window dropped
+could show in its results.  Expectation quantities are accumulated over
+sequences in a canonical order (sorted by ``trial_id``) so that training
+results do not depend on how the caller happened to order the input list.
 
 Training memory is bounded per chunk of sequences, not per data set: each
 EM iteration runs the E-step on a few sequences at a time and keeps only
@@ -42,15 +42,12 @@ from .core import (
 # emission update would divide by (numerical) zero.
 DEGENERATE_MASS = 1e-12
 
-# Largest deviation of a sequence's state posteriors from summing to one at
-# any step for which the probability-space backward pass is trusted.
-# Rounding drift reaches about 2e-11 over 800 steps; an underflow loses more.
-_POSTERIOR_SUM_TOL = 1e-9
-
 # NumPy's exp is several times slower on arguments whose result underflows,
-# so the probability-space E-step flushes results below exp(-700) to zero.
-# Flushing only removes mass, which the posterior-sum check above detects.
+# so the E-step flushes posterior terms below exp(-700) to exactly zero.
+# It forms them 2^64 times too large and scales their sums back, so what it
+# flushes lies below 2^-64 e^-700 = 2e-323, near the least subnormal double.
 _EXP_FLOOR = -700.0
+_TERM_SCALE = 2.0 ** 64
 
 # Absolute floor for the covariance regularization increment.
 _COV_EPS_ABS = 1e-9
@@ -77,8 +74,7 @@ _WINDOW_NATS_PER_STEP = 8.0
 # sequence's likelihood by a factor below 1 + e^-40, far under rounding.
 _CERTIFICATE_NATS = 40.0
 
-# Steps per block of emission scoring in the windowed forward, and of the
-# log-space fallback's posteriors.
+# Steps per block of emission scoring in the windowed forward.
 _BLOCK = 32
 
 
@@ -111,7 +107,9 @@ class TrainingConfig:
 class TrainingTrace:
     """Per-iteration total log-likelihood of the model that entered the
     iteration, plus convergence bookkeeping.  ``estep_fallbacks`` counts the
-    sequence E-steps redone in log space, summed over iterations."""
+    sequence E-steps whose window failed its certificate and that were
+    redone with the window as wide as the model (W = N), summed over
+    iterations."""
 
     log_likelihoods: tuple
     iterations_run: int
@@ -127,6 +125,7 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
     """Forward log variables (leading batch dimensions allowed), each step t
     computed over the states [first_t, end_t) that ``ranges`` (firsts, ends)
     give, read one step at a time; outside them a row keeps what it held.
+    ``log_pi`` (N,) may carry the batch dimensions too.
 
     ``log_b`` holds the log emissions as blocks (base, scores) in step
     order: scores (..., steps, W) are those of states base .. base + W - 1,
@@ -152,7 +151,7 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
             acc = row[..., first:end]
             # out by position, a little faster once per step; np.maximum's must be out=
             if t == 0:
-                np.add(log_pi[first:end], scores[..., first - base:end - base], acc)
+                np.add(log_pi[..., first:end], scores[..., first - base:end - base], acc)
             else:
                 np.add(prev[..., first:end], stay[first:end], acc)
                 for d, diag in moves:
@@ -167,48 +166,6 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
                 after(t, row, base, scores)
             prev = row
             t += 1
-
-
-def _backward(log_b: np.ndarray, diags: list[np.ndarray]) -> np.ndarray:
-    n_steps, n_states = log_b.shape[-2:]
-    out = np.empty_like(log_b)
-    out[..., n_steps - 1, :] = 0.0
-    for t in range(n_steps - 2, -1, -1):
-        nxt = log_b[..., t + 1, :] + out[..., t + 1, :]
-        acc = nxt + diags[0]
-        for d in range(1, min(len(diags), n_states)):
-            acc[..., :-d] = np.logaddexp(acc[..., :-d], nxt[..., d:] + diags[d])
-        out[..., t, :] = acc
-    return out
-
-
-def _state_posteriors(log_alpha: np.ndarray, log_beta: np.ndarray) -> np.ndarray:
-    """Posterior state probabilities, exact 0.0 where a state is unreachable.
-    They overwrite ``log_alpha``, a block of steps at a time."""
-    for t0 in range(0, log_alpha.shape[-2], _BLOCK):
-        block = log_alpha[..., t0:t0 + _BLOCK, :]
-        block += log_beta[..., t0:t0 + _BLOCK, :]
-        block -= _logsumexp(block)[..., None]
-        np.exp(block, out=block)
-    return log_alpha
-
-
-def _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik):
-    """Pairwise posteriors summed over sequences and t = 1..T-1, one vector
-    per non-empty band diagonal, a block of steps at a time.  Exponents are
-    bounded above by ~0, so this is safe to accumulate in probability space."""
-    n_steps, n_states = log_alpha.shape[-2:]
-    ll = np.asarray(log_lik)[..., None, None]
-    diags = diags[:n_states]
-    sums = [np.zeros(diag.size) for diag in diags]
-    for t0 in range(0, n_steps - 1, _BLOCK):
-        t1 = min(t0 + _BLOCK, n_steps - 1)
-        for d, diag in enumerate(diags):
-            expo = (log_alpha[..., t0:t1, :n_states - d] + diag
-                    + log_b[..., t0 + 1:t1 + 1, d:] + log_beta[..., t0 + 1:t1 + 1, d:] - ll)
-            term = np.exp(expo)
-            sums[d] += term.sum(axis=tuple(range(term.ndim - 1)))
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +204,8 @@ def _window_forward(x, params, chain, log_b, alpha):
     window, copies the window's columns out, sets the dropped ones to -inf
     and appends the next step's range.  Emissions are scored a block of
     steps at a time, over the states those ranges cover.  With W = N this
-    is the dense forward and nothing is dropped.
+    is the dense forward: nothing is dropped, and every sequence of nonzero
+    likelihood is certified.
 
     Certificate: let m be a sequence's worst dropped margin (a dropped log
     forward variable minus its step's best; -inf if none), L_t the log sum
@@ -265,7 +223,8 @@ def _window_forward(x, params, chain, log_b, alpha):
     if width == n_states:
         _log_b(x, *params, out=log_b)
         _forward([(0, log_b)], log_pi, diags, spans, alpha)
-        return np.zeros(n_steps, dtype=int), _logsumexp(alpha[:, -1, :]), np.ones(n_seq, bool)
+        log_lik = _logsumexp(alpha[:, -1, :])
+        return np.zeros(n_steps, dtype=int), log_lik, log_lik > -np.inf
     band = len(diags) - 1
     tau = _WINDOW_NATS_PER_STEP * n_steps
     lo = [0] * n_steps
@@ -309,107 +268,125 @@ def _exp_flushed(x: np.ndarray) -> None:
     x *= kept
 
 
-def _state_sums(subscripts, operands, lo, size, col0=0, rows=None) -> np.ndarray:
+def _state_sums(subscripts, operands, lo, size) -> np.ndarray:
     """Sums over sequences and steps of window terms, per state: (size, ...).
 
     ``subscripts`` take the (K, T', W') ``operands`` to (T', W', ...) terms,
-    and term (t, w) belongs to state lo[t] + col0 + w.  ``rows`` (T',)
-    selects steps.  A window that never moves sums its steps in einsum.
+    and term (t, w) belongs to state lo[t] + w.  A window that never moves
+    sums its steps in einsum.
     """
-    if rows is None or rows.all():
-        if lo[0] == lo[-1]:
-            inputs, output = subscripts.split("->")
-            sums = np.einsum(f"{inputs}->{output[1:]}", *operands)
-            out = np.zeros((size,) + sums.shape[1:])
-            out[lo[0] + col0:lo[0] + col0 + len(sums)] = sums
-            return out
-        rows = slice(None)
-    terms = np.einsum(subscripts, *operands)[rows]
-    states = (lo[rows, None] + np.arange(col0, col0 + terms.shape[1])).ravel()
+    if lo[0] == lo[-1]:
+        inputs, output = subscripts.split("->")
+        sums = np.einsum(f"{inputs}->{output[1:]}", *operands)
+        out = np.zeros((size,) + sums.shape[1:])
+        out[lo[0]:lo[0] + len(sums)] = sums
+        return out
+    terms = np.einsum(subscripts, *operands)
+    states = (lo[:, None] + np.arange(terms.shape[1])).ravel()
     flat = terms.reshape(states.size, -1)
     out = np.stack([np.bincount(states, col, minlength=size) for col in flat.T], axis=1)
     return out.reshape((size,) + terms.shape[2:])
 
 
-def _xi_sums(alpha, weighted, lo, a_diags):
-    """Pairwise posteriors per non-empty band diagonal, summed over
-    sequences and steps, from the filtered forward variables and the scaled
-    emissions times backward variables (K, T, W).  State lo[t] + w moves by diagonal
-    d to column w + d - s of row t + 1, s = lo[t+1] - lo[t]."""
-    width = alpha.shape[2]
-    shifts = np.diff(lo)
-    xi = []
-    for d, a_d in enumerate(a_diags):
-        total = np.zeros(a_d.size)
-        for s in np.unique(shifts):
-            w0, w1 = max(0, s - d), min(width, width + s - d)
-            if w1 <= w0:
-                continue
-            pairs = alpha[:, :-1, w0:w1], weighted[:, 1:, w0 + d - s:w1 + d - s]
-            total += _state_sums("ktw,ktw->tw", pairs, lo[:-1], a_d.size, w0, shifts == s)
-        xi.append(total * a_d)
-    return xi
+def _window_backward(log_b, lo, start, chain, u):
+    """Backward log variables of sequences whose windowed forward left the
+    log emissions ``log_b`` (K, T, W) and window offsets ``lo`` (T,), plus
+    their emissions and ``start`` (K,): u_t = log b_t + log beta_t + start.
 
+    u_{T-1} = log b_{T-1} + start and u_t(i) = log b_t(i) + logsumexp_d(
+    log A_d[i] + u_{t+1}(i + d)) is :func:`_forward` on the reversed chain:
+    time and states reversed, each band diagonal reversed, and log pi' =
+    start at every state (Rabiner, Proc. IEEE 77(2), 1989, for the
+    recursions; Mann, "Numerically stable hidden Markov model
+    implementation", 2006, for the log-space form).  Step t runs over the
+    states of window t, lo[t] .. lo[t] + W - 1, within the range that the
+    ranges of ``chain`` give the forward, since the forward holds no mass
+    outside it.  Below the live span lo_t+1 the backward is not computed;
+    the one term that would read it there, state lo_t's self-loop when
+    lo_t+1 = lo_t + 1, is -inf, which is why the span advanced.
 
-def _posteriors(log_b, alpha, lo, trusted, chain, weighted, gamma):
-    """State posteriors in the window, pairwise posterior sums per band
-    diagonal, and which sequences passed, for K sequences of ``chain``.
-
-    The (K, T, W) arrays are laid out as :func:`_window_forward` leaves
-    them: ``log_b`` and ``alpha`` hold its log emissions and log forward
-    variables, ``alpha`` is overwritten, and ``weighted`` and ``gamma`` are
-    arrays to work in; the posteriors are returned in ``gamma``.
-
-    The backward pass runs in probability space over the window's states
-    that the band lets the forward reach, on the filtered forward variables
-    alpha_hat_t = alpha_t / P(x_0..t) and on the emissions divided by the
-    forward's per-step scale c_t = P(x_t | x_0..t-1).  The windowed forward
-    is exact and every term is non-negative, so a backward underflow shows
-    as a deficit in sum_i alpha_hat_ti beta_hat_ti = 1 and an overflow as a
-    non-finite sum.  A sequence passes when this check holds at every step
-    and ``trusted`` certifies its window; the rows of the others come back
-    zero and add nothing to the sums.
+    Row t >= 1 of ``u`` (K, T, F) receives u_t at the states lo[t-1] ..
+    lo[t-1] + F - 1 that window t - 1 reaches, F = min(W + band, N), and
+    -inf where step t did not run.  With W = N the recursion writes
+    straight into ``u``.  Otherwise it rolls through two rows of all N
+    states, and after each step a hook clears what step t + 2 left above
+    step t's range and copies the row out.
     """
-    n_steps, width = log_b.shape[1:]
-    _, diags, (_, ends) = chain
-    a_diags = [np.exp(diag) for diag in diags[:diags[0].size]]
-    reach = np.clip(ends[:n_steps] - lo, 0, width)      # hi_t
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        peak = alpha.max(axis=2, keepdims=True)
-        alpha -= peak
-        _exp_flushed(alpha)
-        norm = alpha.sum(axis=2, keepdims=True)
-        alpha /= norm
-        log_scale = np.diff(peak + np.log(norm), axis=1, prepend=0.0)
-        np.subtract(log_b, log_scale, out=weighted)     # b_hat, then b_hat * beta_hat
-        _exp_flushed(weighted)
-        weighted[:, np.arange(width) >= reach[:, None]] = 0.0
+    _, diags, (firsts, ends) = chain
+    n_seq, n_steps, width = log_b.shape
+    n_states, frame = diags[0].size, u.shape[2]
+    low = np.maximum(lo, firsts[:n_steps])
+    high = np.maximum(np.minimum(lo + width, ends[:n_steps]), low)
+    ranges = ((n_states - high)[::-1].tolist(), (n_states - low)[::-1].tolist())
+    log_pi = np.broadcast_to(start[:, None], (n_seq, n_states))
+    reversed_diags = [diag[::-1] for diag in diags]
+    if width == n_states:
+        _forward([(0, log_b[:, ::-1, ::-1])], log_pi, reversed_diags, ranges,
+                 u[:, ::-1, ::-1])
+        return
+    lo, high = lo.tolist(), high.tolist() + [0, 0]
 
-        gamma.fill(0.0)                                 # beta_hat, then gamma
-        gamma[:, -1, :] = 1.0
-        row_lo, shifts, reach = lo.tolist(), np.diff(lo).tolist(), reach.tolist()
-        for t in range(n_steps - 2, -1, -1):
-            r, s, here = reach[t], shifts[t], row_lo[t]
-            nxt = weighted[:, t + 1, :]
-            beta = gamma[:, t, :r]
-            for d, a_d in enumerate(a_diags):
-                # column w of row t reaches column w + d - s of row t + 1
-                w0, w1 = (s - d, r) if d <= s else (0, min(r, width + s - d))
-                if w1 <= w0:
-                    continue
-                if d == 0:
-                    np.multiply(nxt[:, w0 - s:w1 - s], a_d[here + w0:here + w1],
-                                out=beta[:, w0:w1])
-                else:
-                    beta[:, w0:w1] += a_d[here + w0:here + w1] * nxt[:, w0 + d - s:w1 + d - s]
-            weighted[:, t, :r] *= beta
-        gamma *= alpha
-        sums = gamma.sum(axis=2)
-        ok = trusted & np.all(np.abs(sums - 1.0) <= _POSTERIOR_SUM_TOL, axis=1)
-        gamma /= sums[:, :, None]
-    if not ok.all():
-        gamma[~ok] = alpha[~ok] = weighted[~ok] = 0.0
-    return gamma, _xi_sums(alpha, weighted, lo, a_diags), ok
+    def copy(s, row, base, scores):
+        t = n_steps - 1 - s
+        states = row[:, ::-1]
+        states[:, high[t]:high[t + 2]] = -np.inf
+        if t:
+            first = lo[t - 1]
+            kept = min(frame, n_states - first)
+            u[:, t, :kept] = states[:, first:first + kept]
+            u[:, t, kept:] = -np.inf
+
+    blocks = ((n_states - lo[t] - width, log_b[:, t:t + 1, ::-1])
+              for t in range(n_steps - 1, -1, -1))
+    _forward(blocks, log_pi, reversed_diags, ranges, np.empty((n_seq, 2, n_states)),
+             after=copy)
+
+
+def _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma):
+    """State posteriors in the window and pairwise posterior sums per
+    non-empty band diagonal of K sequences of ``chain``.
+
+    ``log_b`` and ``alpha`` (K, T, W) hold the log emissions and log forward
+    variables that :func:`_window_forward` leaves, with window offsets
+    ``lo``, log-likelihoods ``log_lik`` (K,) and which sequences
+    ``trusted`` certifies; the others get zero posteriors and add nothing
+    to the sums.  ``u`` (K, T, F) and ``gamma`` (K, T, W) are arrays to
+    work in; the posteriors are returned in ``gamma``.
+
+    The backward pass is :func:`_window_backward` with start log s -
+    log_lik, s = ``_TERM_SCALE``, so that alpha_t(i) + log A_d[i] +
+    u_{t+1}(i + d) is the log of s times the posterior of the pair (i, i +
+    d) at steps t, t + 1.  gamma_t sums these terms over d, and gamma_{T-1}
+    = exp(alpha_{T-1} - log_lik).  No term reads log b_t, so a density that
+    underflowed to 0 gives no -inf - -inf.  The terms are formed in
+    ``log_b``'s array.
+    """
+    n_seq, n_steps, width = alpha.shape
+    diags = chain[1]
+    n_states, frame = diags[0].size, u.shape[2]
+    shift = np.where(trusted, log_lik, 0.0) - math.log(_TERM_SCALE)
+    alpha[~trusted] = -np.inf
+    _window_backward(log_b, lo, -shift, chain, u)
+    states = (slice(lo[0], lo[0] + width) if lo[0] == lo[-1]     # a window that never moves
+              else lo[:-1, None] + np.arange(width))
+    xi = []
+    for d, diag in enumerate(diags[:n_states]):
+        n = min(width, frame - d)           # columns whose pairs stay in the frame
+        term = log_b.reshape(-1)[:n_seq * (n_steps - 1) * n].reshape(n_seq, n_steps - 1, n)
+        np.add(alpha[:, :-1, :n], u[:, 1:, d:d + n], out=term)
+        term += np.append(diag, np.full(d, -np.inf))[states][..., :n]
+        _exp_flushed(term)
+        if d:
+            gamma[:, :-1, :n] += term
+        else:
+            gamma[:, :-1] = term
+        sums = (_state_sums("ktw->tw", (term,), lo[:-1], n_states)[:diag.size]
+                if n_steps > 1 else np.zeros(diag.size))
+        xi.append(sums / _TERM_SCALE)
+    np.subtract(alpha[:, -1], shift[:, None], out=gamma[:, -1])
+    _exp_flushed(gamma[:, -1])
+    gamma /= _TERM_SCALE
+    return gamma, xi
 
 
 def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBackwardCache:
@@ -420,34 +397,43 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     state posteriors, the log sums of pairwise transition posteriors over
     t = 1..T-1 per band diagonal, and the forward log-likelihood (summed
     over all states at the final step).  Posteriors come from the E-step
-    that training runs.  Raises ModelError if the sequence has zero
-    likelihood under the model: it has no posteriors.
+    that training runs, redone at W = N when its window is not certified.
+    Raises ModelError if the sequence has zero likelihood under the model:
+    it has no posteriors.
     """
     _check_scorable(seq, model)
     diags = model.log_A_band
     x = seq.values[None]
     params = (model.means, model._chols, model._log_norms)
     n_steps, n_states = seq.n_steps, model.n_states
-    width = min(_WINDOW, n_states)
-    log_b_w, alpha, weighted, gamma = np.empty((4, 1, n_steps, width))
     chain = (model.log_pi, diags, model._spans)
-    lo, _, trusted = _window_forward(x, params, chain, log_b_w, alpha)
-    gamma, xi, ok = _posteriors(log_b_w, alpha, lo, trusted, chain, weighted, gamma)
-    log_b, log_alpha = np.empty((2, 1, n_steps, n_states))     # W = N: the dense forward
-    log_lik = _window_forward(x, params, chain, log_b, log_alpha)[1]
-    log_beta = _backward(log_b, diags)
-    if log_lik[0] == -np.inf:
-        raise ModelError("the sequence has zero likelihood under the model")
-    if ok[0]:
-        dense = np.zeros((n_steps, n_states))
-        dense[np.arange(n_steps)[:, None], lo[:, None] + np.arange(width)] = gamma[0]
+    for width in (min(_WINDOW, n_states), n_states):
+        log_b, alpha, gamma = np.empty((3, 1, n_steps, width))
+        lo, log_lik, trusted = _window_forward(x, params, chain, log_b, alpha)
+        if trusted[0]:
+            break
     else:
-        xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
-        dense = _state_posteriors(log_alpha.copy(), log_beta)[0]
+        raise ModelError("the sequence has zero likelihood under the model")
+    u = np.empty((1, n_steps, min(width + len(diags) - 1, n_states)))
+    gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
+    dense = np.zeros((n_steps, n_states))
+    dense[np.arange(n_steps)[:, None], lo[:, None] + np.arange(width)] = gamma[0]
+
+    # log alpha and log beta at every state: beta_{T-1} = 0, and beta_t sums
+    # the terms log A_d + u_{t+1}(. + d) of the backward with start 0
+    every = ((0,) * n_steps, (n_states,) * n_steps)
+    log_b, log_alpha, u = np.empty((3, 1, n_steps, n_states))
+    _window_forward(x, params, (model.log_pi, diags, every), log_b, log_alpha)
+    _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u)
+    log_beta = np.full((n_steps, n_states), -np.inf)
+    log_beta[-1] = 0.0
+    for diag in diags[:n_states]:
+        d = n_states - diag.size
+        np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
+                     out=log_beta[:-1, :diag.size])
     with np.errstate(divide="ignore"):
         log_xi = tuple(np.log(sums) for sums in xi) + diags[len(xi):]   # and the empty
-    return ForwardBackwardCache(log_alpha[0], log_beta[0], dense, log_xi,
-                                float(log_lik[0]))
+    return ForwardBackwardCache(log_alpha[0], log_beta, dense, log_xi, float(log_lik[0]))
 
 
 def _check_scorable(seq: ObservationSequence, model: LrHmmModel) -> None:
@@ -506,7 +492,9 @@ def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
     """Build the canonical starting model for a set of sequences.
 
     One state per time step.  The start distribution is a point mass on the
-    first state; transition rows are uniform over the band.  State ``j``'s
+    first state; transition rows are uniform over the band.  A band_width
+    past the last state allows the moves of the full band, N - 1, which is
+    the band the model keeps.  State ``j``'s
     emission mean is the cross-sequence mean of step ``j``, perturbed by
     seeded noise of scale 0.01x the per-channel standard deviation (pooled
     over sequences and steps); its covariance is the diagonal per-channel
@@ -534,7 +522,7 @@ def initialize_model(sequences, config: TrainingConfig) -> LrHmmModel:
 
     log_pi = np.full(n_states, -np.inf)
     log_pi[0] = 0.0
-    log_a_band = _banded_uniform_log_a(n_states, config.band_width)
+    log_a_band = _banded_uniform_log_a(n_states, max(min(config.band_width, n_states - 1), 1))
     return LrHmmModel(log_pi, log_a_band, means, covs)
 
 
@@ -588,48 +576,40 @@ class _Statistics:
                     self.second[:, p, m] += term
 
 
-def _log_space_e_step(stats, x, params, chain, work) -> np.ndarray:
-    """Add the statistics of one sequence ``x`` (1, T, M) from the dense
-    log-space recursions and return its log-likelihood (1,).
-
-    ``params`` are the model's stacked means, Cholesky factors and log
-    normalisers, ``chain`` as for :func:`_window_forward`.  The log
-    emissions go to ``work[0]``, and the forward variables, then the
-    posteriors, to ``work[1]``, both (1, T, N).
-    """
-    log_b, log_alpha = work
-    diags = chain[1]
-    lo, log_lik, _ = _window_forward(x, params, chain, log_b, log_alpha)  # W = N
-    log_beta = _backward(log_b, diags)
-    xi = _xi_prob_sums(log_alpha, log_beta, log_b, diags, log_lik)
-    gamma = _state_posteriors(log_alpha, log_beta)
-    stats.add(x, gamma, lo, (log_b, log_beta), xi)
-    return log_lik
+def _e_step_arrays(work, n_seq, n_steps, width, frame):
+    """The E-step's arrays for ``n_seq`` sequences, carved in turn from the
+    flat ``work``: log b, alpha and gamma (K, T, W), and u (K, T, F)."""
+    size = n_seq * n_steps * width
+    log_b, alpha, gamma = work[:3 * size].reshape(3, n_seq, n_steps, width)
+    u = work[3 * size:3 * size + n_seq * n_steps * frame].reshape(n_seq, n_steps, frame)
+    return log_b, alpha, u, gamma
 
 
-def _finish_chunk(stats, work, x, lo, trusted, log_lik, params, chain) -> int:
+def _finish_chunk(stats, work, x, trial_ids, arrays, lo, trusted, log_lik,
+                  params, chain) -> int:
     """Finish the E-step of one chunk of sequences ``x`` (K, T, M) from its
-    windowed forward and add its statistics.
+    windowed forward in ``arrays`` (from :func:`_e_step_arrays`) and add its
+    statistics.
 
-    ``work`` is the (4, chunk, T, W) workspace, whose first K rows hold the
-    chunk's log emissions and log forward variables.  A sequence that
-    fails its certificate or the posterior-sum check is redone by the dense
-    log-space recursions, one at a time and in the workspace when it is
-    large enough, and its entry of ``log_lik`` (K,) is replaced by the exact
-    value.  Returns the number of such sequences.
+    A sequence that fails its certificate is redone with W = N, one at a
+    time and in the flat workspace ``work``, and its entry of ``log_lik``
+    (K,) is replaced by the exact value.  Returns the number of such
+    sequences.  Raises ModelError, naming the trial, if a sequence has zero
+    likelihood.
     """
-    log_b, alpha, weighted, gamma = work[:, :len(x)]
-    gamma, xi, ok = _posteriors(log_b, alpha, lo, trusted, chain, weighted, gamma)
+    log_b, alpha, u, gamma = arrays
+    gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
     stats.add(x, gamma, lo, (log_b, alpha), xi)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        n_steps, n_states = x.shape[1], params[0].shape[0]
-        size = 2 * n_steps * n_states
-        flat = work.reshape(-1)
-        dense = (flat[:size] if flat.size >= size else np.empty(size)).reshape(
-            2, 1, n_steps, n_states)
-        for k in bad:
-            log_lik[k:k + 1] = _log_space_e_step(stats, x[k:k + 1], params, chain, dense)
+    bad = np.flatnonzero(~trusted)
+    n_steps, n_states = x.shape[1], params[0].shape[0]
+    dense = _e_step_arrays(work, 1, n_steps, n_states, n_states)
+    for k in bad:
+        lo_k, log_lik[k:k + 1], ok = _window_forward(x[k:k + 1], params, chain, *dense[:2])
+        if not ok[0]:
+            raise ModelError(f"trial {trial_ids[k]} has zero likelihood under the model "
+                             "entering the EM iteration")
+        _finish_chunk(stats, work, x[k:k + 1], None, dense, lo_k, ok, log_lik[k:k + 1],
+                      params, chain)
     return bad.size
 
 
@@ -673,20 +653,22 @@ def _relative_change(current: float, previous: float) -> float:
     return abs(current - previous) / max(1.0, abs(current), abs(previous))
 
 
-def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
-    """The EM loop of :func:`baum_welch` over sequences ``x`` (K, T, M), from
-    the given parameters.  Returns the final (log_pi, log band diagonals,
-    means, covs) and the trace.
+def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, config):
+    """The EM loop of :func:`baum_welch` over sequences ``x`` (K, T, M) of
+    trials ``trial_ids``, from the given parameters.  Returns the final
+    (log_pi, log band diagonals, means, covs) and the trace.
 
-    The E-step works in four (chunk, T, W) arrays allocated once here: the
-    window's log emissions, its log forward variables (then the filtered
-    ones), the scaled emissions times the backward variables, and the
-    posteriors.
+    The E-step works in four arrays carved from one workspace allocated
+    here (see :func:`_e_step_arrays`): the window's log emissions, which
+    then hold the posterior terms; its log forward variables; the backward
+    variables, with the band's columns past the window; and the posteriors.
     """
     n_seq, n_steps, _ = x.shape
     width = min(_WINDOW, n_steps)
+    frame = min(width + len(log_diags) - 1, n_steps)
     chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * width)))
-    work = np.empty((4, chunk, n_steps, width))
+    # the workspace also holds one sequence's E-step at W = N, the fallback's
+    work = np.empty(n_steps * max(chunk * (3 * width + frame), 4 * n_steps))
     starts = range(0, n_seq, chunk)
     log_lik = np.empty(n_seq)
     trace: list[float] = []
@@ -700,9 +682,9 @@ def _expectation_maximization(x, log_pi, log_diags, means, covs, config):
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in starts:
             part = slice(begin, begin + chunk)
-            log_b, alpha = work[:2, :len(x[part])]
-            lo, log_lik[part], trusted = _window_forward(x[part], params, chain, log_b, alpha)
-            pending = (x[part], lo, trusted, log_lik[part])
+            arrays = _e_step_arrays(work, len(x[part]), n_steps, width, frame)
+            lo, log_lik[part], trusted = _window_forward(x[part], params, chain, *arrays[:2])
+            pending = (x[part], trial_ids[part], arrays, lo, trusted, log_lik[part])
             # an uncertified likelihood is replaced before the convergence test
             if begin != starts[-1] or not trusted.all():
                 fallbacks += _finish_chunk(stats, work, *pending, params, chain)
@@ -734,7 +716,8 @@ def baum_welch(sequences, config: TrainingConfig,
     it; the loop stops when the relative change drops below
     ``config.loglik_rel_tolerance`` or after ``config.max_iterations``
     iterations.  Raises :class:`DegenerateStateError` if a state loses all
-    posterior mass.
+    posterior mass, and ModelError, naming the trial, if a sequence has
+    zero likelihood under the model entering an iteration.
 
     Returns the fitted model and a :class:`TrainingTrace`.  The trace's
     log-likelihood list is non-decreasing (up to tiny rounding); permuting
@@ -754,5 +737,5 @@ def baum_welch(sequences, config: TrainingConfig,
         if model0.n_dims != n_dims:
             raise UsageError("initial model dimensionality does not match data")
     log_pi, log_diags, means, covs, trace = _expectation_maximization(
-        x, model0.log_pi, model0.log_A_band, model0.means, model0.covariances, config)
+        x, [s.trial_id for s in seqs], model0.log_pi, model0.log_A_band, model0.means, model0.covariances, config)
     return LrHmmModel(log_pi, log_diags, means, covs), trace

@@ -195,6 +195,50 @@ def enum_pair_posteriors(values, model):
     return xi
 
 
+def _oracle_log_b(values, model):
+    """Log densities (T, N) of every step under every state, by the oracle."""
+    return np.array([[oracle_log_density(x, mean, cov)
+                      for mean, cov in zip(model.means, model.covariances)] for x in values])
+
+
+def enum_posteriors(values, model):
+    """The log-likelihood, the state posteriors (T, N) and the pairwise
+    posteriors summed over t (N, N), by summing over every state path.  Each
+    path is scored as ``path_log_score`` scores it, from one table of
+    oracle densities, so that models of up to a few thousand paths are
+    quick to check."""
+    n_steps, n_states = len(values), model.n_states
+    paths = np.array(list(enum_paths(n_states, n_steps)))          # (P, T)
+    log_a = dense_log_a(model.log_A_band, n_states)
+    scores = (model.log_pi[paths[:, 0]]
+              + _oracle_log_b(values, model)[np.arange(n_steps), paths].sum(axis=1)
+              + log_a[paths[:, :-1], paths[:, 1:]].sum(axis=1))
+    log_lik = np.logaddexp.reduce(scores)
+    weights = np.exp(scores - log_lik)
+    gamma = np.array([np.bincount(step, weights, minlength=n_states) for step in paths.T])
+    xi = np.zeros((n_states, n_states))
+    for t in range(n_steps - 1):
+        np.add.at(xi, (paths[:, t], paths[:, t + 1]), weights)
+    return float(log_lik), gamma, xi
+
+
+def enum_log_backward(values, model):
+    """Backward log variables (T, N): log P(x_t+1 .. x_T-1 | state i at step
+    t), by summing over every continuation of the path from (t, i)."""
+    n_steps, n_states = len(values), model.n_states
+    log_b = _oracle_log_b(values, model)
+    log_a = dense_log_a(model.log_A_band, n_states)
+    out = np.empty((n_steps, n_states))
+    for t in range(n_steps):
+        rest = np.array(list(enum_paths(n_states, n_steps - 1 - t)), dtype=int)
+        emitted = log_b[np.arange(t + 1, n_steps), rest].sum(axis=1)
+        for i in range(n_states):
+            path = np.hstack([np.full((len(rest), 1), i), rest])
+            out[t, i] = np.logaddexp.reduce(
+                emitted + log_a[path[:, :-1], path[:, 1:]].sum(axis=1))
+    return out
+
+
 def sample_sequence(rng, model, n_steps, dt=0.025, **kwargs):
     """Draw one observation sequence from a model's own generative process."""
     pi = np.exp(model.log_pi)

@@ -80,7 +80,8 @@ def test_train_with_a_band_wider_than_the_recordings(workspace, tmp_path):
     result = run_cli("train", "--data", workspace / "data", "--label", 1,
                      "--sensor", "df2", "--config", cfg, "--out", tmp_path / "m.json")
     assert result.returncode == 0, result.stderr
-    assert load_model(tmp_path / "m.json").band_width == 12
+    # the model keeps the full band of its 10 states
+    assert load_model(tmp_path / "m.json").band_width == 9
 
 
 def test_commands_run_without_scipy(workspace, tmp_path):

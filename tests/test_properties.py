@@ -1,11 +1,13 @@
 """Property tests: model files round-trip for arbitrary valid models, a
-dense transition matrix reads as its band, and scoring over live spans
-equals the recursions over all states.
+dense transition matrix reads as its band, scoring over live spans equals
+the recursions over all states, and the E-step's posteriors and backward
+variables equal those of path enumeration.
 
 Examples are derandomized and bounded, so every run checks the same models.
 """
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,11 +16,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lrhmm.inference
-from lrhmm import (LrHmmModel, ModelError, ObservationSequence, log_likelihood,
-                   model_from_json, model_to_json, prefix_log_likelihoods, viterbi)
+import lrhmm.training
+from lrhmm import (LrHmmModel, ModelError, ObservationSequence, forward_backward,
+                   log_likelihood, model_from_json, model_to_json, prefix_log_likelihoods,
+                   viterbi)
 from lrhmm.core import _logsumexp
 from lrhmm.inference import _set_log_likelihoods
-from helpers import band_diagonals, reference_forward, reference_viterbi
+from helpers import (band_diagonals, dense_log_a, enum_log_backward, enum_posteriors,
+                     reference_forward, reference_viterbi)
 
 # in-band probabilities: exact zeros (structural -inf in log space) or
 # weights that stay normal floats after normalisation
@@ -165,3 +170,44 @@ def test_span_scoring_equals_the_recursions_over_all_states(case, block):
             assert np.isfinite(score)
             assert np.array_equal(decoded.path, path) and decoded.log_prob == score
         assert np.array_equal(_set_log_likelihoods(histories, model), totals)
+
+
+def _spaced_walk(model, data, n_steps):
+    """The model with state j's mean moved by 100 j, and a history of
+    ``n_steps`` that sits on the means of a drawn path of it.  Every state
+    off the path then trails by hundreds of nats, so that a window of a
+    few states follows the path and drops states whose mass it certifies
+    as lost."""
+    log_a = dense_log_a(model.log_A_band, model.n_states)
+    path = [data.draw(st.sampled_from(np.flatnonzero(model.log_pi > -np.inf).tolist()))]
+    for _ in range(n_steps - 1):
+        path.append(data.draw(st.sampled_from(np.flatnonzero(log_a[path[-1]] > -np.inf).tolist())))
+    means = model.means + 100.0 * np.arange(model.n_states)[:, None]
+    return LrHmmModel(model.log_pi, model.log_A_band, means, model.covariances), means[path]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(holey_models_and_histories(), st.data())
+def test_e_step_equals_path_enumeration(case, data):
+    # The backward pass runs over the forward's ranges, reversed.  A term
+    # it leaves out below lo_t+1 must be one whose state's -inf self-loop
+    # made lo advance; these draws have such holes, several start states
+    # and ties.  Each history is cut to at most 4096 paths, and each runs
+    # densely and with windows of 2 states, as does a walk along a drawn
+    # path of the model with its means spaced apart.
+    model, histories, _ = case
+    n_states = model.n_states
+    n_steps = min(int(math.log(4096, n_states)), n_states) if n_states > 1 else 1
+    cases = [(model, seq.values[:n_steps]) for seq in histories]
+    for hmm, values in cases + [_spaced_walk(model, data, n_steps)]:
+        log_lik, gamma, xi = enum_posteriors(values, hmm)
+        log_beta = enum_log_backward(values, hmm)
+        finite = np.isfinite(log_beta)
+        for window in (64, 2):
+            with mock.patch.object(lrhmm.training, "_WINDOW", window):
+                cache = forward_backward(ObservationSequence(values, 0.025), hmm)
+            assert abs(cache.log_likelihood - log_lik) < 1e-9
+            assert np.abs(cache.gamma - gamma).max() < 1e-9
+            assert np.abs(np.exp(dense_log_a(cache.log_xi_sums, n_states)) - xi).max() < 1e-9
+            assert np.array_equal(np.isfinite(cache.log_beta), finite)
+            assert np.abs(cache.log_beta[finite] - log_beta[finite]).max() < 1e-9

@@ -158,6 +158,21 @@ def test_initialize_model_is_seeded():
     assert not np.array_equal(a.means, c.means)
 
 
+@pytest.mark.parametrize("n_steps", [10, 70])
+def test_training_sequence_with_zero_likelihood_is_a_model_error(n_steps):
+    # A recording at 1e200 has zero likelihood under the initial model of
+    # four N(0, 1) recordings, so its posteriors are 0 / 0.  They used to
+    # pass the M-step's mass test as NaN, after RuntimeWarnings, and end in
+    # a UsageError about non-finite emission parameters.  T = 70 runs the
+    # windowed E-step.
+    rng = np.random.default_rng(26)
+    seqs = _random_sequences(rng, 4, n_steps, 1)
+    far = ObservationSequence(np.full((n_steps, 1), 1e200), 0.025, trial_id=4)
+    start = initialize_model(seqs, TrainingConfig())
+    with pytest.raises(ModelError, match="trial 4 has zero likelihood"):
+        baum_welch(seqs + [far], TrainingConfig(), initial_model=start)
+
+
 def test_recordings_whose_variance_overflows_are_a_model_error():
     # values near 1e200 square to inf: a data problem, reported without a
     # NumPy warning (it used to be a UsageError about non-finite parameters)
@@ -308,7 +323,7 @@ def test_training_memory_is_bounded_by_the_e_step_workspace():
 
 
 # ---------------------------------------------------------------------------
-# probability-space E-step against the log-space path
+# windowed E-step against the dense one (W = N)
 # ---------------------------------------------------------------------------
 
 def _crank_recordings(label, n_steps, n_sequences=6, n_dims=1):
@@ -327,71 +342,65 @@ def _crank_recordings(label, n_steps, n_sequences=6, n_dims=1):
                                 cfg.dt, trial_id=k) for k in range(n_sequences)]
 
 
-def _fit_both_ways(monkeypatch, seqs, config, initial_model=None):
-    """Fit twice: as shipped and forced onto the log-space backward pass.
-
-    Returns both fits and the number of sequences the shipped fit sent
-    through the log-space path.
-    """
-    fallback_rows = []
-    log_backward = lrhmm.training._backward
-
-    def counting_backward(log_b, diags):
-        fallback_rows.append(log_b.shape[0])
-        return log_backward(log_b, diags)
-
+def _fit_both_ways(monkeypatch, seqs, config, initial_model=None, window=None):
+    """Fit twice: with rows of ``window`` states (as shipped if None) and
+    with every E-step dense, its rows as wide as the model (W = N)."""
     with monkeypatch.context() as patch:
-        patch.setattr(lrhmm.training, "_backward", counting_backward)
+        if window is not None:
+            patch.setattr(lrhmm.training, "_WINDOW", window)
         fit = baum_welch(seqs, config, initial_model=initial_model)
     with monkeypatch.context() as patch:
-        # no sequence passes a negative tolerance
-        patch.setattr(lrhmm.training, "_POSTERIOR_SUM_TOL", -1.0)
-        log_fit = baum_welch(seqs, config, initial_model=initial_model)
-    return fit, log_fit, sum(fallback_rows)
+        patch.setattr(lrhmm.training, "_WINDOW", seqs[0].n_steps)
+        dense_fit = baum_welch(seqs, config, initial_model=initial_model)
+    assert dense_fit[1].estep_fallbacks == 0
+    return fit, dense_fit
 
 
-def _assert_same_fit(fit, log_fit):
-    (model, trace), (log_model, log_trace) = fit, log_fit
-    assert trace.iterations_run == log_trace.iterations_run
-    np.testing.assert_allclose(trace.log_likelihoods, log_trace.log_likelihoods,
+def _assert_same_fit(fit, dense_fit):
+    (model, trace), (dense_model, dense_trace) = fit, dense_fit
+    assert trace.iterations_run == dense_trace.iterations_run
+    np.testing.assert_allclose(trace.log_likelihoods, dense_trace.log_likelihoods,
                                rtol=1e-10)
     with np.errstate(over="ignore"):
-        np.testing.assert_allclose(np.exp(model.log_pi), np.exp(log_model.log_pi),
+        np.testing.assert_allclose(np.exp(model.log_pi), np.exp(dense_model.log_pi),
                                    rtol=1e-10, atol=1e-300)
         np.testing.assert_allclose(np.exp(np.concatenate(model.log_A_band)),
-                                   np.exp(np.concatenate(log_model.log_A_band)),
+                                   np.exp(np.concatenate(dense_model.log_A_band)),
                                    rtol=1e-10, atol=1e-300)
-    np.testing.assert_allclose(model.means, log_model.means, rtol=1e-10)
-    np.testing.assert_allclose(model.covariances, log_model.covariances, rtol=1e-10)
+    np.testing.assert_allclose(model.means, dense_model.means, rtol=1e-10)
+    np.testing.assert_allclose(model.covariances, dense_model.covariances, rtol=1e-10)
 
 
-@pytest.mark.parametrize("n_steps", [40, 200])
-def test_wrong_class_e_step_matches_the_log_space_path(monkeypatch, n_steps):
+@pytest.mark.parametrize("n_steps, window, fallbacks", [
+    pytest.param(40, 16, 6, id="40"),
+    pytest.param(200, None, 0, id="200"),
+    pytest.param(800, None, 0, id="800"),
+])
+def test_wrong_class_e_step_matches_the_log_space_path(monkeypatch, n_steps, window,
+                                                       fallbacks):
     # one EM iteration from a class-2 model on class-1 recordings (plus
-    # class-2 ones): the probability-space backward pass fails its check on
-    # the mismatched recordings, which must go through the log-space path
+    # class-2 ones), windowed against W = N.  T = 40 runs densely as
+    # shipped, so there the window is cut to 16 states, and the 6
+    # mismatched recordings fail its certificate and are redone at W = N.
     class_1 = _crank_recordings(1, n_steps)
     class_2 = _crank_recordings(2, n_steps)
     model_2, _ = baum_welch(class_2, TrainingConfig(max_iterations=3))
     seqs = [ObservationSequence(s.values, s.dt, trial_id=k)
             for k, s in enumerate(class_1 + class_2)]
-    fit, log_fit, fallback_rows = _fit_both_ways(
-        monkeypatch, seqs, TrainingConfig(max_iterations=1), initial_model=model_2)
-    assert 0 < fallback_rows < len(seqs)
-    assert fit[1].estep_fallbacks == fallback_rows == 6
-    _assert_same_fit(fit, log_fit)
+    fit, dense_fit = _fit_both_ways(monkeypatch, seqs, TrainingConfig(max_iterations=1),
+                                    initial_model=model_2, window=window)
+    assert fit[1].estep_fallbacks == fallbacks
+    _assert_same_fit(fit, dense_fit)
 
 
-def test_long_horizon_fit_stays_in_probability_space(monkeypatch):
+def test_long_horizon_fit_keeps_its_window(monkeypatch):
     seqs = _crank_recordings(1, 800, n_sequences=4)
-    fit, log_fit, fallback_rows = _fit_both_ways(monkeypatch, seqs,
-                                                 TrainingConfig(max_iterations=2))
-    assert fallback_rows == 0
+    fit, dense_fit = _fit_both_ways(monkeypatch, seqs, TrainingConfig(max_iterations=2))
     model, trace = fit
     assert trace.estep_fallbacks == 0
     assert np.all(np.isfinite(trace.log_likelihoods))
     assert np.all(np.isfinite(model.means)) and np.all(np.isfinite(model.covariances))
-    _assert_same_fit(fit, log_fit)
+    _assert_same_fit(fit, dense_fit)
 
 
 @pytest.mark.parametrize("band", [1, 2])
@@ -411,21 +420,20 @@ def test_windowed_e_step_fits_as_in_log_space(monkeypatch, n_steps, n_dims, band
     config = TrainingConfig(max_iterations=1, band_width=band)
     initial = initialize_model(seqs, config)
     for start in (initial, baum_welch(seqs, config)[0]):
-        fit, log_fit, fallback_rows = _fit_both_ways(monkeypatch, seqs, config,
-                                                     initial_model=start)
-        assert fallback_rows == fit[1].estep_fallbacks == 0
-        _assert_same_fit(fit, log_fit)
+        fit, dense_fit = _fit_both_ways(monkeypatch, seqs, config, initial_model=start)
+        assert fit[1].estep_fallbacks == 0
+        _assert_same_fit(fit, dense_fit)
         # the windowed forward scores the start as the dense one does
         expected = sum(log_likelihood(s, start) for s in seqs)
         assert fit[1].log_likelihoods[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_fallback_memory_stays_near_an_own_class_fit():
-    # One-iteration T = 800 fits of 12 recordings from a class-2 model.  The
-    # 6 class-1 recordings of the mixed set go through the dense log-space
-    # path, one at a time and in the E-step's workspace, so they add about
-    # one (T, N) array to the own-class fit's peak.
-    model_2, _ = baum_welch(_crank_recordings(2, 800), TrainingConfig(max_iterations=3))
+    # One-iteration T = 800 fits of 12 recordings from the initial model of
+    # class 2, whose windows the 6 class-1 recordings of the mixed set fail
+    # to certify.  They are redone at W = N one at a time, in the E-step's
+    # workspace, so they add little to the own-class fit's peak.
+    model_2 = initialize_model(_crank_recordings(2, 800), TrainingConfig())
     class_1 = _crank_recordings(1, 800)
     class_2 = _crank_recordings(2, 800, n_sequences=12)
     peaks, fallbacks = [], []
@@ -449,17 +457,18 @@ def _narrow_window(monkeypatch):
     monkeypatch.setattr(lrhmm.training, "_WINDOW_NATS_PER_STEP", 1.0)
 
 
-def _count_log_space_posteriors(monkeypatch):
-    """A list that gets one entry per forward_backward redone in log space."""
-    calls = []
-    xi_prob_sums = lrhmm.training._xi_prob_sums
+def _posterior_widths(monkeypatch):
+    """A list that gets the row width W of each E-step's posteriors: that
+    of the window, or N for one redone at W = N."""
+    widths = []
+    posteriors = lrhmm.training._posteriors
 
-    def counting(*args):
-        calls.append(1)
-        return xi_prob_sums(*args)
+    def recording(log_b, alpha, *args):
+        widths.append(alpha.shape[2])
+        return posteriors(log_b, alpha, *args)
 
-    monkeypatch.setattr(lrhmm.training, "_xi_prob_sums", counting)
-    return calls
+    monkeypatch.setattr(lrhmm.training, "_posteriors", recording)
+    return widths
 
 
 def _assert_matches_enumeration(seq, model, cache):
@@ -488,7 +497,7 @@ def test_windowed_posteriors_match_enumeration(monkeypatch):
     # Well separated states leave the dropped ones far behind, so the
     # certificate holds; close ones do not, and the sequence falls back.
     _narrow_window(monkeypatch)
-    fallbacks = _count_log_space_posteriors(monkeypatch)
+    widths = _posterior_widths(monkeypatch)
     rng = np.random.default_rng(23)
     windowed = 0
     for case in range(30):
@@ -496,9 +505,9 @@ def test_windowed_posteriors_match_enumeration(monkeypatch):
         model = _spaced_model(rng, n_states, int(rng.integers(1, 3)),
                               spacing=float(rng.choice([2.0, 15.0])))
         seq = sample_sequence(rng, model, int(rng.integers(2, n_states + 1)))
-        before = len(fallbacks)
         _assert_matches_enumeration(seq, model, forward_backward(seq, model))
-        windowed += len(fallbacks) == before
+        windowed += widths[-1] == 2
+    assert len(widths) == 30
     assert 0 < windowed < 30
 
 
@@ -506,10 +515,10 @@ def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
     # Sample 1 sits on state 1's mean, 72 nats above state 0, so the window
     # drops state 0 at t = 1.  Samples 2 and 3 then fit only state 0: the
     # path that stays in state 0 wins by about 72 nats, and the window has
-    # lost it.  The certificate must see this and send the sequence to the
-    # log-space path.
+    # lost it.  The certificate must see this and send the sequence to
+    # W = N.
     _narrow_window(monkeypatch)
-    fallbacks = _count_log_space_posteriors(monkeypatch)
+    widths = _posterior_widths(monkeypatch)
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
                                  [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]]))
@@ -528,18 +537,17 @@ def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
     assert not trusted[0]
 
     cache = forward_backward(seq, model)
-    assert fallbacks == [1]
+    assert widths == [4]
     _assert_matches_enumeration(seq, model, cache)
     assert cache.gamma[1, 0] > 0.99
 
 
 def test_posteriors_of_a_forward_state_behind_by_e705():
     # State 0 starts e^-705 less likely than state 1, but the second sample
-    # fits only state 0, so gamma_0 is about (1, 0).  The filtered forward
-    # weight of state 0 at t = 0 is below the probability-space pass's
-    # flush threshold while its backward weight is about e^705; the lost
-    # term leaves a finite deficit in the posterior sum, which must send
-    # the sequence to the log-space path.
+    # fits only state 0, so gamma_0 is about (1, 0).  Its forward weight at
+    # t = 0 is e^-705 of the best while its backward weight is about e^705
+    # of the best: a pass that flushed either factor alone would lose the
+    # path that carries the posterior.
     far = math.sqrt(2000.0)                    # e^-1000 density ratio
     log_pi = np.array([-705.0, math.log1p(-math.exp(-705.0))])
     log_a_band = ([math.log(0.5), 0.0], [math.log(0.5)])
@@ -558,8 +566,9 @@ def test_posteriors_of_a_forward_state_behind_by_e705():
 
 def test_pair_posteriors_ignore_a_state_the_band_cannot_reach_yet():
     # The second sample fits state 2 e^1700 times better than the states
-    # the band allows at t = 1, so its scaled emission overflows; it must
-    # not reach the pair posteriors as 0 * inf.
+    # the band allows at t = 1; its backward weight at state 2 is that
+    # large, but its forward weight is zero, so it must not reach the pair
+    # posteriors as 0 * inf.
     with np.errstate(divide="ignore"):
         log_a = np.log(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
     model = LrHmmModel(np.array([0.0, -np.inf, -np.inf]), band_diagonals(log_a, 1),
@@ -572,12 +581,14 @@ def test_pair_posteriors_ignore_a_state_the_band_cannot_reach_yet():
 
 
 def test_training_set_with_a_glitch_fits_as_in_log_space(monkeypatch):
+    # rows of 20 of the 40 states
     seqs = _crank_recordings(2, 40, n_sequences=8)
     values = np.array(seqs[3].values)
     values[17] += 5.0
     seqs[3] = ObservationSequence(values, seqs[3].dt, trial_id=seqs[3].trial_id)
-    fit, log_fit, _ = _fit_both_ways(monkeypatch, seqs, TrainingConfig(max_iterations=30))
-    _assert_same_fit(fit, log_fit)
+    fit, dense_fit = _fit_both_ways(monkeypatch, seqs, TrainingConfig(max_iterations=30),
+                                    window=20)
+    _assert_same_fit(fit, dense_fit)
 
 
 def test_converged_model_is_a_fixed_point():
@@ -661,20 +672,30 @@ def test_training_config_validation(kwargs):
 
 @pytest.mark.parametrize("n_steps", [20, 70])
 def test_band_wider_than_the_recordings_fits_as_the_full_band(n_steps):
-    # every band_width >= T - 1 allows every forward move; the diagonals
-    # past the last state are empty (T = 70 runs the windowed E-step)
+    # every band_width >= T - 1 allows every forward move, so the model
+    # keeps the band T - 1 (T = 70 runs the windowed E-step)
     rng = np.random.default_rng(24)
     seqs = _random_sequences(rng, 3, n_steps, 1, scale=0.5)
     full, trace = baum_welch(seqs, TrainingConfig(max_iterations=3, band_width=n_steps - 1))
     for band in (n_steps, n_steps + 1, n_steps + 5, n_steps + 10_000):
         wide, wide_trace = baum_welch(seqs, TrainingConfig(max_iterations=3, band_width=band))
-        assert wide.band_width == band
+        assert wide.band_width == n_steps - 1
         assert wide_trace.log_likelihoods == trace.log_likelihoods
         for name in ("log_pi", "means", "covariances"):
             assert np.array_equal(getattr(wide, name), getattr(full, name)), name
         assert all(np.array_equal(a, b) for a, b in zip(wide.log_A_band, full.log_A_band))
-        assert all(diag.size == 0 for diag in wide.log_A_band[n_steps:])
         assert validate_model(wide) == []
+
+
+def test_band_far_past_the_horizon_builds_only_the_full_band():
+    # a band_width of 10^5 on 20-step recordings used to build 100 001
+    # diagonals, all but 20 of them empty, in every model of the fit
+    rng = np.random.default_rng(25)
+    seqs = _random_sequences(rng, 4, 20, 1, scale=0.5)
+    config = TrainingConfig(max_iterations=5, band_width=10 ** 5)
+    assert len(initialize_model(seqs, config).log_A_band) == 20
+    model, _ = baum_welch(seqs, config)
+    assert len(model.log_A_band) == 20
 
 
 def test_wider_band_is_trainable():
