@@ -199,10 +199,11 @@ def _log_b(values, means: np.ndarray, chols: np.ndarray,
     return out
 
 
-def _live_spans(log_pi: np.ndarray, diags: list[np.ndarray]) -> tuple[tuple, tuple]:
+def _live_spans(log_pi: np.ndarray, diags: list[np.ndarray]) -> tuple[tuple, int]:
     """The states [first_t, end_t) a forward rolling through two rows
     computes step t over, from the start distribution and the log band
-    diagonals ``diags`` of A: the tuples (first_0, ..) and (end_0, ..).
+    diagonals ``diags`` of A: the tuples ((first_0, ..), (end_0, ..)), and
+    the number F of forced steps.
 
     Only the states [lo_t, hi_t) can hold forward mass at step t.  A path
     starts at a state of finite ``log_pi`` and moves at most len(diags) - 1
@@ -213,17 +214,24 @@ def _live_spans(log_pi: np.ndarray, diags: list[np.ndarray]) -> tuple[tuple, tup
     variables outside the span are -inf whatever the data.  A rolling row
     still holds step t - 2, so first_t = lo_{max(t-2, 0)} and end_t = hi_t.
     A model without a start state has empty ranges.
+
+    Step t is forced when its span holds one state.  With one start state
+    s0 and band 1, that is each step t < F = min(settle, N - 1) - s0 + 1,
+    where settle is the first state from s0 on with a finite self-loop
+    (N if none); the step's mass is at s0 + t.  Otherwise F = 0.
     """
     n_states = log_pi.size
     steps = np.arange(n_states)
     starts = np.flatnonzero(log_pi > -np.inf)
     if not starts.size:
-        return (0,) * n_states, (0,) * n_states
+        return ((0,) * n_states, (0,) * n_states), 0
     first, last = starts[0], starts[-1]
     loops = np.flatnonzero(diags[0][first:] > -np.inf)
     settle = first + loops[0] if loops.size else n_states
-    return (tuple(np.minimum(first + np.maximum(steps - 2, 0), settle).tolist()),
-            tuple(np.minimum(last + 1 + (len(diags) - 1) * steps, n_states).tolist()))
+    forced = min(settle, n_states - 1) - first + 1 if first == last and len(diags) == 2 else 0
+    return ((tuple(np.minimum(first + np.maximum(steps - 2, 0), settle).tolist()),
+             tuple(np.minimum(last + 1 + (len(diags) - 1) * steps, n_states).tolist())),
+            int(forced))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +285,9 @@ class LrHmmModel:
             object.__setattr__(self, name, _frozen_array(value))
         diags = tuple(_frozen_array(diag) for diag in diags)
         object.__setattr__(self, "log_A_band", diags)
-        object.__setattr__(self, "_spans", _live_spans(log_pi, diags))
+        spans, forced = _live_spans(log_pi, diags)
+        object.__setattr__(self, "_spans", spans)
+        object.__setattr__(self, "_forced", forced)
 
     @property
     def band_width(self) -> int:
@@ -380,17 +390,27 @@ def _dense_band(a: np.ndarray, n_states: int, band_width: int) -> list[np.ndarra
 
 
 def _read_transitions(doc: dict, n_states: int, band_width: int) -> list[np.ndarray]:
-    """Log band diagonals of A from a document's ``A_band`` or its dense ``A``."""
+    """Log band diagonals of A from a document's ``A_band`` or its dense ``A``.
+
+    A band past the last state allows the moves of the full band, so the
+    diagonals kept are 0..max(min(band_width, N - 1), 1), as
+    :func:`training.initialize_model` builds; an ``A_band``'s diagonals
+    past them must be empty."""
     if ("A" in doc) == ("A_band" in doc):
         raise ParseError("malformed model document: expected exactly one of "
                          "'A' and 'A_band'")
+    band = min(band_width, max(n_states - 1, 1))
     if "A" in doc:
-        diags = _dense_band(np.asarray(doc["A"], dtype=float), n_states, band_width)
+        diags = _dense_band(np.asarray(doc["A"], dtype=float), n_states, band)
     else:
-        diags = [np.asarray(diag, dtype=float) for diag in doc["A_band"]]
+        diags = doc["A_band"]
         if len(diags) != band_width + 1:
             raise ModelError(f"invalid model: A_band has {len(diags)} diagonals, "
                              f"expected band_width + 1 = {band_width + 1}")
+        if any(len(diag) for diag in diags[band + 1:]):
+            raise ModelError(f"invalid model: A_band has a non-empty diagonal past "
+                             f"state {n_states - 1}")
+        diags = [np.asarray(diag, dtype=float) for diag in diags[:band + 1]]
     with np.errstate(divide="ignore", invalid="ignore"):
         return [np.log(diag) for diag in diags]
 

@@ -90,19 +90,27 @@ def _emissions(seq: ObservationSequence, model: LrHmmModel):
 
 def _prefix_scores(log_b, model: LrHmmModel, batch: tuple, ends: list) -> np.ndarray:
     """Log-likelihoods (S, *batch) of the prefixes that end at steps
-    ``ends`` (distinct, 0-based) of sequences with emission blocks ``log_b``
-    (batch dimensions ``batch``).  The forward rolls through two rows and
-    keeps the S it returns."""
-    kept = np.empty((len(ends),) + batch + (model.n_states,))
-    slots = {t: kept[i] for i, t in enumerate(ends)}
+    ``ends`` (distinct, ascending, 0-based) of sequences with emission
+    blocks ``log_b`` (batch dimensions ``batch``).  The forward rolls
+    through two rows.  A forced step's row has at most one finite entry,
+    which is its log-sum-exp, so those ends take the value the forward
+    returns; a hook keeps the rows of the others."""
+    forced = model._forced
+    early = [t for t in ends if t < forced]
+    kept = np.empty((len(ends) - len(early),) + batch + (model.n_states,))
+    slots = {t: kept[i] for i, t in enumerate(ends[len(early):])}
 
     def keep(t, row, base, scores):
         if t in slots:
             slots[t][...] = row
 
-    _forward(log_b, model.log_pi, model.log_A_band, model._spans,
-             np.empty(batch + (2, model.n_states)), after=keep)
-    return _logsumexp(kept)
+    values = _forward(log_b, model.log_pi, model.log_A_band, model._spans,
+                      np.empty(batch + (2, model.n_states)), after=keep if slots else None,
+                      forced=forced)
+    scores = _logsumexp(kept)
+    if early:
+        scores = np.concatenate([np.moveaxis(values[..., early], -1, 0), scores])
+    return scores
 
 
 def _set_log_likelihoods(sequences, model: LrHmmModel) -> np.ndarray:
@@ -161,10 +169,12 @@ def classify(history: ObservationSequence, model_1: LrHmmModel,
 def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     """Decode the most likely state path by max-plus recursion in log space.
 
-    Delta rolls through two rows; each step's is kept over the range the
-    forward computes, outside which it is exactly -inf, so no (T, N) table
-    is allocated.  Backtracking recovers the predecessors from the kept
-    delta by the recursion's own sums.  All argmax ties (per-step
+    Delta rolls through two rows; each step's after the forced ones is kept
+    over the range the forward computes, outside which it is exactly -inf,
+    so no (T, N) table is allocated.  Backtracking recovers the
+    predecessors from the kept delta by the recursion's own sums; at a
+    forced step t the path is at the one live state, first_0 + t.  All
+    argmax ties (per-step
     predecessor choice and the final state) break toward the lowest state
     index, so decoding is deterministic.  Raises ModelError if the history
     has zero likelihood under the model: then no path is more likely than
@@ -172,11 +182,12 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     """
     diags = model.log_A_band
     firsts, ends = model._spans
-    kept = []                           # step t: delta of states first_t .. end_t - 1
+    forced = model._forced
+    kept = []                   # step t >= forced: delta of states first_t .. end_t - 1
     rows = np.empty((2, model.n_states))
     _forward(_emissions(seq, model), model.log_pi, diags, model._spans, rows,
              after=lambda t, row, base, scores: kept.append(row[firsts[t]:ends[t]].copy()),
-             combine=np.maximum)
+             combine=np.maximum, forced=forced)
 
     last = rows[(seq.n_steps - 1) % 2]
     path = np.empty(seq.n_steps, dtype=int)
@@ -184,7 +195,10 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     if last[state] == -np.inf:
         raise ModelError("the history has zero likelihood under the model")
     for t in range(seq.n_steps - 2, -1, -1):
-        delta, first, end = kept[t], firsts[t], ends[t]
+        if t < forced:
+            path[:t + 1] = firsts[0] + np.arange(t + 1)
+            break
+        delta, first, end = kept[t - forced], firsts[t], ends[t]
         best = -np.inf
         # a farther predecessor replaces the best so far when at least as
         # good, so ties go to the lowest state; one outside the range is

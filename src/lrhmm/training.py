@@ -121,7 +121,7 @@ class TrainingTrace:
 # banded log-space recursions (leading batch dimensions allowed)
 # ---------------------------------------------------------------------------
 
-def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp):
+def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp, forced=0):
     """Forward log variables (leading batch dimensions allowed), each step t
     computed over the states [first_t, end_t) that ``ranges`` (firsts, ends)
     give, read one step at a time; outside them a row keeps what it held.
@@ -137,6 +137,16 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
     base, scores)`` runs after each step; it may read or change the row and
     append the range of step t + 1.  ``combine`` folds each state's terms,
     stay first, then outward: np.logaddexp sums, np.maximum gives Viterbi.
+
+    The first ``forced`` steps of a band-1 chain hold mass only at state
+    first_0 + t (see :func:`core._live_spans`), and every other term of
+    their recursion is exactly -inf.  Each block's share of them is one
+    cumulative sum of log pi or the previous value plus its move, then
+    emission and move terms in turn: the recursion's own additions, in its
+    order, under either ``combine``.  They run no hook.  With R = T their
+    values go to their rows; with R = 2 only to the last two, each cleared
+    from the run's first range on.  Returns their values (..., F), F =
+    min(forced, steps), or None if F = 0.
     """
     rows = list(out.swapaxes(-2, 0))
     n_rows = len(rows)
@@ -144,8 +154,26 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
     stay, moves = diags[0], list(enumerate(diags[:diags[0].size]))[1:]    # the non-empty
     out.fill(-np.inf)
     t = 0
+    runs = []
     for base, block in log_b:
-        for scores in block.swapaxes(-2, 0):
+        n = min(forced - t, block.shape[-2])
+        if n > 0:
+            steps = np.arange(t, t + n)
+            states = firsts[0] + steps
+            terms = np.empty(block.shape[:-2] + (2 * n,))
+            terms[..., 0] = (prev[..., states[0] - 1] + diags[1][states[0] - 1] if t
+                             else log_pi[..., states[0]])
+            terms[..., 1::2] = block[..., steps - t, states - base]
+            terms[..., 2::2] = diags[1][states[:-1]]
+            runs.append(np.cumsum(terms, axis=-1)[..., 1::2])
+            # two rolling rows get the last two steps, cleared of older values
+            last = slice(-2 if n_rows == 2 else 0, None)
+            if n_rows == 2:
+                out[..., steps[last] % 2, firsts[t]:] = -np.inf
+            out[..., steps[last] % n_rows, states[last]] = runs[-1][..., last]
+            t += n
+            prev = rows[(t - 1) % n_rows]
+        for scores in block.swapaxes(-2, 0)[max(n, 0):]:
             first, end = firsts[t], ends[t]
             row = rows[t % n_rows]
             acc = row[..., first:end]
@@ -166,6 +194,7 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
                 after(t, row, base, scores)
             prev = row
             t += 1
+    return np.concatenate(runs, axis=-1) if runs else None
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +220,10 @@ def _slide(row: np.ndarray, limit: int, tau: float, width: int,
 
 def _window_forward(x, params, chain, log_b, alpha):
     """Exact log forward variables of sequences ``x`` (K, T, M) under
-    ``chain`` (log_pi, the log band diagonals and their ranges from
-    :func:`core._live_spans`) over a sliding window of states.  Returns the
-    window offsets ``lo`` (T,), the log-likelihoods (K,) and which
-    sequences' windows are certified.
+    ``chain`` (log_pi, the log band diagonals, and their ranges and forced
+    steps from :func:`core._live_spans`) over a sliding window of states.
+    Returns the window offsets ``lo`` (T,), the log-likelihoods (K,) and
+    which sequences' windows are certified.
 
     Row t of ``log_b`` and ``alpha`` (K, T, W) receives states lo[t] ..
     lo[t] + W - 1, shared by the chunk; lo advances by at most the band
@@ -204,8 +233,10 @@ def _window_forward(x, params, chain, log_b, alpha):
     window, copies the window's columns out, sets the dropped ones to -inf
     and appends the next step's range.  Emissions are scored a block of
     steps at a time, over the states those ranges cover.  With W = N this
-    is the dense forward: nothing is dropped, and every sequence of nonzero
-    likelihood is certified.
+    is the dense forward, which runs the forced steps as one cumulative
+    sum: nothing is dropped, and every sequence of nonzero likelihood is
+    certified.  The windowed forward runs every step, since its hook reads
+    every row.
 
     Certificate: let m be a sequence's worst dropped margin (a dropped log
     forward variable minus its step's best; -inf if none), L_t the log sum
@@ -217,12 +248,12 @@ def _window_forward(x, params, chain, log_b, alpha):
     certified when m + G + log(N T) <= -40.
     """
     means, chols, log_norms = params
-    log_pi, diags, spans = chain
+    log_pi, diags, spans, forced = chain
     n_seq, n_steps, width = alpha.shape
     n_states = means.shape[0]
     if width == n_states:
         _log_b(x, *params, out=log_b)
-        _forward([(0, log_b)], log_pi, diags, spans, alpha)
+        _forward([(0, log_b)], log_pi, diags, spans, alpha, forced=forced)
         log_lik = _logsumexp(alpha[:, -1, :])
         return np.zeros(n_steps, dtype=int), log_lik, log_lik > -np.inf
     band = len(diags) - 1
@@ -312,7 +343,7 @@ def _window_backward(log_b, lo, start, chain, u):
     states, and after each step a hook clears what step t + 2 left above
     step t's range and copies the row out.
     """
-    _, diags, (firsts, ends) = chain
+    diags, (firsts, ends) = chain[1:3]
     n_seq, n_steps, width = log_b.shape
     n_states, frame = diags[0].size, u.shape[2]
     low = np.maximum(lo, firsts[:n_steps])
@@ -406,7 +437,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     x = seq.values[None]
     params = (model.means, model._chols, model._log_norms)
     n_steps, n_states = seq.n_steps, model.n_states
-    chain = (model.log_pi, diags, model._spans)
+    chain = (model.log_pi, diags, model._spans, model._forced)
     for width in (min(_WINDOW, n_states), n_states):
         log_b, alpha, gamma = np.empty((3, 1, n_steps, width))
         lo, log_lik, trusted = _window_forward(x, params, chain, log_b, alpha)
@@ -423,7 +454,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     # the terms log A_d + u_{t+1}(. + d) of the backward with start 0
     every = ((0,) * n_steps, (n_states,) * n_steps)
     log_b, log_alpha, u = np.empty((3, 1, n_steps, n_states))
-    _window_forward(x, params, (model.log_pi, diags, every), log_b, log_alpha)
+    _window_forward(x, params, (model.log_pi, diags, every, 0), log_b, log_alpha)
     _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u)
     log_beta = np.full((n_steps, n_states), -np.inf)
     log_beta[-1] = 0.0
@@ -678,7 +709,7 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
     for _ in range(config.max_iterations):
         chols = _cholesky_factors(means, covs)
         params = (means, chols, _log_norms(chols))
-        chain = (log_pi, log_diags, _live_spans(log_pi, log_diags))
+        chain = (log_pi, log_diags, *_live_spans(log_pi, log_diags))
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in starts:
             part = slice(begin, begin + chunk)

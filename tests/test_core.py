@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -586,4 +587,35 @@ def test_model_from_json_rejects_a_broken_band(defect):
     doc = json.loads(model_to_json(_canonical_model()))
     BROKEN_BAND_DOCS[defect](doc)
     with pytest.raises((ParseError, ModelError)):
+        model_from_json(json.dumps(doc))
+
+
+# three states and a band of 10^6: the constructor, validate_model and
+# model_to_json once walked all 10^6 + 1 diagonals (25.7 s, 252 MB)
+_FAR_BAND_JSON = ('{"n_states": 3, "n_dims": 1, "band_width": 1000000, "pi": [1, 0, 0], '
+                  '"A": [[0.5, 0.25, 0.25], [0, 0.5, 0.5], [0, 0, 1]], "emissions": ['
+                  '{"mean": [0], "covariance": [[1]]}, {"mean": [1], "covariance": [[1]]}, '
+                  '{"mean": [2], "covariance": [[1]]}]}')
+
+
+def test_model_file_band_past_its_states_reads_as_the_full_band():
+    tracemalloc.start()
+    try:
+        model = model_from_json(_FAR_BAND_JSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.band_width == 2
+    assert peak < 2 ** 20
+    assert [np.exp(diag).tolist() for diag in model.log_A_band] == [
+        [0.5, 0.5, 1.0], [0.25, 0.5], [0.25]]
+
+
+def test_a_band_file_drops_only_empty_diagonals_past_its_states():
+    doc = json.loads(model_to_json(_canonical_model()))     # 3 states, band 1
+    doc["band_width"] = 4
+    doc["A_band"] += [[0.0], [], []]
+    assert model_from_json(json.dumps(doc)).band_width == 2
+    doc["A_band"][3] = [0.0]
+    with pytest.raises(ModelError, match="non-empty diagonal past state 2"):
         model_from_json(json.dumps(doc))

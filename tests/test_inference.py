@@ -13,8 +13,10 @@ from lrhmm import (
     prefix_log_likelihoods,
     viterbi,
 )
+from lrhmm.core import _logsumexp
 from helpers import (band_diagonals, enum_log_likelihood, enum_viterbi, oracle_log_density,
-                     random_banded_model, reference_viterbi, sample_sequence)
+                     random_banded_model, reference_forward, reference_viterbi,
+                     sample_sequence)
 
 
 def _shifted_model(model, offset):
@@ -48,6 +50,33 @@ def _check_likelihood_against_enumeration(rng, n_models, n_dims):
                                     band_width=int(rng.integers(1, 3)))
         seq = ObservationSequence(rng.normal(0.0, 2.0, (n_steps, n_dims)), 0.025)
         assert abs(log_likelihood(seq, model) - enum_log_likelihood(seq.values, model)) < 1e-9
+
+
+def test_forced_run_across_emission_blocks_leaves_no_stale_row():
+    # 150 states, forced for the first 101 steps: the run spans two 64-step
+    # emission blocks, and the forward's two rolling rows still hold steps
+    # 62 and 63 when the second block writes steps 99 and 100.  The history
+    # fits the run and then leaves the means far behind, so a finite value
+    # left from step 62 or 63 would dominate the final log-sum-exp.
+    n_states = 150
+    stay = np.full(n_states, 0.5)
+    stay[:100] = 0.0
+    stay[-1] = 1.0
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(np.eye(n_states)[0])
+        model = LrHmmModel(log_pi, [np.log(stay), np.log1p(-stay[:-1])],
+                           np.zeros((n_states, 1)), np.ones((n_states, 1, 1)))
+    assert model._forced == 101
+    values = np.zeros((n_states, 1))
+    values[110:] = 30.0
+    seq = ObservationSequence(values, 0.025)
+    alpha = reference_forward(values, model)
+    assert log_likelihood(seq, model) == _logsumexp(alpha[-1]) < -10000.0
+    assert np.array_equal(prefix_log_likelihoods(seq, model, np.arange(1, n_states + 1)),
+                          _logsumexp(alpha))
+    path, score = reference_viterbi(values, model)
+    decoded = viterbi(seq, model)
+    assert np.array_equal(decoded.path, path) and decoded.log_prob == score
 
 
 def test_likelihood_matches_enumeration():

@@ -1,7 +1,8 @@
 """Property tests: model files round-trip for arbitrary valid models, a
-dense transition matrix reads as its band, scoring over live spans equals
-the recursions over all states, and the E-step's posteriors and backward
-variables equal those of path enumeration.
+dense transition matrix reads as its band, scoring over live spans and
+over forced prefixes equals the recursions over all states, and the
+E-step's posteriors and backward variables equal those of path
+enumeration.
 
 Examples are derandomized and bounded, so every run checks the same models.
 """
@@ -70,7 +71,10 @@ def banded_models(draw):
 @given(banded_models())
 def test_model_json_round_trip_for_arbitrary_models(model):
     back = model_from_json(model_to_json(model))
-    assert back.band_width == model.band_width
+    # a band past the last state reads as the full band, N - 1 (at least
+    # 1); the diagonals it drops are empty
+    assert back.band_width == min(model.band_width, max(model.n_states - 1, 1))
+    assert not any(diag.size for diag in model.log_A_band[back.band_width + 1:])
     assert back.means.tobytes() == model.means.tobytes()
     assert back.covariances.tobytes() == model.covariances.tobytes()
     pairs = [("log_pi", back.log_pi, model.log_pi)]
@@ -169,6 +173,90 @@ def test_span_scoring_equals_the_recursions_over_all_states(case, block):
             decoded = viterbi(seq, model)
             assert np.isfinite(score)
             assert np.array_equal(decoded.path, path) and decoded.log_prob == score
+        assert np.array_equal(_set_log_likelihoods(histories, model), totals)
+
+
+@st.composite
+def forced_prefix_models_and_histories(draw):
+    """A band-1 model with one start state s0 anywhere and -inf self-loops
+    on its first L states, L from s0 to N, so that its forced prefix takes
+    every length; a final state with or without a self-loop; and moves or
+    emissions of -inf that may fall inside the run.  Rows need not sum to
+    1.  Returns the model, two histories of one length between 1 and N
+    steps that follow the run, and the number F of forced steps."""
+    n_states = draw(st.integers(1, 12))
+    n_dims = draw(st.integers(1, 2))
+    start = draw(st.integers(0, n_states - 1))
+    holes = draw(st.integers(start, n_states))
+    stay = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n_states,
+                                  max_size=n_states)))
+    stay[-1] = draw(st.sampled_from([0.0, 1.0]))
+    stay[:holes] = 0.0
+    # drawn apart from the self-loops, so that a run's moves are not all
+    # log 1 = 0 and the order of its additions shows
+    move = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n_states - 1,
+                                  max_size=n_states - 1)))
+    if n_states > 1:
+        move[draw(st.lists(st.integers(0, n_states - 2), max_size=2))] = 0.0
+    pi = np.zeros(n_states)
+    pi[start] = 1.0
+    means = np.repeat(np.arange(n_states, dtype=float)[:, None], n_dims, axis=1)
+    with np.errstate(divide="ignore"):
+        model = LrHmmModel(np.log(pi), [np.log(stay), np.log(move)], means,
+                           np.broadcast_to(np.eye(n_dims), (n_states, n_dims, n_dims)))
+    n_steps = n_states - draw(st.integers(0, n_states - 1))    # mostly long
+    run = means[np.minimum(start + np.arange(n_steps), n_states - 1)]
+    histories = []
+    for k in range(2):
+        values = run + draw(arrays(float, run.shape, elements=st.floats(-1.0, 1.0)))
+        if draw(st.booleans()):
+            values[draw(st.integers(0, n_steps - 1))] = 1e200    # a density of 0
+        histories.append(ObservationSequence(values, 0.025, trial_id=k))
+    loops = np.flatnonzero(stay[start:] > 0.0)
+    settle = start + loops[0] if loops.size else n_states
+    return model, histories, min(settle, n_states - 1) - start + 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(forced_prefix_models_and_histories())
+def test_forced_prefix_scoring_equals_the_recursions_over_all_states(block, case):
+    # The first F steps run as one cumulative sum per emission block, with
+    # no per-step update: each step from max(F, 1) on folds its move in by
+    # exactly one combine call when N > 1, and no step before F does.
+    model, histories, forced = case
+    assert model._forced == forced
+    n_steps = histories[0].n_steps
+    updates = max(n_steps - max(forced, 1), 0) if model.n_states > 1 else 0
+    calls = []
+
+    def counted(*args, combine=np.logaddexp, **kwargs):
+        def count(*operands, **options):
+            calls.append(None)
+            return combine(*operands, **options)
+        return lrhmm.training._forward(*args, combine=count, **kwargs)
+
+    totals = []
+    lengths = np.arange(1, n_steps + 1)
+    with mock.patch.object(lrhmm.inference, "_SCORING_BLOCK", block), \
+            mock.patch.object(lrhmm.inference, "_forward", counted):
+        for seq in histories:
+            alpha = reference_forward(seq.values, model)
+            totals.append(_logsumexp(alpha[-1]))
+            calls.clear()
+            assert log_likelihood(seq, model) == totals[-1]
+            assert len(calls) == updates
+            assert np.array_equal(prefix_log_likelihoods(seq, model, lengths),
+                                  _logsumexp(alpha))
+            path, score = reference_viterbi(seq.values, model)
+            calls.clear()
+            if score == -np.inf:
+                with pytest.raises(ModelError):
+                    viterbi(seq, model)
+            else:
+                decoded = viterbi(seq, model)
+                assert np.array_equal(decoded.path, path) and decoded.log_prob == score
+            assert len(calls) == updates
         assert np.array_equal(_set_log_likelihoods(histories, model), totals)
 
 

@@ -530,7 +530,7 @@ def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
     params = (model.means, model._chols, model._log_norms)
     log_b, alpha = np.empty((2, 1, 4, 2))
     lo, window_log_lik, trusted = lrhmm.training._window_forward(
-        x, params, (model.log_pi, model.log_A_band, model._spans), log_b, alpha)
+        x, params, (model.log_pi, model.log_A_band, model._spans, model._forced), log_b, alpha)
     exact = enum_log_likelihood(seq.values, model)
     assert list(lo) == [0, 1, 1, 1]
     assert window_log_lik[0] < exact - 60.0
