@@ -3,12 +3,15 @@
 The model has as many states as the training sequences have time steps, so
 the initializer can seed each state's emission from the cross-sequence
 statistics of the matching step.  All recursions run over the transition
-band only.  The E-step runs the exact log-space forward recursion over a
-sliding window of the states that hold the forward mass, then the backward
-recursion as the same forward on the reversed chain, over the same window,
-and takes the posteriors from both in log space.  A sequence is redone with
-the window as wide as the model (W = N) when the mass its window dropped
-could show in its results.  Expectation quantities are accumulated over
+band only.  The steps of a band-1 chain's forced prefix hold every
+sequence at one state with posterior exactly 1, so the E-step adds their
+statistics in closed form and runs on the rest of the chain only.  There
+it runs the exact log-space forward recursion over a sliding window of the
+states that hold the forward mass, then the backward recursion as the same
+forward on the reversed chain, over the same window, and takes the
+posteriors from both in log space.  A sequence is redone with the window
+as wide as that chain (W = N) when the mass its window dropped could show
+in its results.  Expectation quantities are accumulated over
 sequences in a canonical order (sorted by ``trial_id``) so that training
 results do not depend on how the caller happened to order the input list.
 
@@ -19,6 +22,7 @@ their sufficient statistics.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -220,10 +224,10 @@ def _slide(row: np.ndarray, limit: int, tau: float, width: int,
 
 def _window_forward(x, params, chain, log_b, alpha):
     """Exact log forward variables of sequences ``x`` (K, T, M) under
-    ``chain`` (log_pi, the log band diagonals, and their ranges and forced
-    steps from :func:`core._live_spans`) over a sliding window of states.
-    Returns the window offsets ``lo`` (T,), the log-likelihoods (K,) and
-    which sequences' windows are certified.
+    ``chain`` (log_pi, the log band diagonals, and their ranges from
+    :func:`core._live_spans`) over a sliding window of states.  Returns the
+    window offsets ``lo`` (T,), the log-likelihoods (K,) and which
+    sequences' windows are certified.
 
     Row t of ``log_b`` and ``alpha`` (K, T, W) receives states lo[t] ..
     lo[t] + W - 1, shared by the chunk; lo advances by at most the band
@@ -233,10 +237,8 @@ def _window_forward(x, params, chain, log_b, alpha):
     window, copies the window's columns out, sets the dropped ones to -inf
     and appends the next step's range.  Emissions are scored a block of
     steps at a time, over the states those ranges cover.  With W = N this
-    is the dense forward, which runs the forced steps as one cumulative
-    sum: nothing is dropped, and every sequence of nonzero likelihood is
-    certified.  The windowed forward runs every step, since its hook reads
-    every row.
+    is the dense forward: nothing is dropped, and every sequence of nonzero
+    likelihood is certified.
 
     Certificate: let m be a sequence's worst dropped margin (a dropped log
     forward variable minus its step's best; -inf if none), L_t the log sum
@@ -248,12 +250,12 @@ def _window_forward(x, params, chain, log_b, alpha):
     certified when m + G + log(N T) <= -40.
     """
     means, chols, log_norms = params
-    log_pi, diags, spans, forced = chain
+    log_pi, diags, spans = chain
     n_seq, n_steps, width = alpha.shape
     n_states = means.shape[0]
     if width == n_states:
         _log_b(x, *params, out=log_b)
-        _forward([(0, log_b)], log_pi, diags, spans, alpha, forced=forced)
+        _forward([(0, log_b)], log_pi, diags, spans, alpha)
         log_lik = _logsumexp(alpha[:, -1, :])
         return np.zeros(n_steps, dtype=int), log_lik, log_lik > -np.inf
     band = len(diags) - 1
@@ -420,6 +422,46 @@ def _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma):
     return gamma, xi
 
 
+def _split(x, params, log_pi, diags, spans, forced):
+    """The chain of sequences ``x`` (K, T, M) that the E-step runs: steps c
+    .. T - 1 and states col .. N - 1, past the forced prefix.
+
+    With F forced steps from start state s0 = first_0 (see
+    :func:`core._live_spans`), c = max(min(F, T) - 1, 0): steps t < c hold
+    every sequence at state s0 + t with posterior exactly 1, and step c at
+    col = s0 + c.  From there the chain runs over the sequences x[:, c:],
+    the emissions and band diagonals of states col on, and the start log
+    pi'(0) = alpha_{c-1}(col - 1) + log A_1[col - 1] of each sequence,
+    taken from the forced run of :func:`_forward`, with emissions scored a
+    block of steps at a time over the run's states.  These are the
+    additions of the forward over the whole chain, in its order, so alpha,
+    u, the pair terms and the log-likelihoods keep their bits.
+
+    Returns c, col and the chain (x', params', (log pi' (K, N - col), band
+    diagonals, ranges)).  With F <= 1, c = col = 0 and it is the whole
+    chain, log pi broadcast over the sequences.
+    """
+    n_seq, n_steps, _ = x.shape
+    n_states = diags[0].size
+    cut = max(min(forced, n_steps) - 1, 0)
+    if not cut:
+        return 0, 0, (x, params, (np.broadcast_to(log_pi, (n_seq, n_states)), diags, spans))
+    firsts, ends = spans
+    s0 = firsts[0]
+    col = s0 + cut
+    steps = [slice(t0, min(t0 + _BLOCK, cut)) for t0 in range(0, cut, _BLOCK)]
+    blocks = ((s0 + t.start, _log_b(x[:, t], *(p[s0 + t.start:s0 + t.stop] for p in params)))
+              for t in steps)
+    run = _forward(blocks, log_pi, diags, spans, np.empty((n_seq, 2, col)), forced=forced)
+    start = np.full((n_seq, n_states - col), -np.inf)
+    start[:, 0] = run[:, -1] + diags[1][col - 1]
+    # the ranges of steps c on, shifted by col: those of log pi' for as many
+    # steps as the history has, which may outnumber the chain's states
+    ranges = ([max(first - col, 0) for first in firsts[cut:]], [end - col for end in ends[cut:]])
+    return cut, col, (x[:, cut:], tuple(p[col:] for p in params),
+                      (start, [diag[col:] for diag in diags], ranges))
+
+
 def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBackwardCache:
     """Run the forward-backward recursions for one sequence.
 
@@ -437,24 +479,32 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     x = seq.values[None]
     params = (model.means, model._chols, model._log_norms)
     n_steps, n_states = seq.n_steps, model.n_states
-    chain = (model.log_pi, diags, model._spans, model._forced)
-    for width in (min(_WINDOW, n_states), n_states):
-        log_b, alpha, gamma = np.empty((3, 1, n_steps, width))
-        lo, log_lik, trusted = _window_forward(x, params, chain, log_b, alpha)
+    cut, col, (rest, rest_params, chain) = _split(x, params, model.log_pi, diags,
+                                                  model._spans, model._forced)
+    size = n_states - col
+    for width in (min(_WINDOW, size), size):
+        log_b, alpha, gamma = np.empty((3, 1, n_steps - cut, width))
+        lo, log_lik, trusted = _window_forward(rest, rest_params, chain, log_b, alpha)
         if trusted[0]:
             break
     else:
         raise ModelError("the sequence has zero likelihood under the model")
-    u = np.empty((1, n_steps, min(width + len(diags) - 1, n_states)))
+    u = np.empty((1, n_steps - cut, min(width + len(diags) - 1, size)))
     gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
     dense = np.zeros((n_steps, n_states))
-    dense[np.arange(n_steps)[:, None], lo[:, None] + np.arange(width)] = gamma[0]
+    dense[np.arange(cut), col - cut + np.arange(cut)] = 1.0
+    dense[np.arange(cut, n_steps)[:, None], col + lo[:, None] + np.arange(width)] = gamma[0]
+    sums = [np.zeros(diag.size) for diag in diags[:n_states]]
+    for total, term in zip(sums, xi):
+        total[col:] += term
+    if cut:
+        sums[1][col - cut:col] += 1.0              # the forced moves
 
     # log alpha and log beta at every state: beta_{T-1} = 0, and beta_t sums
     # the terms log A_d + u_{t+1}(. + d) of the backward with start 0
     every = ((0,) * n_steps, (n_states,) * n_steps)
     log_b, log_alpha, u = np.empty((3, 1, n_steps, n_states))
-    _window_forward(x, params, (model.log_pi, diags, every, 0), log_b, log_alpha)
+    _window_forward(x, params, (model.log_pi, diags, every), log_b, log_alpha)
     _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u)
     log_beta = np.full((n_steps, n_states), -np.inf)
     log_beta[-1] = 0.0
@@ -463,7 +513,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
         np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
                      out=log_beta[:-1, :diag.size])
     with np.errstate(divide="ignore"):
-        log_xi = tuple(np.log(sums) for sums in xi) + diags[len(xi):]   # and the empty
+        log_xi = tuple(np.log(total) for total in sums) + diags[len(sums):]   # and the empty
     return ForwardBackwardCache(log_alpha[0], log_beta, dense, log_xi, float(log_lik[0]))
 
 
@@ -606,21 +656,54 @@ class _Statistics:
                 if p != m:
                     self.second[:, p, m] += term
 
+    def add_forced(self, x, first) -> None:
+        """Add the statistics of sequences ``x`` (K, c, M) held at state
+        first + t at step t with posterior exactly 1, each moving on one
+        state per step, the last move into state first + c."""
+        n_seq, cut, _ = x.shape
+        states = slice(first, first + cut)
+        self.gamma0[first] += n_seq
+        self.mass[states] += n_seq
+        self.xi[1][states] += n_seq
+        self.first[states] += x.sum(axis=0)
+        diff = x - self.ref_means[states]
+        self.second[states] += np.einsum("ktm,ktp->tmp", diff, diff)
 
-def _e_step_arrays(work, n_seq, n_steps, width, frame):
-    """The E-step's arrays for ``n_seq`` sequences, carved in turn from the
-    flat ``work``: log b, alpha and gamma (K, T, W), and u (K, T, F)."""
+    def tail(self, cut, col) -> "_Statistics":
+        """The statistics of states ``col`` on, as views of these, for the
+        chain from step ``cut`` on: its step 0 is the chain's only if cut
+        is 0, so otherwise its gamma0 goes to an array of its own."""
+        if not cut:
+            return self
+        tail = copy.copy(self)
+        tail.ref_means, tail.mass, tail.first, tail.second = (
+            part[col:] for part in (self.ref_means, self.mass, self.first, self.second))
+        tail.gamma0 = np.zeros(tail.mass.size)
+        tail.xi = [sums[col:] for sums in self.xi]
+        return tail
+
+
+def _e_step_arrays(work, x, params, chain, width):
+    """The E-step's arrays for sequences ``x`` (K, T, M) of the chain
+    ``chain`` of N states, at rows of W = min(``width``, N) states, carved
+    in turn from the flat ``work``: log b, alpha and gamma (K, T, W), and u
+    (K, T, F), F = min(W + band, N)."""
+    n_seq, n_steps, _ = x.shape
+    n_states, diags = params[0].shape[0], chain[1]
+    width = min(width, n_states)
+    frame = min(width + len(diags) - 1, n_states)
     size = n_seq * n_steps * width
     log_b, alpha, gamma = work[:3 * size].reshape(3, n_seq, n_steps, width)
     u = work[3 * size:3 * size + n_seq * n_steps * frame].reshape(n_seq, n_steps, frame)
     return log_b, alpha, u, gamma
 
 
-def _finish_chunk(stats, work, x, trial_ids, arrays, lo, trusted, log_lik,
-                  params, chain) -> int:
-    """Finish the E-step of one chunk of sequences ``x`` (K, T, M) from its
-    windowed forward in ``arrays`` (from :func:`_e_step_arrays`) and add its
-    statistics.
+def _finish_chunk(stats, work, x, trial_ids, split, arrays, lo, trusted, log_lik) -> int:
+    """Finish the E-step of one chunk of sequences ``x`` (K, T, M), whose
+    chain past the forced prefix :func:`_split` gives as ``split``, from
+    that chain's windowed forward in ``arrays`` (from
+    :func:`_e_step_arrays`), and add its statistics; the forced steps add
+    theirs in closed form once the chain's likelihoods are known nonzero.
 
     A sequence that fails its certificate is redone with W = N, one at a
     time and in the flat workspace ``work``, and its entry of ``log_lik``
@@ -628,19 +711,23 @@ def _finish_chunk(stats, work, x, trial_ids, arrays, lo, trusted, log_lik,
     sequences.  Raises ModelError, naming the trial, if a sequence has zero
     likelihood.
     """
+    cut, col, (rest, params, chain) = split
+    tail = stats.tail(cut, col)
     log_b, alpha, u, gamma = arrays
     gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
-    stats.add(x, gamma, lo, (log_b, alpha), xi)
+    tail.add(rest, gamma, lo, (log_b, alpha), xi)
     bad = np.flatnonzero(~trusted)
-    n_steps, n_states = x.shape[1], params[0].shape[0]
-    dense = _e_step_arrays(work, 1, n_steps, n_states, n_states)
     for k in bad:
-        lo_k, log_lik[k:k + 1], ok = _window_forward(x[k:k + 1], params, chain, *dense[:2])
+        single = (rest[k:k + 1], params, (chain[0][k:k + 1],) + chain[1:])
+        dense = _e_step_arrays(work, *single, params[0].shape[0])
+        lo_k, log_lik[k:k + 1], ok = _window_forward(*single, *dense[:2])
         if not ok[0]:
             raise ModelError(f"trial {trial_ids[k]} has zero likelihood under the model "
                              "entering the EM iteration")
-        _finish_chunk(stats, work, x[k:k + 1], None, dense, lo_k, ok, log_lik[k:k + 1],
-                      params, chain)
+        _finish_chunk(tail, work, rest[k:k + 1], None, (0, 0, single), dense, lo_k, ok,
+                      log_lik[k:k + 1])
+    if cut:
+        stats.add_forced(x[:, :cut], col - cut)
     return bad.size
 
 
@@ -709,16 +796,17 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
     for _ in range(config.max_iterations):
         chols = _cholesky_factors(means, covs)
         params = (means, chols, _log_norms(chols))
-        chain = (log_pi, log_diags, *_live_spans(log_pi, log_diags))
+        spans, forced = _live_spans(log_pi, log_diags)
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in starts:
             part = slice(begin, begin + chunk)
-            arrays = _e_step_arrays(work, len(x[part]), n_steps, width, frame)
-            lo, log_lik[part], trusted = _window_forward(x[part], params, chain, *arrays[:2])
-            pending = (x[part], trial_ids[part], arrays, lo, trusted, log_lik[part])
+            split = _split(x[part], params, log_pi, log_diags, spans, forced)
+            arrays = _e_step_arrays(work, *split[2], _WINDOW)
+            lo, log_lik[part], trusted = _window_forward(*split[2], *arrays[:2])
+            pending = (x[part], trial_ids[part], split, arrays, lo, trusted, log_lik[part])
             # an uncertified likelihood is replaced before the convergence test
             if begin != starts[-1] or not trusted.all():
-                fallbacks += _finish_chunk(stats, work, *pending, params, chain)
+                fallbacks += _finish_chunk(stats, work, *pending)
                 pending = None
         total = float(log_lik.sum())
         trace.append(total)
@@ -730,7 +818,7 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
         # The last chunk's posteriors wait for the convergence test, so a
         # single-chunk fit skips them in its final iteration.
         if pending is not None:
-            fallbacks += _finish_chunk(stats, work, *pending, params, chain)
+            fallbacks += _finish_chunk(stats, work, *pending)
         log_pi, log_diags, means, covs = _m_step(stats, log_diags,
                                                  config.covariance_floor_eps)
     return (log_pi, log_diags, means, covs,

@@ -177,14 +177,15 @@ def test_span_scoring_equals_the_recursions_over_all_states(case, block):
 
 
 @st.composite
-def forced_prefix_models_and_histories(draw):
-    """A band-1 model with one start state s0 anywhere and -inf self-loops
-    on its first L states, L from s0 to N, so that its forced prefix takes
-    every length; a final state with or without a self-loop; and moves or
-    emissions of -inf that may fall inside the run.  Rows need not sum to
-    1.  Returns the model, two histories of one length between 1 and N
-    steps that follow the run, and the number F of forced steps."""
-    n_states = draw(st.integers(1, 12))
+def forced_prefix_models_and_histories(draw, max_states=12):
+    """A band-1 model of up to ``max_states`` states with one start state s0
+    anywhere and -inf self-loops on its first L states, L from s0 to N, so
+    that its forced prefix takes every length; a final state with or
+    without a self-loop; and moves or emissions of -inf that may fall
+    inside the run.  Rows need not sum to 1.  Returns the model, two
+    histories of one length between 1 and N steps that follow the run, and
+    the number F of forced steps."""
+    n_states = draw(st.integers(1, max_states))
     n_dims = draw(st.integers(1, 2))
     start = draw(st.integers(0, n_states - 1))
     holes = draw(st.integers(start, n_states))
@@ -261,7 +262,7 @@ def test_forced_prefix_scoring_equals_the_recursions_over_all_states(block, case
 
 
 def _spaced_walk(model, data, n_steps):
-    """The model with state j's mean moved by 100 j, and a history of
+    """The model with state j's mean moved by 100 j, and a history of up to
     ``n_steps`` that sits on the means of a drawn path of it.  Every state
     off the path then trails by hundreds of nats, so that a window of a
     few states follows the path and drops states whose mass it certifies
@@ -269,25 +270,36 @@ def _spaced_walk(model, data, n_steps):
     log_a = dense_log_a(model.log_A_band, model.n_states)
     path = [data.draw(st.sampled_from(np.flatnonzero(model.log_pi > -np.inf).tolist()))]
     for _ in range(n_steps - 1):
-        path.append(data.draw(st.sampled_from(np.flatnonzero(log_a[path[-1]] > -np.inf).tolist())))
+        ways_on = np.flatnonzero(log_a[path[-1]] > -np.inf).tolist()
+        if not ways_on:                     # a state with no way on ends the walk
+            break
+        path.append(data.draw(st.sampled_from(ways_on)))
     means = model.means + 100.0 * np.arange(model.n_states)[:, None]
     return LrHmmModel(model.log_pi, model.log_A_band, means, model.covariances), means[path]
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(holey_models_and_histories(), st.data())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(holey_models_and_histories(), forced_prefix_models_and_histories(4)),
+       st.data())
 def test_e_step_equals_path_enumeration(case, data):
     # The backward pass runs over the forward's ranges, reversed.  A term
     # it leaves out below lo_t+1 must be one whose state's -inf self-loop
-    # made lo advance; these draws have such holes, several start states
-    # and ties.  Each history is cut to at most 4096 paths, and each runs
-    # densely and with windows of 2 states, as does a walk along a drawn
-    # path of the model with its means spaced apart.
+    # made lo advance; the holey draws have such holes, several start
+    # states and ties.  The forced-prefix draws split the E-step after
+    # min(F, T) - 1 forced steps, F from 1 to N and s0 anywhere; their -inf
+    # moves and 1e200 readings give histories of zero likelihood, which
+    # have no posteriors.  Each history is cut to at most 4096 paths, and
+    # each runs densely and with windows of 2 states, as does a walk along
+    # a drawn path of the model with its means spaced apart.
     model, histories, _ = case
     n_states = model.n_states
     n_steps = min(int(math.log(4096, n_states)), n_states) if n_states > 1 else 1
     cases = [(model, seq.values[:n_steps]) for seq in histories]
     for hmm, values in cases + [_spaced_walk(model, data, n_steps)]:
+        if _logsumexp(reference_forward(values, hmm)[-1]) == -np.inf:
+            with pytest.raises(ModelError, match="zero likelihood"):
+                forward_backward(ObservationSequence(values, 0.025), hmm)
+            continue
         log_lik, gamma, xi = enum_posteriors(values, hmm)
         log_beta = enum_log_backward(values, hmm)
         finite = np.isfinite(log_beta)

@@ -27,6 +27,7 @@ from helpers import (
     enum_log_likelihood,
     enum_pair_posteriors,
     enum_paths,
+    enum_posteriors,
     path_log_score,
     random_banded_model,
     sample_sequence,
@@ -165,12 +166,27 @@ def test_training_sequence_with_zero_likelihood_is_a_model_error(n_steps):
     # pass the M-step's mass test as NaN, after RuntimeWarnings, and end in
     # a UsageError about non-finite emission parameters.  T = 70 runs the
     # windowed E-step.
+    # The same start with -inf self-loops on its first half of states is
+    # forced for N / 2 + 1 steps, whose statistics the E-step adds in
+    # closed form; a single 1e200 reading inside them reaches the E-step
+    # past them only through its start, and must still end in the error.
     rng = np.random.default_rng(26)
     seqs = _random_sequences(rng, 4, n_steps, 1)
     far = ObservationSequence(np.full((n_steps, 1), 1e200), 0.025, trial_id=4)
     start = initialize_model(seqs, TrainingConfig())
     with pytest.raises(ModelError, match="trial 4 has zero likelihood"):
         baum_welch(seqs + [far], TrainingConfig(), initial_model=start)
+    stay, move = start.log_A_band
+    half = n_steps // 2
+    forced = LrHmmModel(start.log_pi, [np.where(np.arange(n_steps) < half, -np.inf, stay),
+                                       np.where(np.arange(n_steps - 1) < half, 0.0, move)],
+                        start.means, start.covariances)
+    assert forced._forced == half + 1
+    glitch = np.array(seqs[0].values)
+    glitch[half - 2] = 1e200
+    with pytest.raises(ModelError, match="trial 4 has zero likelihood"):
+        baum_welch(seqs + [ObservationSequence(glitch, 0.025, trial_id=4)], TrainingConfig(),
+                   initial_model=forced)
 
 
 def test_recordings_whose_variance_overflows_are_a_model_error():
@@ -206,6 +222,47 @@ def test_single_state_training_recovers_sample_statistics():
     assert model.log_pi[0] == 0.0
     assert model.log_A_band[0][0] == 0.0
     assert trace.converged
+
+
+def test_forced_steps_add_the_statistics_of_path_enumeration(monkeypatch):
+    # A 6-state band-1 model with -inf self-loops on states 0-2 is forced
+    # for 4 steps, so an EM iteration adds the statistics of steps 0-2 in
+    # closed form and runs the E-step on steps 3-5 over states 3-5, whose
+    # statistics go to those states.  Its M-step must equal one taken from
+    # the posteriors of path enumeration.  The histories come from that
+    # model; EM starts from it with the forced rows' moves below 1, so that
+    # a forced move left out of the pair sums shows: its row would keep the
+    # old move rather than get 1.
+    rng = np.random.default_rng(27)
+    n_states, n_dims = 6, 2
+    base = random_banded_model(rng, n_states, n_dims)
+    stay, move = base.log_A_band
+    stay = np.where(np.arange(n_states) < 3, -np.inf, stay)
+    sampler = LrHmmModel(base.log_pi, [stay, np.where(np.arange(n_states - 1) < 3, 0.0, move)],
+                         base.means, base.covariances)
+    model = LrHmmModel(base.log_pi, [stay, move], base.means, base.covariances)
+    assert model._forced == 4
+    seqs = [sample_sequence(rng, sampler, n_states, trial_id=k) for k in range(5)]
+    widths = _posterior_widths(monkeypatch)
+    fitted, _ = baum_welch(seqs, TrainingConfig(max_iterations=1), initial_model=model)
+    assert widths == [3]
+
+    x = np.array([seq.values for seq in seqs])                      # (K, T, M)
+    _, gamma, pairs = zip(*(enum_posteriors(seq.values, model) for seq in seqs))
+    gamma, pairs = np.array(gamma), sum(pairs)
+    mass = gamma.sum(axis=(0, 1))
+    means = np.einsum("ktn,ktm->nm", gamma, x) / mass[:, None]
+    diff = x[:, :, None, :] - means                                 # (K, T, N, M)
+    covs = np.einsum("ktn,ktnm,ktnp->nmp", gamma, diff, diff) / mass[:, None, None]
+    eps = np.maximum(1e-6 * np.trace(covs, axis1=1, axis2=2) / n_dims, 1e-9)
+    covs += eps[:, None, None] * np.eye(n_dims)
+    rows = pairs.sum(axis=1)[:, None]
+    a = np.where(rows > 0, pairs / np.where(rows > 0, rows, 1.0),
+                 np.exp(dense_log_a(model.log_A_band, n_states)))
+    assert np.abs(np.exp(fitted.log_pi) - gamma[:, 0].mean(axis=0)).max() < 1e-9
+    assert np.abs(np.exp(dense_log_a(fitted.log_A_band, n_states)) - a).max() < 1e-9
+    assert np.abs(fitted.means - means).max() < 1e-9
+    assert np.abs(fitted.covariances - covs).max() < 1e-9
 
 
 def test_training_likelihood_is_monotone():
@@ -373,22 +430,26 @@ def _assert_same_fit(fit, dense_fit):
 
 @pytest.mark.parametrize("n_steps, window, fallbacks", [
     pytest.param(40, 16, 6, id="40"),
-    pytest.param(200, None, 0, id="200"),
-    pytest.param(800, None, 0, id="800"),
+    pytest.param(200, 16, 6, id="200"),
+    pytest.param(800, 4, 6, id="800"),
 ])
 def test_wrong_class_e_step_matches_the_log_space_path(monkeypatch, n_steps, window,
                                                        fallbacks):
     # one EM iteration from a class-2 model on class-1 recordings (plus
-    # class-2 ones), windowed against W = N.  T = 40 runs densely as
-    # shipped, so there the window is cut to 16 states, and the 6
-    # mismatched recordings fail its certificate and are redone at W = N.
+    # class-2 ones), windowed against W = N.  The class-2 model is forced
+    # for 20, 179 and 794 steps, so the E-step's chain past them holds 21,
+    # 22 and 7 states and would run densely as shipped; the window is cut
+    # below that, and the 6 mismatched recordings fail its certificate and
+    # are redone at W = N.
     class_1 = _crank_recordings(1, n_steps)
     class_2 = _crank_recordings(2, n_steps)
     model_2, _ = baum_welch(class_2, TrainingConfig(max_iterations=3))
     seqs = [ObservationSequence(s.values, s.dt, trial_id=k)
             for k, s in enumerate(class_1 + class_2)]
+    widths = _posterior_widths(monkeypatch)
     fit, dense_fit = _fit_both_ways(monkeypatch, seqs, TrainingConfig(max_iterations=1),
                                     initial_model=model_2, window=window)
+    assert widths[0] == window                  # the windowed E-step ran
     assert fit[1].estep_fallbacks == fallbacks
     _assert_same_fit(fit, dense_fit)
 
@@ -411,16 +472,25 @@ def test_windowed_e_step_fits_as_in_log_space(monkeypatch, n_steps, n_dims, band
     # E-step holds 64 of the N states.  One E-step each from the initial
     # model and from a once-trained one: over more iterations, last-bit
     # differences in the parameters grow in the tiny transition
-    # probabilities, exp(-100) and below.  The channels are mixed and set
-    # at level 10, so that no mean or covariance is near zero, where a
-    # relative tolerance measures rounding rather than the E-step.
+    # probabilities, exp(-100) and below.  A once-trained band-1 model is
+    # forced for F steps, up to 777, and the E-step runs the chain of the
+    # last N - F + 1 states, 24 to 72 of them, which would run densely; its
+    # rows hold 4 states fewer.  The channels are mixed and set at level
+    # 10, so that no mean or covariance is near zero, where a relative
+    # tolerance measures rounding rather than the E-step.
     mix = np.tril(np.full((n_dims, n_dims), 0.5), -1) + np.eye(n_dims)
     seqs = [ObservationSequence(10.0 + s.values @ mix.T, s.dt, trial_id=s.trial_id)
             for s in _crank_recordings(1, n_steps, n_sequences=8, n_dims=n_dims)]
     config = TrainingConfig(max_iterations=1, band_width=band)
     initial = initialize_model(seqs, config)
-    for start in (initial, baum_welch(seqs, config)[0]):
-        fit, dense_fit = _fit_both_ways(monkeypatch, seqs, config, initial_model=start)
+    once = baum_welch(seqs, config)[0]
+    widths = _posterior_widths(monkeypatch)
+    narrow = n_steps - once._forced - 3 if band == 1 else None
+    for start, window in ((initial, None), (once, narrow)):
+        widths.clear()
+        fit, dense_fit = _fit_both_ways(monkeypatch, seqs, config, initial_model=start,
+                                        window=window)
+        assert window is None or widths[0] == window        # the windowed E-step ran
         assert fit[1].estep_fallbacks == 0
         _assert_same_fit(fit, dense_fit)
         # the windowed forward scores the start as the dense one does
@@ -530,7 +600,7 @@ def test_path_dropped_early_that_dominates_later_falls_back(monkeypatch):
     params = (model.means, model._chols, model._log_norms)
     log_b, alpha = np.empty((2, 1, 4, 2))
     lo, window_log_lik, trusted = lrhmm.training._window_forward(
-        x, params, (model.log_pi, model.log_A_band, model._spans, model._forced), log_b, alpha)
+        x, params, (model.log_pi, model.log_A_band, model._spans), log_b, alpha)
     exact = enum_log_likelihood(seq.values, model)
     assert list(lo) == [0, 1, 1, 1]
     assert window_log_lik[0] < exact - 60.0
