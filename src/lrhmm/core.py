@@ -160,19 +160,22 @@ def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _log_b(values, means: np.ndarray, chols: np.ndarray,
            log_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Log densities of ``values`` (..., M) under every state: (..., N).
+    """Log densities of ``values`` (..., S, M) under the states (S, M) they
+    broadcast against: the result has the broadcast shape of (..., S) and
+    (S,).  Values (..., T, 1, M) give every step under every state, (..., T,
+    S); values (..., S, M) give step i under state i only, (..., S).
 
-    ``means`` (N, M), ``chols`` (N, M, M) lower Cholesky factors and
-    ``log_norms`` (N,) stack the states.  The whitened difference y solves
+    ``means`` (S, M), ``chols`` (S, M, M) lower Cholesky factors and
+    ``log_norms`` (S,) stack the states.  The whitened difference y solves
     L y = x - mean by forward substitution, one NumPy operation over all
-    states per entry of L.  The result is written to ``out`` if given.
+    cells per entry of L.  The result is written to ``out`` if given.
     Every step runs in place, so at most M + 1 arrays of the result's shape
     are alive, ``out`` included.
     """
     values = np.asarray(values, dtype=float)
     n_dims = means.shape[1]
     if out is None:
-        out = np.empty(values.shape[:-1] + means.shape[:1])
+        out = np.empty(np.broadcast_shapes(values.shape[:-1], means.shape[:1]))
     whitened = []
     scratch = np.empty_like(out) if n_dims > 1 else None
     # a quadratic form that overflows to inf is a density of exactly 0
@@ -181,7 +184,7 @@ def _log_b(values, means: np.ndarray, chols: np.ndarray,
             last = i == n_dims - 1
             # the last row's y is not kept, so it needs no array of its own
             y = out if n_dims == 1 else scratch if last else np.empty_like(out)
-            np.subtract(values[..., i, None], means[:, i], out=y)
+            np.subtract(values[..., i], means[:, i], out=y)
             for k, y_k in enumerate(whitened):
                 product = y_k if last else scratch      # the last row reads y_k last
                 np.multiply(chols[:, i, k], y_k, out=product)

@@ -10,6 +10,7 @@ per channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +55,17 @@ def forecast(history: ObservationSequence, model_1: LrHmmModel,
         winner = model_1 if decision.label == 1 else model_2
         prefix = viterbi(history, winner).path
     split = history.n_steps
-    path = np.empty(n_states, dtype=int)
-    path[:split] = prefix
-    state = int(prefix[-1])
-    for t in range(split, n_states):
-        # A[state, state + d] for the in-band successors; the first max
-        # wins, so ties go to the lowest successor state.
-        moves = [diag[state] for diag in winner.log_A_band[:n_states - state]]
-        state += moves.index(max(moves))
-        path[t] = state
+    # row d holds A[i, i + d] of the non-empty diagonals, -inf past the last
+    # state; the first max wins, so ties go to the lowest successor state
+    diags = winner.log_A_band[:n_states]
+    table = np.full((len(diags), n_states), -np.inf)
+    for d, diag in enumerate(diags):
+        table[d, :diag.size] = diag
+    successors = (np.arange(n_states) + table.argmax(axis=0)).tolist()
+    path = prefix.tolist()
+    while len(path) < n_states:
+        path.append(successors[path[-1]])
+    path = np.array(path)
 
     future = path[split:]
     means = winner.means[future]
@@ -76,8 +79,8 @@ def export_forecast(traj: ProbabilisticTrajectory, dt: float) -> list[tuple]:
     Row times continue the history's sampling grid: forecast step ``r``
     lies at ``(split_index + r) * dt`` seconds.
     """
-    if not dt > 0:
-        raise UsageError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise UsageError(f"dt must be positive and finite, got {dt}")
     rows = []
     n_dims = traj.means.shape[1]
     for r in range(traj.means.shape[0]):

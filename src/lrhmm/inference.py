@@ -47,8 +47,8 @@ class ViterbiResult:
 # model; the caller of the block holds both, so the identities stay unique.
 _emission_memo: ContextVar[dict | None] = ContextVar("_emission_memo", default=None)
 
-# Steps per block of emission scoring: a history of up to 64 steps, such as
-# every T = 40 one, is scored in one call of the kernel.
+# Steps per block of emission scoring past the forced prefix: up to 64 such
+# steps, as every T = 40 history has, are scored in one call of the kernel.
 _SCORING_BLOCK = 64
 
 
@@ -64,16 +64,25 @@ def _shared_emissions():
 
 def _span_blocks(x: np.ndarray, model: LrHmmModel):
     """Log densities of sequences ``x`` (..., T, M) under the states that
-    :func:`training._forward` reads, ``_SCORING_BLOCK`` steps at a time:
-    blocks (base, scores), scores (..., steps, W) of states base .. base +
-    W - 1, over the states from first_{t0} to end_{t1-1} for steps t0 .. t1-1."""
+    :func:`training._forward` reads, as blocks (base, scores).  The first
+    F = min(forced, T) steps come first, as one paired block: scores (...,
+    F), step t under state base + t only.  The steps from F on follow
+    ``_SCORING_BLOCK`` at a time: scores (..., steps, W) of states base ..
+    base + W - 1, over the states from first_{t0} to end_{t1-1} for steps
+    t0 .. t1-1."""
     firsts, ends = model._spans
     n_steps = x.shape[-2]
-    for t0 in range(0, n_steps, _SCORING_BLOCK):
+    forced = min(model._forced, n_steps)
+
+    def scores(values, states):
+        return states.start, _log_b(values, model.means[states], model._chols[states],
+                                    model._log_norms[states])
+
+    if forced:
+        yield scores(x[..., :forced, :], slice(firsts[0], firsts[0] + forced))
+    for t0 in range(forced, n_steps, _SCORING_BLOCK):
         t1 = min(t0 + _SCORING_BLOCK, n_steps)
-        states = slice(firsts[t0], ends[t1 - 1])
-        yield states.start, _log_b(x[..., t0:t1, :], model.means[states],
-                                   model._chols[states], model._log_norms[states])
+        yield scores(x[..., t0:t1, None, :], slice(firsts[t0], ends[t1 - 1]))
 
 
 def _emissions(seq: ObservationSequence, model: LrHmmModel):

@@ -143,41 +143,35 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
     stay first, then outward: np.logaddexp sums, np.maximum gives Viterbi.
 
     The first ``forced`` steps of a band-1 chain hold mass only at state
-    first_0 + t (see :func:`core._live_spans`), and every other term of
-    their recursion is exactly -inf.  Each block's share of them is one
-    cumulative sum of log pi or the previous value plus its move, then
-    emission and move terms in turn: the recursion's own additions, in its
-    order, under either ``combine``.  They run no hook.  With R = T their
-    values go to their rows; with R = 2 only to the last two, each cleared
-    from the run's first range on.  Returns their values (..., F), F =
-    min(forced, steps), or None if F = 0.
+    s0 + t, s0 = first_0 (see :func:`core._live_spans`), and every other
+    term of their recursion is exactly -inf.  With ``forced`` > 0 the first
+    block is (s0, scores (..., F)) of F <= forced steps, paired: step t
+    scored under state s0 + t only.  Their values are one cumulative sum of
+    log pi, then emission and move terms in turn: the recursion's own
+    additions, in its order, under either ``combine``.  They run no hook.
+    With R = T their values go to their rows; with R = 2 only to the last
+    two.  Returns their values (..., F), or None if ``forced`` is 0.
     """
     rows = list(out.swapaxes(-2, 0))
     n_rows = len(rows)
     firsts, ends = ranges
     stay, moves = diags[0], list(enumerate(diags[:diags[0].size]))[1:]    # the non-empty
     out.fill(-np.inf)
-    t = 0
-    runs = []
+    log_b = iter(log_b)
+    t, run = 0, None
+    if forced:
+        s0, block = next(log_b)
+        t = block.shape[-1]
+        terms = np.empty(block.shape[:-1] + (2 * t,))
+        terms[..., 0] = log_pi[..., s0]
+        terms[..., 1::2] = block
+        terms[..., 2::2] = diags[1][s0:s0 + t - 1]
+        run = np.cumsum(terms, axis=-1)[..., 1::2]
+        steps = np.arange(max(t - n_rows, 0), t)
+        out[..., steps % n_rows, s0 + steps] = run[..., steps]
+        prev = rows[(t - 1) % n_rows]
     for base, block in log_b:
-        n = min(forced - t, block.shape[-2])
-        if n > 0:
-            steps = np.arange(t, t + n)
-            states = firsts[0] + steps
-            terms = np.empty(block.shape[:-2] + (2 * n,))
-            terms[..., 0] = (prev[..., states[0] - 1] + diags[1][states[0] - 1] if t
-                             else log_pi[..., states[0]])
-            terms[..., 1::2] = block[..., steps - t, states - base]
-            terms[..., 2::2] = diags[1][states[:-1]]
-            runs.append(np.cumsum(terms, axis=-1)[..., 1::2])
-            # two rolling rows get the last two steps, cleared of older values
-            last = slice(-2 if n_rows == 2 else 0, None)
-            if n_rows == 2:
-                out[..., steps[last] % 2, firsts[t]:] = -np.inf
-            out[..., steps[last] % n_rows, states[last]] = runs[-1][..., last]
-            t += n
-            prev = rows[(t - 1) % n_rows]
-        for scores in block.swapaxes(-2, 0)[max(n, 0):]:
+        for scores in block.swapaxes(-2, 0):
             first, end = firsts[t], ends[t]
             row = rows[t % n_rows]
             acc = row[..., first:end]
@@ -198,7 +192,7 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
                 after(t, row, base, scores)
             prev = row
             t += 1
-    return np.concatenate(runs, axis=-1) if runs else None
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +248,7 @@ def _window_forward(x, params, chain, log_b, alpha):
     n_seq, n_steps, width = alpha.shape
     n_states = means.shape[0]
     if width == n_states:
-        _log_b(x, *params, out=log_b)
+        _log_b(x[:, :, None], *params, out=log_b)
         _forward([(0, log_b)], log_pi, diags, spans, alpha)
         log_lik = _logsumexp(alpha[:, -1, :])
         return np.zeros(n_steps, dtype=int), log_lik, log_lik > -np.inf
@@ -265,12 +259,12 @@ def _window_forward(x, params, chain, log_b, alpha):
     firsts, ends = [0], [n_states]                      # step 0 scores every state
 
     def blocks():
-        yield 0, _log_b(x[:, :1], *params)
+        yield 0, _log_b(x[:, :1, None], *params)
         for t0 in range(1, n_steps, _BLOCK):
             t1 = min(t0 + _BLOCK, n_steps)
             base = firsts[t0]
             top = min(base + width + band * (t1 - t0 + 1), n_states)
-            yield base, _log_b(x[:, t0:t1], means[base:top], chols[base:top],
+            yield base, _log_b(x[:, t0:t1, None], means[base:top], chols[base:top],
                                log_norms[base:top])
 
     def slide(t, row, base, scores):
@@ -432,9 +426,9 @@ def _split(x, params, log_pi, diags, spans, forced):
     col = s0 + c.  From there the chain runs over the sequences x[:, c:],
     the emissions and band diagonals of states col on, and the start log
     pi'(0) = alpha_{c-1}(col - 1) + log A_1[col - 1] of each sequence,
-    taken from the forced run of :func:`_forward`, with emissions scored a
-    block of steps at a time over the run's states.  These are the
-    additions of the forward over the whole chain, in its order, so alpha,
+    taken from the forced run of :func:`_forward`, whose emissions are
+    scored as one paired (K, c) block: step t under state s0 + t only.
+    These are the additions of the forward over the whole chain, in its order, so alpha,
     u, the pair terms and the log-likelihoods keep their bits.
 
     Returns c, col and the chain (x', params', (log pi' (K, N - col), band
@@ -449,10 +443,8 @@ def _split(x, params, log_pi, diags, spans, forced):
     firsts, ends = spans
     s0 = firsts[0]
     col = s0 + cut
-    steps = [slice(t0, min(t0 + _BLOCK, cut)) for t0 in range(0, cut, _BLOCK)]
-    blocks = ((s0 + t.start, _log_b(x[:, t], *(p[s0 + t.start:s0 + t.stop] for p in params)))
-              for t in steps)
-    run = _forward(blocks, log_pi, diags, spans, np.empty((n_seq, 2, col)), forced=forced)
+    block = _log_b(x[:, :cut], *(p[s0:col] for p in params))
+    run = _forward([(s0, block)], log_pi, diags, spans, np.empty((n_seq, 2, col)), forced=forced)
     start = np.full((n_seq, n_states - col), -np.inf)
     start[:, 0] = run[:, -1] + diags[1][col - 1]
     # the ranges of steps c on, shifted by col: those of log pi' for as many

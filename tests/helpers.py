@@ -136,7 +136,7 @@ def enum_viterbi(values, model):
 def reference_forward(values, model):
     """Forward log variables (T, N) by the plain recursion over all N states
     at every step, with no live-span bookkeeping."""
-    log_b = _log_b(values, model.means, model._chols, model._log_norms)
+    log_b = _log_b(values[:, None, :], model.means, model._chols, model._log_norms)
     diags = model.log_A_band
     alpha = np.empty_like(log_b)
     alpha[0] = model.log_pi + log_b[0]
@@ -155,7 +155,7 @@ def reference_viterbi(values, model):
     (band + 1, N) candidate table whose row k holds predecessor j - (band - k),
     so np.argmax's first-max rule picks the lowest predecessor on ties.
     Returns the path and its score."""
-    log_b = _log_b(values, model.means, model._chols, model._log_norms)
+    log_b = _log_b(values[:, None, :], model.means, model._chols, model._log_norms)
     n_steps, n_states = log_b.shape
     band = model.band_width
     diags = model.log_A_band
@@ -180,6 +180,18 @@ def reference_viterbi(values, model):
     for t in range(n_steps - 2, -1, -1):
         path[t] = psi[t + 1, path[t + 1]]
     return path, float(delta[-1, path[-1]])
+
+
+def reference_extension(model, state, n_steps):
+    """The forecast's greedy extension by the plain rule: ``n_steps`` times,
+    move from ``state`` to the in-band successor of the largest transition
+    weight, the first on ties (the lowest successor).  Returns the states."""
+    path = []
+    for _ in range(n_steps):
+        moves = [diag[state] for diag in model.log_A_band[:model.n_states - state]]
+        state += moves.index(max(moves))
+        path.append(state)
+    return path
 
 
 def enum_pair_posteriors(values, model):

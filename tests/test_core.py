@@ -142,7 +142,7 @@ def test_log_b_matches_the_oracle(n_dims, lead):
     scale = rng.choice([1e-3, 30.0], lead)[..., None]
     values = (model.means[owner] + scale * np.einsum(
         "...ij,...j->...i", model._chols[owner], rng.normal(0.0, 1.0, lead + (n_dims,))))
-    got = _log_b(values, model.means, model._chols, model._log_norms)
+    got = _log_b(values[..., None, :], model.means, model._chols, model._log_norms)
     assert got.shape == lead + (6,)
     expected = np.array([[oracle_log_density(x, mean, cov)
                           for mean, cov in zip(model.means, model.covariances)]
@@ -156,8 +156,24 @@ def test_log_b_is_the_division_formula_for_one_channel():
     values = rng.normal(0.0, 3.0, (4, 9, 1))
     z = (values - model.means[:, 0]) / model._chols[:, 0, 0]
     expected = model._log_norms - 0.5 * (z * z)
-    assert np.array_equal(_log_b(values, model.means, model._chols, model._log_norms),
-                          expected)
+    assert np.array_equal(_log_b(values[..., None, :], model.means, model._chols,
+                                 model._log_norms), expected)
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["SxM", "KxSxM"])
+def test_paired_log_b_is_the_matching_cells_of_all_pairs(n_dims, lead):
+    # step i scored under state i only gives the bits of cell (i, i)
+    rng = np.random.default_rng(70 + n_dims)
+    model = random_banded_model(rng, 7, n_dims)
+    values = rng.normal(0.0, 3.0, lead + (7, n_dims))
+    values[..., 2, :] = 1e200                   # a density of exactly 0
+    params = (model.means, model._chols, model._log_norms)
+    paired = _log_b(values, *params)
+    every = _log_b(values[..., None, :], *params)
+    assert paired.shape == lead + (7,)
+    assert np.array_equal(paired, np.diagonal(every, axis1=-2, axis2=-1))
+    assert np.all(paired[..., 2] == -np.inf)
 
 
 def test_package_imports_without_scipy():

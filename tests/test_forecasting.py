@@ -115,8 +115,9 @@ def test_export_rejects_bad_dt():
     model_1 = _ladder_model(3)
     model_2 = _ladder_model(3, means=[5.0, 6.0, 7.0])
     traj = forecast(ObservationSequence(np.array([[0.0]]), 0.025), model_1, model_2)
-    with pytest.raises(UsageError):
-        export_forecast(traj, 0.0)
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(UsageError, match="positive and finite"):
+            export_forecast(traj, dt)
 
 
 def test_forecast_csv_layout(tmp_path):
@@ -159,19 +160,14 @@ def test_forecast_scores_each_model_once(monkeypatch):
     label = classify(history, model_1, model_2).label
     path = viterbi(history, model_1 if label == 1 else model_2).path
 
-    # history steps scored per model; a block of scores may cover any
-    # states of one model, so calls are told apart by the means they read
+    # history steps scored per model, read off each block's result: (...,
+    # steps, states) from values with a state axis of one, (..., steps) paired
     scored = {1: 0, 2: 0}
-    real_log_b = lrhmm.inference._log_b
 
-    def counting_log_b(values, means, *rest):
-        owners = [k for k, model in ((1, model_1), (2, model_2))
-                  if np.shares_memory(means, model.means)]
-        assert len(owners) == 1
-        scored[owners[0]] += values.shape[-2]
-        return real_log_b(values, means, *rest)
+    def count(owner, values, scores):
+        scored[owner] += scores.size // (scores.shape[-1] if values.shape[-2] == 1 else 1)
 
-    monkeypatch.setattr(lrhmm.inference, "_log_b", counting_log_b)
+    _count_log_b(monkeypatch, model_1, model_2, count)
     traj = forecast(history, model_1, model_2)
     assert traj.class_label == label
     assert np.array_equal(traj.state_path[:3], path)
@@ -179,6 +175,56 @@ def test_forecast_scores_each_model_once(monkeypatch):
     # the shared scores do not outlive the forecast
     log_likelihood(history, model_1)
     assert scored == {1: 6, 2: 3}
+
+
+def _count_log_b(monkeypatch, model_1, model_2, count):
+    """Wrap the scoring kernel so that each call reports ``count(owner,
+    values, scores)``, owner 1 or 2: a block of scores may cover any states
+    of one model, so calls are told apart by the means they read."""
+    real_log_b = lrhmm.inference._log_b
+
+    def counting_log_b(values, means, *rest):
+        owners = [k for k, model in ((1, model_1), (2, model_2))
+                  if np.shares_memory(means, model.means)]
+        assert len(owners) == 1
+        scores = real_log_b(values, means, *rest)
+        count(owners[0], values, scores)
+        return scores
+
+    monkeypatch.setattr(lrhmm.inference, "_log_b", counting_log_b)
+
+
+def _forced_model(n_states, forced, means):
+    """A band-1 model from state 0 whose first ``forced`` - 1 states must
+    move on (self-loop -inf), so that its first ``forced`` steps are forced."""
+    stay = np.full(n_states, 0.5)
+    stay[:forced - 1] = 0.0
+    stay[-1] = 1.0
+    log_pi = np.full(n_states, -np.inf)
+    log_pi[0] = 0.0
+    with np.errstate(divide="ignore"):
+        return LrHmmModel(log_pi, [np.log(stay), np.log(1.0 - stay[:-1])],
+                          np.array(means, dtype=float)[:, None], np.full((n_states, 1, 1), 0.04))
+
+
+def test_a_wholly_forced_history_scores_one_cell_per_step(monkeypatch):
+    model_1 = _forced_model(8, 6, range(8))
+    model_2 = _forced_model(8, 6, [10.0 + j for j in range(8)])
+    assert model_1._forced == model_2._forced == 6
+    history = ObservationSequence(np.arange(5.0)[:, None] + 0.1, 0.025)
+    cells = {1: 0, 2: 0}
+
+    def count(owner, values, scores):
+        cells[owner] += scores.size
+
+    _count_log_b(monkeypatch, model_1, model_2, count)
+    log_likelihood(history, model_1)
+    assert cells == {1: 5, 2: 0}
+    assert np.array_equal(viterbi(history, model_1).path, np.arange(5))
+    assert cells == {1: 10, 2: 0}
+    traj = forecast(history, model_1, model_2)
+    assert traj.class_label == 1
+    assert cells == {1: 15, 2: 5}
 
 
 def test_forecast_with_multichannel_emissions(tmp_path):

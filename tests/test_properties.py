@@ -18,13 +18,13 @@ from hypothesis.extra.numpy import arrays
 
 import lrhmm.inference
 import lrhmm.training
-from lrhmm import (LrHmmModel, ModelError, ObservationSequence, forward_backward,
+from lrhmm import (LrHmmModel, ModelError, ObservationSequence, forecast, forward_backward,
                    log_likelihood, model_from_json, model_to_json, prefix_log_likelihoods,
                    viterbi)
 from lrhmm.core import _logsumexp
 from lrhmm.inference import _set_log_likelihoods
 from helpers import (band_diagonals, dense_log_a, enum_log_backward, enum_posteriors,
-                     reference_forward, reference_viterbi)
+                     reference_extension, reference_forward, reference_viterbi)
 
 # in-band probabilities: exact zeros (structural -inf in log space) or
 # weights that stay normal floats after normalisation
@@ -174,6 +174,21 @@ def test_span_scoring_equals_the_recursions_over_all_states(case, block):
             assert np.isfinite(score)
             assert np.array_equal(decoded.path, path) and decoded.log_prob == score
         assert np.array_equal(_set_log_likelihoods(histories, model), totals)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(holey_models_and_histories().filter(lambda case: case[0].n_states > 1))
+def test_forecast_extends_by_the_greedy_rule(case):
+    # tied models hold exact ties among band weights, holey ones -inf
+    # entries, and every extension runs to the last state
+    model, histories, _ = case
+    for seq in histories:
+        history = ObservationSequence(seq.values[:model.n_states - 1], seq.dt)
+        split = history.n_steps
+        path = forecast(history, model, model).state_path
+        assert np.array_equal(path[:split], viterbi(history, model).path)
+        assert path[split:].tolist() == reference_extension(model, path[split - 1],
+                                                             model.n_states - split)
 
 
 @st.composite
