@@ -379,51 +379,33 @@ def model_to_json(model: LrHmmModel) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _dense_band(a: np.ndarray, n_states: int, band_width: int) -> list[np.ndarray]:
-    """Diagonals 0..band_width of a dense transition matrix ``a`` (N, N).
-    Raises ModelError if ``a`` has another shape or mass outside the band."""
-    if a.shape != (n_states, n_states):
-        raise ModelError(f"invalid model: A has shape {a.shape}, "
-                         f"expected ({n_states}, {n_states})")
-    outside = (np.tril(a, -1) != 0) | (np.triu(a, band_width + 1) != 0)
-    if outside.any():
-        raise ModelError("invalid model: " + "; ".join(
-            f"transition {i}->{j} outside the band is not 0" for i, j in np.argwhere(outside)))
-    return [np.diagonal(a, offset=d) for d in range(band_width + 1)]
-
-
 def _read_transitions(doc: dict, n_states: int, band_width: int) -> list[np.ndarray]:
-    """Log band diagonals of A from a document's ``A_band`` or its dense ``A``.
+    """Log band diagonals of A from a document's ``A_band``.
 
     A band past the last state allows the moves of the full band, so the
     diagonals kept are 0..max(min(band_width, N - 1), 1), as
-    :func:`training.initialize_model` builds; an ``A_band``'s diagonals
-    past them must be empty."""
-    if ("A" in doc) == ("A_band" in doc):
-        raise ParseError("malformed model document: expected exactly one of "
-                         "'A' and 'A_band'")
-    band = min(band_width, max(n_states - 1, 1))
+    :func:`training.initialize_model` builds; the diagonals past them must
+    be empty.  A dense ``A`` is not read."""
     if "A" in doc:
-        diags = _dense_band(np.asarray(doc["A"], dtype=float), n_states, band)
-    else:
-        diags = doc["A_band"]
-        if len(diags) != band_width + 1:
-            raise ModelError(f"invalid model: A_band has {len(diags)} diagonals, "
-                             f"expected band_width + 1 = {band_width + 1}")
-        if any(len(diag) for diag in diags[band + 1:]):
-            raise ModelError(f"invalid model: A_band has a non-empty diagonal past "
-                             f"state {n_states - 1}")
-        diags = [np.asarray(diag, dtype=float) for diag in diags[:band + 1]]
+        raise ParseError("malformed model document: a dense 'A' is not read; "
+                         "give the transitions as 'A_band'")
+    band = min(band_width, max(n_states - 1, 1))
+    diags = doc["A_band"]
+    if len(diags) != band_width + 1:
+        raise ModelError(f"invalid model: A_band has {len(diags)} diagonals, "
+                         f"expected band_width + 1 = {band_width + 1}")
+    if any(len(diag) for diag in diags[band + 1:]):
+        raise ModelError(f"invalid model: A_band has a non-empty diagonal past "
+                         f"state {n_states - 1}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return [np.log(diag) for diag in diags]
+        return [np.log(np.asarray(diag, dtype=float)) for diag in diags[:band + 1]]
 
 
 def model_from_json(text: str) -> LrHmmModel:
     """Parse a model document; raises ModelError if invariants are violated.
 
-    Reads transitions from either ``A_band`` (as written by
-    :func:`model_to_json`) or a dense ``A``, which must be zero off the
-    band.
+    Reads transitions from ``A_band``, as :func:`model_to_json` writes
+    them; a document with a dense ``A`` is a ParseError.
     """
     try:
         doc = json.loads(text)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LrHmmModel, ObservationSequence, UsageError
-from .inference import _shared_emissions, classify, viterbi
+from .inference import classify, viterbi
+from .training import _check_scorable
 
 FORECAST_CSV_HEADER = "time_s,channel,mean,lower,upper,class"
 
@@ -40,6 +41,7 @@ class ProbabilisticTrajectory:
 def forecast(history: ObservationSequence, model_1: LrHmmModel,
              model_2: LrHmmModel) -> ProbabilisticTrajectory:
     """Forecast the remainder of a motion from its first ``t`` steps."""
+    _check_scorable(history, model_1)
     if (model_1.n_states != model_2.n_states
             or model_1.n_dims != model_2.n_dims
             or model_1.band_width != model_2.band_width):
@@ -50,10 +52,9 @@ def forecast(history: ObservationSequence, model_1: LrHmmModel,
             f"history of {history.n_steps} steps already spans the model horizon "
             f"of {n_states} states; nothing to forecast")
 
-    with _shared_emissions():       # decoding reuses the winner's scores
-        decision = classify(history, model_1, model_2)
-        winner = model_1 if decision.label == 1 else model_2
-        prefix = viterbi(history, winner).path
+    decision = classify(history, model_1, model_2)
+    winner = model_1 if decision.label == 1 else model_2
+    prefix = viterbi(history, winner).path
     split = history.n_steps
     # row d holds A[i, i + d] of the non-empty diagonals, -inf past the last
     # state; the first max wins, so ties go to the lowest successor state

@@ -11,14 +11,12 @@ and gives the same bits as a recursion over all states.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LrHmmModel, ModelError, ObservationSequence, UsageError, _log_b, _logsumexp
-from .training import _check_scorable, _forward
+from .core import LrHmmModel, ModelError, ObservationSequence, UsageError, _logsumexp
+from .training import _check_scorable, _emission_blocks, _forward
 
 
 @dataclass(frozen=True)
@@ -42,59 +40,12 @@ class ViterbiResult:
     log_prob: float
 
 
-# Log emission blocks kept for the scorers called inside one
-# ``_shared_emissions`` block, keyed by the identities of the sequence and the
-# model; the caller of the block holds both, so the identities stay unique.
-_emission_memo: ContextVar[dict | None] = ContextVar("_emission_memo", default=None)
-
-# Steps per block of emission scoring past the forced prefix: up to 64 such
-# steps, as every T = 40 history has, are scored in one call of the kernel.
-_SCORING_BLOCK = 64
-
-
-@contextmanager
-def _shared_emissions():
-    """Score each (sequence, model) pair's emissions at most once in this block."""
-    token = _emission_memo.set({})
-    try:
-        yield
-    finally:
-        _emission_memo.reset(token)
-
-
 def _span_blocks(x: np.ndarray, model: LrHmmModel):
-    """Log densities of sequences ``x`` (..., T, M) under the states that
-    :func:`training._forward` reads, as blocks (base, scores).  The first
-    F = min(forced, T) steps come first, as one paired block: scores (...,
-    F), step t under state base + t only.  The steps from F on follow
-    ``_SCORING_BLOCK`` at a time: scores (..., steps, W) of states base ..
-    base + W - 1, over the states from first_{t0} to end_{t1-1} for steps
-    t0 .. t1-1."""
-    firsts, ends = model._spans
-    n_steps = x.shape[-2]
-    forced = min(model._forced, n_steps)
-
-    def scores(values, states):
-        return states.start, _log_b(values, model.means[states], model._chols[states],
-                                    model._log_norms[states])
-
-    if forced:
-        yield scores(x[..., :forced, :], slice(firsts[0], firsts[0] + forced))
-    for t0 in range(forced, n_steps, _SCORING_BLOCK):
-        t1 = min(t0 + _SCORING_BLOCK, n_steps)
-        yield scores(x[..., t0:t1, None, :], slice(firsts[t0], ends[t1 - 1]))
-
-
-def _emissions(seq: ObservationSequence, model: LrHmmModel):
-    """The log emission blocks of a scorable ``seq`` under ``model``."""
-    _check_scorable(seq, model)
-    memo = _emission_memo.get()
-    key = (id(seq), id(model))
-    if memo is None:
-        return _span_blocks(seq.values, model)
-    if key not in memo:
-        memo[key] = list(_span_blocks(seq.values, model))
-    return memo[key]
+    """The log emission blocks of sequences ``x`` (..., T, M) that the
+    forward over ``model``'s live spans reads: its forced steps paired, the
+    rest in rectangles (see :func:`training._emission_blocks`)."""
+    return _emission_blocks(x, (model.means, model._chols, model._log_norms), model._spans,
+                            model.band_width, model._forced)
 
 
 def _prefix_scores(log_b, model: LrHmmModel, batch: tuple, ends: list) -> np.ndarray:
@@ -131,7 +82,9 @@ def _set_log_likelihoods(sequences, model: LrHmmModel) -> np.ndarray:
 
 def log_likelihood(seq: ObservationSequence, model: LrHmmModel) -> float:
     """Forward log-likelihood log P(seq | model) for a history of length <= N."""
-    return float(_prefix_scores(_emissions(seq, model), model, (), [seq.n_steps - 1])[0])
+    _check_scorable(seq, model)
+    return float(_prefix_scores(_span_blocks(seq.values, model), model, (),
+                                [seq.n_steps - 1])[0])
 
 
 def prefix_log_likelihoods(seq: ObservationSequence, model: LrHmmModel,
@@ -189,12 +142,13 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     has zero likelihood under the model: then no path is more likely than
     another.
     """
+    _check_scorable(seq, model)
     diags = model.log_A_band
     firsts, ends = model._spans
     forced = model._forced
     kept = []                   # step t >= forced: delta of states first_t .. end_t - 1
     rows = np.empty((2, model.n_states))
-    _forward(_emissions(seq, model), model.log_pi, diags, model._spans, rows,
+    _forward(_span_blocks(seq.values, model), model.log_pi, diags, model._spans, rows,
              after=lambda t, row, base, scores: kept.append(row[firsts[t]:ends[t]].copy()),
              combine=np.maximum, forced=forced)
 

@@ -78,7 +78,8 @@ _WINDOW_NATS_PER_STEP = 8.0
 # sequence's likelihood by a factor below 1 + e^-40, far under rounding.
 _CERTIFICATE_NATS = 40.0
 
-# Steps per block of emission scoring in the windowed forward.
+# Steps per rectangle of emission scoring (see _emission_blocks).  A
+# rectangle of the windowed E-step holds about W + 32 * band states.
 _BLOCK = 32
 
 
@@ -195,6 +196,33 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
     return run
 
 
+def _emission_blocks(x, params, ranges, band, forced=0):
+    """Log densities of sequences ``x`` (..., T, M) under the states that
+    ``params`` (means, Cholesky factors, log normalisers) stack, as the
+    blocks (base, scores) that :func:`_forward` reads over ``ranges``
+    (firsts, ends).  The first F = min(``forced``, T) steps come first, as
+    one paired block: scores (..., F), step t under state first_0 + t only.
+    The steps from F on follow ``_BLOCK`` at a time: scores (..., steps, W)
+    of states base .. base + W - 1, from first_{t0} to end_{t0} + band (t1 -
+    1 - t0) - 1 for steps t0 .. t1 - 1, as a range's end moves on by at most
+    ``band`` states per step.  The ranges of a block are read when it is
+    made, so the hook of the forward that reads the blocks may append them.
+    """
+    firsts, ends = ranges
+    n_steps, n_states = x.shape[-2], params[0].shape[0]
+    forced = min(forced, n_steps)
+
+    def scores(values, states):
+        return states.start, _log_b(values, *(p[states] for p in params))
+
+    if forced:
+        yield scores(x[..., :forced, :], slice(firsts[0], firsts[0] + forced))
+    for t0 in range(forced, n_steps, _BLOCK):
+        t1 = min(t0 + _BLOCK, n_steps)
+        yield scores(x[..., t0:t1, None, :],
+                     slice(firsts[t0], min(ends[t0] + band * (t1 - 1 - t0), n_states)))
+
+
 # ---------------------------------------------------------------------------
 # the E-step over a sliding window of live states
 # ---------------------------------------------------------------------------
@@ -229,9 +257,10 @@ def _window_forward(x, params, chain, log_b, alpha):
     sequence's best state.  The recursion is :func:`_forward` over two
     rolling rows of all N states; after each step its hook slides the
     window, copies the window's columns out, sets the dropped ones to -inf
-    and appends the next step's range.  Emissions are scored a block of
-    steps at a time, over the states those ranges cover.  With W = N this
-    is the dense forward: nothing is dropped, and every sequence of nonzero
+    and appends the next step's range.  Step 0 runs W states past the end
+    of its range, so that the window can begin at any state there.
+    Emissions are scored by :func:`_emission_blocks`.  With W = N this is
+    the dense forward: nothing is dropped, and every sequence of nonzero
     likelihood is certified.
 
     Certificate: let m be a sequence's worst dropped margin (a dropped log
@@ -243,10 +272,9 @@ def _window_forward(x, params, chain, log_b, alpha):
     1 + N T e^(m + G), G = (T - 1) P - (L_{T-1} - L_0); a sequence is
     certified when m + G + log(N T) <= -40.
     """
-    means, chols, log_norms = params
     log_pi, diags, spans = chain
     n_seq, n_steps, width = alpha.shape
-    n_states = means.shape[0]
+    n_states = params[0].shape[0]
     if width == n_states:
         _log_b(x[:, :, None], *params, out=log_b)
         _forward([(0, log_b)], log_pi, diags, spans, alpha)
@@ -256,16 +284,7 @@ def _window_forward(x, params, chain, log_b, alpha):
     tau = _WINDOW_NATS_PER_STEP * n_steps
     lo = [0] * n_steps
     dropped = np.full(n_seq, -np.inf)
-    firsts, ends = [0], [n_states]                      # step 0 scores every state
-
-    def blocks():
-        yield 0, _log_b(x[:, :1, None], *params)
-        for t0 in range(1, n_steps, _BLOCK):
-            t1 = min(t0 + _BLOCK, n_steps)
-            base = firsts[t0]
-            top = min(base + width + band * (t1 - t0 + 1), n_states)
-            yield base, _log_b(x[:, t0:t1, None], means[base:top], chols[base:top],
-                               log_norms[base:top])
+    firsts, ends = [0], [min(spans[1][0] + width, n_states)]
 
     def slide(t, row, base, scores):
         start, end = lo[t - 1] if t else 0, ends[t]
@@ -278,11 +297,11 @@ def _window_forward(x, params, chain, log_b, alpha):
         firsts.append(lo[max(t - 1, 0)])
         ends.append(min(low + width + band, n_states))
 
-    _forward(blocks(), log_pi, diags, (firsts, ends), np.empty((n_seq, 2, n_states)),
-             after=slide)
+    _forward(_emission_blocks(x, params, (firsts, ends), band), log_pi, diags, (firsts, ends),
+             np.empty((n_seq, 2, n_states)), after=slide)
     log_lik = _logsumexp(alpha[:, -1, :])
     with np.errstate(invalid="ignore"):
-        regain = (n_steps - 1) * log_norms.max() - (log_lik - _logsumexp(alpha[:, 0, :]))
+        regain = (n_steps - 1) * params[2].max() - (log_lik - _logsumexp(alpha[:, 0, :]))
         trusted = dropped + regain + math.log(n_states * n_steps) <= -_CERTIFICATE_NATS
     return np.array(lo), log_lik, trusted
 
@@ -428,8 +447,9 @@ def _split(x, params, log_pi, diags, spans, forced):
     pi'(0) = alpha_{c-1}(col - 1) + log A_1[col - 1] of each sequence,
     taken from the forced run of :func:`_forward`, whose emissions are
     scored as one paired (K, c) block: step t under state s0 + t only.
-    These are the additions of the forward over the whole chain, in its order, so alpha,
-    u, the pair terms and the log-likelihoods keep their bits.
+    These are the additions of the forward over the whole chain, in its
+    order, so alpha, u, the pair terms and the log-likelihoods keep their
+    bits.
 
     Returns c, col and the chain (x', params', (log pi' (K, N - col), band
     diagonals, ranges)).  With F <= 1, c = col = 0 and it is the whole
@@ -441,10 +461,9 @@ def _split(x, params, log_pi, diags, spans, forced):
     if not cut:
         return 0, 0, (x, params, (np.broadcast_to(log_pi, (n_seq, n_states)), diags, spans))
     firsts, ends = spans
-    s0 = firsts[0]
-    col = s0 + cut
-    block = _log_b(x[:, :cut], *(p[s0:col] for p in params))
-    run = _forward([(s0, block)], log_pi, diags, spans, np.empty((n_seq, 2, col)), forced=forced)
+    col = firsts[0] + cut
+    run = _forward(_emission_blocks(x[:, :cut], params, spans, 1, forced), log_pi, diags, spans,
+                   np.empty((n_seq, 2, col)), forced=forced)
     start = np.full((n_seq, n_states - col), -np.inf)
     start[:, 0] = run[:, -1] + diags[1][col - 1]
     # the ranges of steps c on, shifted by col: those of log pi' for as many
@@ -462,41 +481,24 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     state posteriors, the log sums of pairwise transition posteriors over
     t = 1..T-1 per band diagonal, and the forward log-likelihood (summed
     over all states at the final step).  Posteriors come from the E-step
-    that training runs, redone at W = N when its window is not certified.
-    Raises ModelError if the sequence has zero likelihood under the model:
-    it has no posteriors.
+    that training runs, as a chunk of one sequence, redone at W = N when
+    its window is not certified.  Raises ModelError if the sequence has
+    zero likelihood under the model: it has no posteriors.
     """
     _check_scorable(seq, model)
     diags = model.log_A_band
     x = seq.values[None]
     params = (model.means, model._chols, model._log_norms)
     n_steps, n_states = seq.n_steps, model.n_states
-    cut, col, (rest, rest_params, chain) = _split(x, params, model.log_pi, diags,
-                                                  model._spans, model._forced)
-    size = n_states - col
-    for width in (min(_WINDOW, size), size):
-        log_b, alpha, gamma = np.empty((3, 1, n_steps - cut, width))
-        lo, log_lik, trusted = _window_forward(rest, rest_params, chain, log_b, alpha)
-        if trusted[0]:
-            break
-    else:
-        raise ModelError("the sequence has zero likelihood under the model")
-    u = np.empty((1, n_steps - cut, min(width + len(diags) - 1, size)))
-    gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
-    dense = np.zeros((n_steps, n_states))
-    dense[np.arange(cut), col - cut + np.arange(cut)] = 1.0
-    dense[np.arange(cut, n_steps)[:, None], col + lo[:, None] + np.arange(width)] = gamma[0]
-    sums = [np.zeros(diag.size) for diag in diags[:n_states]]
-    for total, term in zip(sums, xi):
-        total[col:] += term
-    if cut:
-        sums[1][col - cut:col] += 1.0              # the forced moves
 
     # log alpha and log beta at every state: beta_{T-1} = 0, and beta_t sums
     # the terms log A_d + u_{t+1}(. + d) of the backward with start 0
     every = ((0,) * n_steps, (n_states,) * n_steps)
     log_b, log_alpha, u = np.empty((3, 1, n_steps, n_states))
-    _window_forward(x, params, (model.log_pi, diags, every), log_b, log_alpha)
+    _, (dense_log_lik,), _ = _window_forward(x, params, (model.log_pi, diags, every), log_b,
+                                             log_alpha)
+    if dense_log_lik == -np.inf:
+        raise ModelError("the sequence has zero likelihood under the model")
     _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u)
     log_beta = np.full((n_steps, n_states), -np.inf)
     log_beta[-1] = 0.0
@@ -504,9 +506,27 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
         d = n_states - diag.size
         np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
                      out=log_beta[:-1, :diag.size])
+
+    cut, col, rest = _split(x, params, model.log_pi, diags, model._spans, model._forced)
+    work = np.empty(4 * (n_steps - cut) * (n_states - col))      # room for W = N
+    arrays = _e_step_arrays(work, *rest, _WINDOW)
+    lo, log_lik, trusted = _window_forward(*rest, *arrays[:2])
+    gamma = np.zeros((n_steps, n_states))
+    gamma[np.arange(cut), col - cut + np.arange(cut)] = 1.0
+    sums = [np.zeros(diag.size) for diag in diags[:n_states]]
+    if cut:
+        sums[1][col - cut:col] += 1.0              # the forced moves
+
+    def scatter(x, posteriors, lo, scratch, xi):
+        states = col + lo[:, None] + np.arange(posteriors.shape[2])
+        gamma[np.arange(cut, n_steps)[:, None], states] = posteriors[0]
+        for total, term in zip(sums, xi):
+            total[col:] += term
+
+    _finish_chunk(scatter, work, rest, arrays, lo, trusted, log_lik, (seq.trial_id,))
     with np.errstate(divide="ignore"):
         log_xi = tuple(np.log(total) for total in sums) + diags[len(sums):]   # and the empty
-    return ForwardBackwardCache(log_alpha[0], log_beta, dense, log_xi, float(log_lik[0]))
+    return ForwardBackwardCache(log_alpha[0], log_beta, gamma, log_xi, float(log_lik[0]))
 
 
 def _check_scorable(seq: ObservationSequence, model: LrHmmModel) -> None:
@@ -690,12 +710,13 @@ def _e_step_arrays(work, x, params, chain, width):
     return log_b, alpha, u, gamma
 
 
-def _finish_chunk(stats, work, x, trial_ids, split, arrays, lo, trusted, log_lik) -> int:
-    """Finish the E-step of one chunk of sequences ``x`` (K, T, M), whose
-    chain past the forced prefix :func:`_split` gives as ``split``, from
-    that chain's windowed forward in ``arrays`` (from
-    :func:`_e_step_arrays`), and add its statistics; the forced steps add
-    theirs in closed form once the chain's likelihoods are known nonzero.
+def _finish_chunk(add, work, rest, arrays, lo, trusted, log_lik, trial_ids) -> int:
+    """Finish the E-step of one chunk of sequences from the windowed
+    forward in ``arrays`` (from :func:`_e_step_arrays`) of their chain
+    ``rest`` (x, params, chain) past the forced prefix, as :func:`_split`
+    gives it: hand the posteriors to ``add(x, gamma, lo, scratch, xi)``
+    (see :meth:`_Statistics.add`).  A chunk in which no window is certified
+    has none to hand on.
 
     A sequence that fails its certificate is redone with W = N, one at a
     time and in the flat workspace ``work``, and its entry of ``log_lik``
@@ -703,23 +724,20 @@ def _finish_chunk(stats, work, x, trial_ids, split, arrays, lo, trusted, log_lik
     sequences.  Raises ModelError, naming the trial, if a sequence has zero
     likelihood.
     """
-    cut, col, (rest, params, chain) = split
-    tail = stats.tail(cut, col)
+    x, params, chain = rest
     log_b, alpha, u, gamma = arrays
-    gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
-    tail.add(rest, gamma, lo, (log_b, alpha), xi)
+    if trusted.any():
+        gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
+        add(x, gamma, lo, (log_b, alpha), xi)
     bad = np.flatnonzero(~trusted)
     for k in bad:
-        single = (rest[k:k + 1], params, (chain[0][k:k + 1],) + chain[1:])
+        single = (x[k:k + 1], params, (chain[0][k:k + 1],) + chain[1:])
         dense = _e_step_arrays(work, *single, params[0].shape[0])
         lo_k, log_lik[k:k + 1], ok = _window_forward(*single, *dense[:2])
         if not ok[0]:
             raise ModelError(f"trial {trial_ids[k]} has zero likelihood under the model "
                              "entering the EM iteration")
-        _finish_chunk(tail, work, rest[k:k + 1], None, (0, 0, single), dense, lo_k, ok,
-                      log_lik[k:k + 1])
-    if cut:
-        stats.add_forced(x[:, :cut], col - cut)
+        _finish_chunk(add, work, single, dense, lo_k, ok, log_lik[k:k + 1], None)
     return bad.size
 
 
@@ -792,13 +810,16 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in starts:
             part = slice(begin, begin + chunk)
-            split = _split(x[part], params, log_pi, log_diags, spans, forced)
-            arrays = _e_step_arrays(work, *split[2], _WINDOW)
-            lo, log_lik[part], trusted = _window_forward(*split[2], *arrays[:2])
-            pending = (x[part], trial_ids[part], split, arrays, lo, trusted, log_lik[part])
+            cut, col, rest = _split(x[part], params, log_pi, log_diags, spans, forced)
+            arrays = _e_step_arrays(work, *rest, _WINDOW)
+            lo, log_lik[part], trusted = _window_forward(*rest, *arrays[:2])
+            if cut:
+                stats.add_forced(x[part, :cut], col - cut)
+            pending = (stats.tail(cut, col).add, work, rest, arrays, lo, trusted, log_lik[part],
+                       trial_ids[part])
             # an uncertified likelihood is replaced before the convergence test
             if begin != starts[-1] or not trusted.all():
-                fallbacks += _finish_chunk(stats, work, *pending)
+                fallbacks += _finish_chunk(*pending)
                 pending = None
         total = float(log_lik.sum())
         trace.append(total)
@@ -810,7 +831,7 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
         # The last chunk's posteriors wait for the convergence test, so a
         # single-chunk fit skips them in its final iteration.
         if pending is not None:
-            fallbacks += _finish_chunk(stats, work, *pending)
+            fallbacks += _finish_chunk(*pending)
         log_pi, log_diags, means, covs = _m_step(stats, log_diags,
                                                  config.covariance_floor_eps)
     return (log_pi, log_diags, means, covs,

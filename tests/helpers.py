@@ -265,6 +265,18 @@ def sample_sequence(rng, model, n_steps, dt=0.025, **kwargs):
     return ObservationSequence(np.array(rows), dt, **kwargs)
 
 
+def dense_a_doc(doc: dict) -> dict:
+    """A model document with its ``A_band`` written as a dense ``A``, the
+    format that is no longer read."""
+    n_states = doc["n_states"]
+    a = np.zeros((n_states, n_states))
+    for d, diag in enumerate(doc["A_band"]):
+        a[np.arange(len(diag)), np.arange(len(diag)) + d] = diag
+    dense = {key: value for key, value in doc.items() if key != "A_band"}
+    dense["A"] = a.tolist()
+    return dense
+
+
 # Defects of a model document's ``A_band`` and of the integer header fields
 # it is read against, one per entry; each edits a document written by
 # ``model_to_json`` in place.

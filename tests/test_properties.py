@@ -1,8 +1,7 @@
-"""Property tests: model files round-trip for arbitrary valid models, a
-dense transition matrix reads as its band, scoring over live spans and
-over forced prefixes equals the recursions over all states, and the
-E-step's posteriors and backward variables equal those of path
-enumeration.
+"""Property tests: model files round-trip for arbitrary valid models,
+scoring over live spans and over forced prefixes equals the recursions over
+all states, and the E-step's posteriors and backward variables equal those
+of path enumeration.
 
 Examples are derandomized and bounded, so every run checks the same models.
 """
@@ -88,40 +87,6 @@ def test_model_json_round_trip_for_arbitrary_models(model):
         assert np.allclose(got, want, rtol=1e-15, atol=1e-15), name
 
 
-def _dense_twin(doc: dict) -> dict:
-    """A model document with its ``A_band`` written as the dense ``A``."""
-    n = doc["n_states"]
-    a = np.zeros((n, n))
-    for d, diag in enumerate(doc["A_band"]):
-        a[np.arange(len(diag)), np.arange(len(diag)) + d] = diag
-    twin = {key: value for key, value in doc.items() if key != "A_band"}
-    twin["A"] = a.tolist()
-    return twin
-
-
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(banded_models())
-def test_dense_a_file_loads_as_its_band_twin(model):
-    doc = json.loads(model_to_json(model))
-    banded = model_from_json(json.dumps(doc))
-    dense = model_from_json(json.dumps(_dense_twin(doc)))
-    for name in ("log_pi", "means", "covariances"):
-        assert getattr(dense, name).tobytes() == getattr(banded, name).tobytes(), name
-    assert [d.tobytes() for d in dense.log_A_band] == [d.tobytes() for d in banded.log_A_band]
-
-
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(banded_models().filter(lambda model: model.n_states > 1), st.data())
-def test_dense_a_with_mass_outside_the_band_is_a_model_error(model, data):
-    twin = _dense_twin(json.loads(model_to_json(model)))
-    n, band = model.n_states, model.band_width
-    outside = [(i, j) for i in range(n) for j in range(n) if not i <= j <= i + band]
-    i, j = data.draw(st.sampled_from(outside))
-    twin["A"][i][j] = data.draw(st.floats(5e-324, 1.0))
-    with pytest.raises(ModelError, match=f"transition {i}->{j} outside the band"):
-        model_from_json(json.dumps(twin))
-
-
 @st.composite
 def holey_models_and_histories(draw):
     """A valid model at band 1 to 3 whose band rows and start distribution
@@ -162,7 +127,7 @@ def test_span_scoring_equals_the_recursions_over_all_states(case, block):
     model, histories, steps = case
     totals = []
     # short emission blocks put block boundaries inside these short histories
-    with mock.patch.object(lrhmm.inference, "_SCORING_BLOCK", block):
+    with mock.patch.object(lrhmm.training, "_BLOCK", block):
         for seq in histories:
             alpha = reference_forward(seq.values, model)
             totals.append(_logsumexp(alpha[-1]))
@@ -254,7 +219,7 @@ def test_forced_prefix_scoring_equals_the_recursions_over_all_states(block, case
 
     totals = []
     lengths = np.arange(1, n_steps + 1)
-    with mock.patch.object(lrhmm.inference, "_SCORING_BLOCK", block), \
+    with mock.patch.object(lrhmm.training, "_BLOCK", block), \
             mock.patch.object(lrhmm.inference, "_forward", counted):
         for seq in histories:
             alpha = reference_forward(seq.values, model)

@@ -521,6 +521,47 @@ def test_fallback_memory_stays_near_an_own_class_fit():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize("band", [1, 2])
+def test_fits_do_not_depend_on_the_emission_block_length(monkeypatch, band):
+    # One E-step from the initial model of T = 200 recordings, in rows of
+    # 64 of the 200 states: the windowed forward scores a block of steps at
+    # a time, over the states the window can reach by the block's last
+    # step, and each block length puts the boundaries elsewhere.
+    seqs = _crank_recordings(1, 200, n_sequences=4, n_dims=2)
+    config = TrainingConfig(max_iterations=1, band_width=band)
+    widths = _posterior_widths(monkeypatch)
+    fits = []
+    for block in (1, 3, 32, 64):
+        monkeypatch.setattr(lrhmm.training, "_BLOCK", block)
+        fits.append(baum_welch(seqs, config))
+    assert widths == [64] * 4
+    model, trace = fits[0]
+    for other, other_trace in fits[1:]:
+        assert other_trace == trace
+        for name in ("log_pi", "means", "covariances"):
+            assert getattr(other, name).tobytes() == getattr(model, name).tobytes(), name
+        assert [d.tobytes() for d in other.log_A_band] == [d.tobytes() for d in model.log_A_band]
+
+
+def test_a_chunk_with_no_certified_window_has_only_dense_posteriors(monkeypatch):
+    # One EM iteration from a class-2 model on 6 class-1 recordings, then 6
+    # class-2 ones, in chunks of 6.  Past the model's forced prefix the
+    # chain holds 21 states; in rows of 16 of them every class-1 recording
+    # fails its certificate, so their chunk has no windowed posteriors to
+    # add, and each recording is redone at W = N.
+    class_1, class_2 = _crank_recordings(1, 40), _crank_recordings(2, 40)
+    model_2, _ = baum_welch(class_2, TrainingConfig(max_iterations=3))
+    seqs = [ObservationSequence(s.values, s.dt, trial_id=k)
+            for k, s in enumerate(class_1 + class_2)]
+    monkeypatch.setattr(lrhmm.training, "_ESTEP_ELEMENTS", 6 * 40 * 16)
+    widths = _posterior_widths(monkeypatch)
+    fit, dense_fit = _fit_both_ways(monkeypatch, seqs, TrainingConfig(max_iterations=1),
+                                    initial_model=model_2, window=16)
+    assert fit[1].estep_fallbacks == 6
+    assert widths[:7] == [21] * 6 + [16]
+    _assert_same_fit(fit, dense_fit)
+
+
 def _narrow_window(monkeypatch):
     """Rows of 2 states, keeping those within 1 nat per step of the best."""
     monkeypatch.setattr(lrhmm.training, "_WINDOW", 2)
