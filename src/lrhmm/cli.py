@@ -114,7 +114,8 @@ def parse_durations(text: str) -> tuple:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"bad durations range {text!r}: {exc}") from None
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        if step <= 0 or stop < start or not all(
+                map(math.isfinite, (start, stop, step, (stop - start) / step))):
             raise UsageError(f"bad durations range {text!r}")
         count = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 9) for i in range(count))

@@ -65,8 +65,9 @@ class SyntheticConfig:
             raise UsageError("artifact_amplitude must be >= 0")
         if self.noise_std < 0:
             raise UsageError("noise_std must be >= 0")
-        if not self.duration_s > 0 or not self.dt > 0:
-            raise UsageError("duration_s and dt must be > 0")
+        if not (0 < self.duration_s < math.inf and 0 < self.dt < math.inf
+                and self.duration_s / self.dt < math.inf):
+            raise UsageError("duration_s, dt and their step count must be finite and > 0")
         if self.n_sequences < 1:
             raise UsageError("n_sequences must be >= 1")
         if self.rng_seed < 0:

@@ -3,8 +3,9 @@
 Histories may be shorter than the model horizon: the forward likelihood is
 terminated by summing over all states at the last observed step, and the
 Viterbi score maximizes over all states there.  Longer-than-horizon input
-is a usage error.  Both recursions are :func:`training._forward`, Viterbi's
-with ``np.maximum`` in place of log-sum-exp; every step runs over the states
+is a usage error.  Both recursions are :func:`training._forward` on the
+chain past the forced run that :func:`training._split` cuts, Viterbi's with
+``np.maximum`` in place of log-sum-exp; every step runs over the states
 that can hold mass at that step or two steps before (``core._live_spans``)
 and gives the same bits as a recursion over all states.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LrHmmModel, ModelError, ObservationSequence, UsageError, _logsumexp
-from .training import _check_scorable, _emission_blocks, _forward
+from .training import _check_scorable, _emission_blocks, _forward, _split
 
 
 @dataclass(frozen=True)
@@ -40,51 +41,49 @@ class ViterbiResult:
     log_prob: float
 
 
-def _span_blocks(x: np.ndarray, model: LrHmmModel):
-    """The log emission blocks of sequences ``x`` (..., T, M) that the
-    forward over ``model``'s live spans reads: its forced steps paired, the
-    rest in rectangles (see :func:`training._emission_blocks`)."""
-    return _emission_blocks(x, (model.means, model._chols, model._log_norms), model._spans,
-                            model.band_width, model._forced)
+def _model_split(x: np.ndarray, model: LrHmmModel):
+    """:func:`training._split` of sequences ``x`` (..., T, M) under ``model``."""
+    return _split(x, (model.means, model._chols, model._log_norms), model.log_pi,
+                  model.log_A_band, model._spans, model._forced)
 
 
-def _prefix_scores(log_b, model: LrHmmModel, batch: tuple, ends: list) -> np.ndarray:
-    """Log-likelihoods (S, *batch) of the prefixes that end at steps
-    ``ends`` (distinct, ascending, 0-based) of sequences with emission
-    blocks ``log_b`` (batch dimensions ``batch``).  The forward rolls
-    through two rows.  A forced step's row has at most one finite entry,
-    which is its log-sum-exp, so those ends take the value the forward
-    returns; a hook keeps the rows of the others."""
-    forced = model._forced
-    early = [t for t in ends if t < forced]
-    kept = np.empty((len(ends) - len(early),) + batch + (model.n_states,))
-    slots = {t: kept[i] for i, t in enumerate(ends[len(early):])}
+def _prefix_scores(x: np.ndarray, model: LrHmmModel, ends: list) -> np.ndarray:
+    """Log-likelihoods (S,) or (S, K) of the prefixes that end at steps
+    ``ends`` (distinct, ascending, 0-based) of a sequence ``x`` (T, M) or of
+    sequences (K, T, M), T = ends[-1] + 1.  A prefix that ends at or before
+    step c of the forced run (see :func:`training._split`) takes the run's
+    value: a forced step's row has at most one finite entry, which is its
+    log-sum-exp.  The others take the log-sum-exp of the rows of the
+    forward over the chain past c, which a hook keeps N states wide, -inf
+    below col, so that the sum runs over the terms of the whole chain's
+    row, in its order."""
+    cut, col, run, (x, params, (log_pi, diags, ranges)) = _model_split(x, model)
+    early = [t for t in ends if t < run.shape[-1]]
+    if len(early) == len(ends):
+        return run[..., ends].T
+    kept = np.full((len(ends) - len(early),) + x.shape[:-2] + (model.n_states,), -np.inf)
+    slots = {t - cut: kept[i, ..., col:] for i, t in enumerate(ends[len(early):])}
 
     def keep(t, row, base, scores):
         if t in slots:
             slots[t][...] = row
 
-    values = _forward(log_b, model.log_pi, model.log_A_band, model._spans,
-                      np.empty(batch + (2, model.n_states)), after=keep if slots else None,
-                      forced=forced)
-    scores = _logsumexp(kept)
-    if early:
-        scores = np.concatenate([np.moveaxis(values[..., early], -1, 0), scores])
-    return scores
+    _forward(_emission_blocks(x, params, ranges, model.band_width), log_pi, diags, ranges,
+             np.empty(x.shape[:-2] + (2, model.n_states - col)), after=keep)
+    return np.concatenate([run[..., early].T, _logsumexp(kept)])
 
 
 def _set_log_likelihoods(sequences, model: LrHmmModel) -> np.ndarray:
     """Log-likelihoods (K,) of scorable sequences that share one length,
     scored together in one pass."""
     x = np.stack([seq.values for seq in sequences])
-    return _prefix_scores(_span_blocks(x, model), model, (len(x),), [x.shape[1] - 1])[0]
+    return _prefix_scores(x, model, [x.shape[1] - 1])[0]
 
 
 def log_likelihood(seq: ObservationSequence, model: LrHmmModel) -> float:
     """Forward log-likelihood log P(seq | model) for a history of length <= N."""
     _check_scorable(seq, model)
-    return float(_prefix_scores(_span_blocks(seq.values, model), model, (),
-                                [seq.n_steps - 1])[0])
+    return float(_prefix_scores(seq.values, model, [seq.n_steps - 1])[0])
 
 
 def prefix_log_likelihoods(seq: ObservationSequence, model: LrHmmModel,
@@ -107,8 +106,7 @@ def prefix_log_likelihoods(seq: ObservationSequence, model: LrHmmModel,
     if min(lengths) < 1 or max(lengths) > seq.n_steps:
         raise UsageError(f"prefix lengths must lie in [1, {seq.n_steps}]")
     distinct = sorted({int(length) for length in lengths})
-    scores = _prefix_scores(_span_blocks(seq.values[:distinct[-1]], model), model, (),
-                            [end - 1 for end in distinct])
+    scores = _prefix_scores(seq.values[:distinct[-1]], model, [end - 1 for end in distinct])
     index = {end: i for i, end in enumerate(distinct)}
     return scores[[index[length] for length in lengths]].reshape(steps.shape)
 
@@ -131,37 +129,39 @@ def classify(history: ObservationSequence, model_1: LrHmmModel,
 def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
     """Decode the most likely state path by max-plus recursion in log space.
 
-    Delta rolls through two rows; each step's after the forced ones is kept
-    over the range the forward computes, outside which it is exactly -inf,
-    so no (T, N) table is allocated.  Backtracking recovers the
-    predecessors from the kept delta by the recursion's own sums; at a
-    forced step t the path is at the one live state, first_0 + t.  All
-    argmax ties (per-step
-    predecessor choice and the final state) break toward the lowest state
-    index, so decoding is deterministic.  Raises ModelError if the history
-    has zero likelihood under the model: then no path is more likely than
-    another.
+    The path holds the one live state s0 + t at each step t of the forced
+    run (see :func:`training._split`); a history that the run covers has
+    that one path and its score.  Otherwise the recursion runs on the chain
+    past step c of the run.  Delta rolls through two rows, and each step's
+    is kept over the range the forward computes, outside which it is
+    exactly -inf, so no (T, N) table is allocated.  Backtracking recovers
+    the predecessors from the kept delta by the recursion's own sums.  All
+    argmax ties (per-step predecessor choice and the final state) break
+    toward the lowest state index, so decoding is deterministic.  Raises
+    ModelError if the history has zero likelihood under the model: then no
+    path is more likely than another.
     """
     _check_scorable(seq, model)
-    diags = model.log_A_band
-    firsts, ends = model._spans
-    forced = model._forced
-    kept = []                   # step t >= forced: delta of states first_t .. end_t - 1
-    rows = np.empty((2, model.n_states))
-    _forward(_span_blocks(seq.values, model), model.log_pi, diags, model._spans, rows,
-             after=lambda t, row, base, scores: kept.append(row[firsts[t]:ends[t]].copy()),
-             combine=np.maximum, forced=forced)
-
-    last = rows[(seq.n_steps - 1) % 2]
-    path = np.empty(seq.n_steps, dtype=int)
-    path[-1] = state = int(np.argmax(last))
+    cut, col, run, (x, params, (log_pi, diags, ranges)) = _model_split(seq.values, model)
+    n_steps, forced = seq.n_steps, run.size
+    path = np.empty(n_steps, dtype=int)
+    path[:forced] = model._spans[0][0] + np.arange(forced)
+    firsts, ends = ranges
+    kept = []                   # chain step s: delta of states first_s .. end_s - 1
+    last, state = run, forced - 1
+    if forced < n_steps:
+        rows = np.empty((2, model.n_states - col))
+        _forward(_emission_blocks(x, params, ranges, model.band_width), log_pi, diags, ranges,
+                 rows, combine=np.maximum,
+                 after=lambda s, row, base, scores: kept.append(row[firsts[s]:ends[s]].copy()))
+        last = rows[(n_steps - cut - 1) % 2]
+        state = int(np.argmax(last))
+        path[-1] = col + state
     if last[state] == -np.inf:
         raise ModelError("the history has zero likelihood under the model")
-    for t in range(seq.n_steps - 2, -1, -1):
-        if t < forced:
-            path[:t + 1] = firsts[0] + np.arange(t + 1)
-            break
-        delta, first, end = kept[t - forced], firsts[t], ends[t]
+    log_prob = float(last[state])
+    for s in range(n_steps - cut - 2, forced - cut - 1, -1):
+        delta, first, end = kept[s], firsts[s], ends[s]
         best = -np.inf
         # a farther predecessor replaces the best so far when at least as
         # good, so ties go to the lowest state; one outside the range is
@@ -171,6 +171,7 @@ def viterbi(seq: ObservationSequence, model: LrHmmModel) -> ViterbiResult:
             if first <= i < end:
                 cand = delta[i - first] + diags[d][i]
                 if cand >= best:
-                    best, path[t] = cand, i
-        state = path[t]
-    return ViterbiResult(path, float(last[path[-1]]))
+                    best, pick = cand, i
+        state = pick
+        path[cut + s] = col + state
+    return ViterbiResult(path, log_prob)

@@ -126,7 +126,7 @@ class TrainingTrace:
 # banded log-space recursions (leading batch dimensions allowed)
 # ---------------------------------------------------------------------------
 
-def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp, forced=0):
+def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp):
     """Forward log variables (leading batch dimensions allowed), each step t
     computed over the states [first_t, end_t) that ``ranges`` (firsts, ends)
     give, read one step at a time; outside them a row keeps what it held.
@@ -142,35 +142,13 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
     base, scores)`` runs after each step; it may read or change the row and
     append the range of step t + 1.  ``combine`` folds each state's terms,
     stay first, then outward: np.logaddexp sums, np.maximum gives Viterbi.
-
-    The first ``forced`` steps of a band-1 chain hold mass only at state
-    s0 + t, s0 = first_0 (see :func:`core._live_spans`), and every other
-    term of their recursion is exactly -inf.  With ``forced`` > 0 the first
-    block is (s0, scores (..., F)) of F <= forced steps, paired: step t
-    scored under state s0 + t only.  Their values are one cumulative sum of
-    log pi, then emission and move terms in turn: the recursion's own
-    additions, in its order, under either ``combine``.  They run no hook.
-    With R = T their values go to their rows; with R = 2 only to the last
-    two.  Returns their values (..., F), or None if ``forced`` is 0.
     """
     rows = list(out.swapaxes(-2, 0))
     n_rows = len(rows)
     firsts, ends = ranges
     stay, moves = diags[0], list(enumerate(diags[:diags[0].size]))[1:]    # the non-empty
     out.fill(-np.inf)
-    log_b = iter(log_b)
-    t, run = 0, None
-    if forced:
-        s0, block = next(log_b)
-        t = block.shape[-1]
-        terms = np.empty(block.shape[:-1] + (2 * t,))
-        terms[..., 0] = log_pi[..., s0]
-        terms[..., 1::2] = block
-        terms[..., 2::2] = diags[1][s0:s0 + t - 1]
-        run = np.cumsum(terms, axis=-1)[..., 1::2]
-        steps = np.arange(max(t - n_rows, 0), t)
-        out[..., steps % n_rows, s0 + steps] = run[..., steps]
-        prev = rows[(t - 1) % n_rows]
+    t = 0
     for base, block in log_b:
         for scores in block.swapaxes(-2, 0):
             first, end = firsts[t], ends[t]
@@ -193,34 +171,24 @@ def _forward(log_b, log_pi, diags, ranges, out, after=None, combine=np.logaddexp
                 after(t, row, base, scores)
             prev = row
             t += 1
-    return run
 
 
-def _emission_blocks(x, params, ranges, band, forced=0):
+def _emission_blocks(x, params, ranges, band):
     """Log densities of sequences ``x`` (..., T, M) under the states that
     ``params`` (means, Cholesky factors, log normalisers) stack, as the
     blocks (base, scores) that :func:`_forward` reads over ``ranges``
-    (firsts, ends).  The first F = min(``forced``, T) steps come first, as
-    one paired block: scores (..., F), step t under state first_0 + t only.
-    The steps from F on follow ``_BLOCK`` at a time: scores (..., steps, W)
-    of states base .. base + W - 1, from first_{t0} to end_{t0} + band (t1 -
-    1 - t0) - 1 for steps t0 .. t1 - 1, as a range's end moves on by at most
+    (firsts, ends), ``_BLOCK`` steps at a time: scores (..., steps, W) of
+    states base .. base + W - 1, from first_{t0} to end_{t0} + band (t1 - 1
+    - t0) - 1 for steps t0 .. t1 - 1, as a range's end moves on by at most
     ``band`` states per step.  The ranges of a block are read when it is
     made, so the hook of the forward that reads the blocks may append them.
     """
     firsts, ends = ranges
     n_steps, n_states = x.shape[-2], params[0].shape[0]
-    forced = min(forced, n_steps)
-
-    def scores(values, states):
-        return states.start, _log_b(values, *(p[states] for p in params))
-
-    if forced:
-        yield scores(x[..., :forced, :], slice(firsts[0], firsts[0] + forced))
-    for t0 in range(forced, n_steps, _BLOCK):
+    for t0 in range(0, n_steps, _BLOCK):
         t1 = min(t0 + _BLOCK, n_steps)
-        yield scores(x[..., t0:t1, None, :],
-                     slice(firsts[t0], min(ends[t0] + band * (t1 - 1 - t0), n_states)))
+        states = slice(firsts[t0], min(ends[t0] + band * (t1 - 1 - t0), n_states))
+        yield states.start, _log_b(x[..., t0:t1, None, :], *(p[states] for p in params))
 
 
 # ---------------------------------------------------------------------------
@@ -436,41 +404,50 @@ def _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma):
 
 
 def _split(x, params, log_pi, diags, spans, forced):
-    """The chain of sequences ``x`` (K, T, M) that the E-step runs: steps c
-    .. T - 1 and states col .. N - 1, past the forced prefix.
+    """The forced prefix of sequences ``x`` (..., T, M) and the chain past
+    it, steps c .. T - 1 and states col .. N - 1, that every recursion runs.
 
     With F forced steps from start state s0 = first_0 (see
-    :func:`core._live_spans`), c = max(min(F, T) - 1, 0): steps t < c hold
+    :func:`core._live_spans`), step t < F holds all forward mass at state
+    s0 + t.  For F > 1 the forced run (..., min(F, T)) is alpha_t(s0 + t)
+    of those steps: one cumulative sum of log pi(s0), then the emission of
+    step t under state s0 + t only and the move on, in turn.  These are the
+    additions of the forward over the whole chain, in its order, under
+    log-sum-exp and max alike.  c = max(min(F, T) - 1, 0): steps t < c hold
     every sequence at state s0 + t with posterior exactly 1, and step c at
-    col = s0 + c.  From there the chain runs over the sequences x[:, c:],
+    col = s0 + c.  From there the chain runs over the sequences x[..., c:],
     the emissions and band diagonals of states col on, and the start log
-    pi'(0) = alpha_{c-1}(col - 1) + log A_1[col - 1] of each sequence,
-    taken from the forced run of :func:`_forward`, whose emissions are
-    scored as one paired (K, c) block: step t under state s0 + t only.
-    These are the additions of the forward over the whole chain, in its
-    order, so alpha, u, the pair terms and the log-likelihoods keep their
-    bits.
+    pi'(0) = alpha_{c-1}(col - 1) + log A_1[col - 1] of each sequence, so
+    alpha, u, the pair terms and the log-likelihoods keep their bits; its
+    step 0 gives run[..., c] again.
 
-    Returns c, col and the chain (x', params', (log pi' (K, N - col), band
-    diagonals, ranges)).  With F <= 1, c = col = 0 and it is the whole
-    chain, log pi broadcast over the sequences.
+    Returns c, col, the run and the chain (x', params', (log pi' (..., N -
+    col), band diagonals, ranges)).  With F <= 1 the run is empty, as the
+    chain scores step 0 itself, c = col = 0 and the chain is the whole
+    chain, log pi broadcast over the leading dimensions.
     """
-    n_seq, n_steps, _ = x.shape
-    n_states = diags[0].size
-    cut = max(min(forced, n_steps) - 1, 0)
-    if not cut:
-        return 0, 0, (x, params, (np.broadcast_to(log_pi, (n_seq, n_states)), diags, spans))
+    batch, n_steps = x.shape[:-2], x.shape[-2]
     firsts, ends = spans
-    col = firsts[0] + cut
-    run = _forward(_emission_blocks(x[:, :cut], params, spans, 1, forced), log_pi, diags, spans,
-                   np.empty((n_seq, 2, col)), forced=forced)
-    start = np.full((n_seq, n_states - col), -np.inf)
-    start[:, 0] = run[:, -1] + diags[1][col - 1]
-    # the ranges of steps c on, shifted by col: those of log pi' for as many
-    # steps as the history has, which may outnumber the chain's states
-    ranges = ([max(first - col, 0) for first in firsts[cut:]], [end - col for end in ends[cut:]])
-    return cut, col, (x[:, cut:], tuple(p[col:] for p in params),
-                      (start, [diag[col:] for diag in diags], ranges))
+    s0, steps = firsts[0], min(forced, n_steps) if forced > 1 else 0
+    terms = np.empty(batch + (2 * steps,))
+    if steps:
+        terms[..., 0] = log_pi[s0]
+        terms[..., 1::2] = _log_b(x[..., :steps, :], *(p[s0:s0 + steps] for p in params))
+        terms[..., 2::2] = diags[1][s0:s0 + steps - 1]
+    run = np.cumsum(terms, axis=-1)[..., 1::2]
+    cut = max(steps - 1, 0)
+    if not cut:
+        return 0, 0, run, (x, params, (np.broadcast_to(log_pi, batch + log_pi.shape), diags,
+                                       spans))
+    col = s0 + cut
+    start = np.full(batch + log_pi[col:].shape, -np.inf)
+    start[..., 0] = run[..., -2] + diags[1][col - 1]
+    # the ranges of steps c .. T - 1, shifted by col: those of log pi' for as
+    # many steps as the history has, which may outnumber the chain's states
+    ranges = ([max(first - col, 0) for first in firsts[cut:n_steps]],
+              [end - col for end in ends[cut:n_steps]])
+    return cut, col, run, (x[..., cut:, :], tuple(p[col:] for p in params),
+                           (start, [diag[col:] for diag in diags], ranges))
 
 
 def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBackwardCache:
@@ -507,7 +484,7 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
         np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
                      out=log_beta[:-1, :diag.size])
 
-    cut, col, rest = _split(x, params, model.log_pi, diags, model._spans, model._forced)
+    cut, col, _, rest = _split(x, params, model.log_pi, diags, model._spans, model._forced)
     work = np.empty(4 * (n_steps - cut) * (n_states - col))      # room for W = N
     arrays = _e_step_arrays(work, *rest, _WINDOW)
     lo, log_lik, trusted = _window_forward(*rest, *arrays[:2])
@@ -810,7 +787,7 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in starts:
             part = slice(begin, begin + chunk)
-            cut, col, rest = _split(x[part], params, log_pi, log_diags, spans, forced)
+            cut, col, _, rest = _split(x[part], params, log_pi, log_diags, spans, forced)
             arrays = _e_step_arrays(work, *rest, _WINDOW)
             lo, log_lik[part], trusted = _window_forward(*rest, *arrays[:2])
             if cut:

@@ -433,11 +433,25 @@ def test_off_grid_duration_exits_with_2(workspace, tmp_path, command):
 
 
 def test_non_finite_durations_range_exits_with_2(workspace, tmp_path):
-    result = run_cli("accuracy-curve", "--data", workspace / "data",
-                     "--durations", "0:inf:0.1", "--out", tmp_path / "a.csv")
+    # the second has finite ends and step, but (stop - start) / step is inf
+    for durations in ("0:inf:0.1", "1:1e308:1e-300"):
+        result = run_cli("accuracy-curve", "--data", workspace / "data",
+                         "--durations", durations, "--out", tmp_path / "a.csv")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: bad durations range")
+        assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("setting", ["duration_s = inf", "dt = 1e-320"])
+def test_synthetic_config_of_no_finite_step_count_exits_with_2(tmp_path, setting):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(setting + "\n")
+    result = run_cli("generate", "--config", cfg, "--out", tmp_path / "d")
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
-    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "step count must be finite" in result.stderr
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "classify", "forecast"])

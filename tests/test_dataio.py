@@ -42,6 +42,8 @@ def test_config_step_count():
     dict(n_sequences=0),
     dict(rng_seed=-1),
     dict(duration_s=0.001),
+    dict(duration_s=math.inf),
+    dict(dt=1e-320),            # duration_s / dt overflows
 ])
 def test_config_validation(kwargs):
     with pytest.raises(UsageError):

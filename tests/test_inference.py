@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import lrhmm.inference
 from lrhmm import (
     LrHmmModel,
     ModelError,
@@ -53,11 +55,11 @@ def _check_likelihood_against_enumeration(rng, n_models, n_dims):
 
 
 def test_forced_run_across_emission_blocks_leaves_no_stale_row():
-    # 150 states, forced for the first 101 steps: the run spans two 64-step
-    # emission blocks, and the forward's two rolling rows still hold steps
-    # 62 and 63 when the second block writes steps 99 and 100.  The history
-    # fits the run and then leaves the means far behind, so a finite value
-    # left from step 62 or 63 would dominate the final log-sum-exp.
+    # 150 states, forced for the first 101 steps: the forced run is longer
+    # than a 64-step emission block, and the chain past it starts at step
+    # and state 100, in rolling rows of its own.  The history fits the run
+    # and then leaves the means far behind, so a finite value left from an
+    # earlier step would dominate the final log-sum-exp.
     n_states = 150
     stay = np.full(n_states, 0.5)
     stay[:100] = 0.0
@@ -200,11 +202,33 @@ def test_classify_rejects_a_history_impossible_under_both_models():
 
 def test_viterbi_rejects_a_history_with_zero_likelihood():
     # every path has probability 0, so no path is the most likely one (the
-    # decoder used to return the path [0, 0, 0] with log_prob -inf)
+    # decoder used to return the path [0, 0, 0] with log_prob -inf).  A
+    # 6-state model forced for 4 steps meets a 1e200 reading at step 1 in
+    # a history that its forced run covers, which runs no recursion, and in
+    # one that runs past the run; the prefix scores are -inf from there on.
     model = random_banded_model(np.random.default_rng(29), 3, 1)
-    seq = ObservationSequence(np.full((3, 1), 1e200), 0.025)
-    with pytest.raises(ModelError, match="zero likelihood"):
-        viterbi(seq, model)
+    cases = [(model, np.full((3, 1), 1e200), None)]
+    stay = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0])
+    with np.errstate(divide="ignore"):
+        forced = LrHmmModel(np.log(np.eye(6)[0]), [np.log(stay), np.log1p(-stay[:-1])],
+                            np.arange(6.0)[:, None], np.full((6, 1, 1), 0.04))
+    assert forced._forced == 4
+    for n_steps, recursions in ((3, 0), (6, 1)):
+        values = np.arange(n_steps, dtype=float)[:, None] + 0.1
+        values[1] = 1e200
+        cases.append((forced, values, recursions))
+    for hmm, values, recursions in cases:
+        seq = ObservationSequence(values, 0.025)
+        with mock.patch.object(lrhmm.inference, "_forward",
+                               wraps=lrhmm.inference._forward) as spy:
+            with pytest.raises(ModelError, match="zero likelihood"):
+                viterbi(seq, hmm)
+        if recursions is None:
+            continue
+        assert spy.call_count == recursions
+        assert log_likelihood(seq, hmm) == -math.inf
+        scores = prefix_log_likelihoods(seq, hmm, np.arange(1, len(values) + 1))
+        assert np.isfinite(scores[0]) and np.all(scores[1:] == -math.inf)
 
 
 def test_classify_is_reliable_at_wide_separation():

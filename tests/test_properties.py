@@ -202,13 +202,17 @@ def forced_prefix_models_and_histories(draw, max_states=12):
 @settings(max_examples=250, derandomize=True, database=None, deadline=None)
 @given(forced_prefix_models_and_histories())
 def test_forced_prefix_scoring_equals_the_recursions_over_all_states(block, case):
-    # The first F steps run as one cumulative sum per emission block, with
-    # no per-step update: each step from max(F, 1) on folds its move in by
-    # exactly one combine call when N > 1, and no step before F does.
+    # The recursion runs on the chain past step c = max(min(F, T) - 1, 0),
+    # whose states start at col = s0 + c, or at 0 if c is 0: each of its
+    # steps after the first folds its move in by exactly one combine call
+    # when the chain holds more than one state.  A one-state chain, and a
+    # history that the forced run covers, run no per-step update.
     model, histories, forced = case
     assert model._forced == forced
     n_steps = histories[0].n_steps
-    updates = max(n_steps - max(forced, 1), 0) if model.n_states > 1 else 0
+    cut = max(min(forced, n_steps) - 1, 0)
+    col = model._spans[0][0] + cut if cut else 0
+    updates = n_steps - 1 - cut if model.n_states - col > 1 else 0
     calls = []
 
     def counted(*args, combine=np.logaddexp, **kwargs):
