@@ -29,6 +29,9 @@ RIGID_SENSOR_ID = "dr1"
 # Characters of an offending header, cell or key that a parse error quotes.
 _QUOTE_CHARS = 80
 
+# The most steps a float64 array can hold: its size in bytes must fit an intp.
+_MAX_STEPS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -74,6 +77,8 @@ class SyntheticConfig:
             raise UsageError("rng_seed must be >= 0")
         if self.n_steps < 1:
             raise UsageError("duration_s shorter than one sampling step")
+        if self.n_steps > _MAX_STEPS:
+            raise UsageError("duration_s / dt gives more steps than an array can hold")
 
     @property
     def n_steps(self) -> int:

@@ -17,7 +17,10 @@ results do not depend on how the caller happened to order the input list.
 
 Training memory is bounded per chunk of sequences, not per data set: each
 EM iteration runs the E-step on a few sequences at a time and keeps only
-their sufficient statistics.
+their sufficient statistics.  Within a chunk only the window's log
+emissions and forward variables span the chain; the backward variables,
+pair terms and posteriors are formed a block of steps at a time, from the
+chain's end, as the backward recursion reaches them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,6 +64,11 @@ _COV_EPS_ABS = 1e-9
 # many sequences an EM iteration processes at a time.  29 sequences stay in
 # one chunk up to T = 1129.
 _ESTEP_ELEMENTS = 2 ** 21
+
+# Elements of one (chunk, B, W) block of posteriors (1 MiB in float64); sets
+# the B steps whose backward variables, pair terms and posteriors the E-step
+# holds at a time: B = 70 for 29 sequences at W = 64.
+_POSTERIOR_ELEMENTS = 2 ** 17
 
 # States per row of the E-step's arrays (W): row t holds states lo[t] ..
 # lo[t] + W - 1.  A model of at most W states runs densely, with lo = 0.
@@ -302,10 +311,11 @@ def _state_sums(subscripts, operands, lo, size) -> np.ndarray:
     return out.reshape((size,) + terms.shape[2:])
 
 
-def _window_backward(log_b, lo, start, chain, u):
+def _window_backward(log_b, lo, start, chain, u, block, finish):
     """Backward log variables of sequences whose windowed forward left the
     log emissions ``log_b`` (K, T, W) and window offsets ``lo`` (T,), plus
-    their emissions and ``start`` (K,): u_t = log b_t + log beta_t + start.
+    their emissions and ``start`` (K,): u_t = log b_t + log beta_t + start,
+    handed on a block of steps at a time.
 
     u_{T-1} = log b_{T-1} + start and u_t(i) = log b_t(i) + logsumexp_d(
     log A_d[i] + u_{t+1}(i + d)) is :func:`_forward` on the reversed chain:
@@ -319,10 +329,15 @@ def _window_backward(log_b, lo, start, chain, u):
     the one term that would read it there, state lo_t's self-loop when
     lo_t+1 = lo_t + 1, is -inf, which is why the span advanced.
 
-    Row t >= 1 of ``u`` (K, T, F) receives u_t at the states lo[t-1] ..
-    lo[t-1] + F - 1 that window t - 1 reaches, F = min(W + band, N), and
-    -inf where step t did not run.  With W = N the recursion writes
-    straight into ``u``.  Otherwise it rolls through two rows of all N
+    Blocks of ``block`` steps are laid from the chain's end: [T - B, T),
+    [T - 2B, T - B), ..., and a first one from step 0.  Row j of ``u`` (K,
+    B + 1, F), or (K, T, F) for a chain of one block, receives u_{t0+j} of
+    block [t0, t1), for j = 1 .. min(t1, T - 1) - t0, at the states
+    lo[t0+j-1] .. lo[t0+j-1] + F - 1 that window t0 + j - 1 reaches, F =
+    min(W + band, N), and -inf where the step did not run.  Once they hold
+    their values, ``finish(t0, t1)`` runs, before the next block's rows
+    overwrite them.  A chain of one block at W = N is computed straight
+    into ``u``.  Otherwise the recursion rolls through two rows of all N
     states, and after each step a hook clears what step t + 2 left above
     step t's range and copies the row out.
     """
@@ -334,21 +349,28 @@ def _window_backward(log_b, lo, start, chain, u):
     ranges = ((n_states - high)[::-1].tolist(), (n_states - low)[::-1].tolist())
     log_pi = np.broadcast_to(start[:, None], (n_seq, n_states))
     reversed_diags = [diag[::-1] for diag in diags]
-    if width == n_states:
+    bounds = iter([(max(t1 - block, 0), t1) for t1 in range(n_steps, 0, -block)])
+    t0, t1 = next(bounds)
+    if width == n_states and not t0:
         _forward([(0, log_b[:, ::-1, ::-1])], log_pi, reversed_diags, ranges,
                  u[:, ::-1, ::-1])
-        return
+        return finish(t0, t1)
     lo, high = lo.tolist(), high.tolist() + [0, 0]
 
     def copy(s, row, base, scores):
+        nonlocal t0, t1
         t = n_steps - 1 - s
         states = row[:, ::-1]
         states[:, high[t]:high[t + 2]] = -np.inf
-        if t:
-            first = lo[t - 1]
-            kept = min(frame, n_states - first)
-            u[:, t, :kept] = states[:, first:first + kept]
-            u[:, t, kept:] = -np.inf
+        if t == t0:
+            finish(t0, t1)
+            if not t:
+                return
+            t0, t1 = next(bounds)
+        first = lo[t - 1]
+        kept = min(frame, n_states - first)
+        u[:, t - t0, :kept] = states[:, first:first + kept]
+        u[:, t - t0, kept:] = -np.inf
 
     blocks = ((n_states - lo[t] - width, log_b[:, t:t + 1, ::-1])
               for t in range(n_steps - 1, -1, -1))
@@ -356,51 +378,65 @@ def _window_backward(log_b, lo, start, chain, u):
              after=copy)
 
 
-def _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma):
+def _posteriors(log_b, alpha, lo, log_lik, trusted, x, chain, buffers, add):
     """State posteriors in the window and pairwise posterior sums per
-    non-empty band diagonal of K sequences of ``chain``.
+    non-empty band diagonal of K sequences ``x`` (K, T, M) of ``chain``,
+    handed to ``add(t0, x, gamma, lo, scratch, xi)`` a block of steps t0 ..
+    t1 - 1 at a time (see :meth:`_Statistics.add`), the chain's last block
+    first.
 
     ``log_b`` and ``alpha`` (K, T, W) hold the log emissions and log forward
     variables that :func:`_window_forward` leaves, with window offsets
     ``lo``, log-likelihoods ``log_lik`` (K,) and which sequences
     ``trusted`` certifies; the others get zero posteriors and add nothing
-    to the sums.  ``u`` (K, T, F) and ``gamma`` (K, T, W) are arrays to
-    work in; the posteriors are returned in ``gamma``.
+    to the sums.  ``buffers`` are the u, pair terms and gamma of
+    :func:`_e_step_arrays`; gamma's size sets the block length B.
 
     The backward pass is :func:`_window_backward` with start log s -
     log_lik, s = ``_TERM_SCALE``, so that alpha_t(i) + log A_d[i] +
     u_{t+1}(i + d) is the log of s times the posterior of the pair (i, i +
-    d) at steps t, t + 1.  gamma_t sums these terms over d, and gamma_{T-1}
+    d) at steps t, t + 1.  Once it has left a block's rows of u, gamma_t
+    sums these terms over d for the block's steps t < T - 1, and gamma_{T-1}
     = exp(alpha_{T-1} - log_lik).  No term reads log b_t, so a density that
-    underflowed to 0 gives no -inf - -inf.  The terms are formed in
-    ``log_b``'s array.
+    underflowed to 0 gives no -inf - -inf.  ``scratch`` holds two arrays
+    shaped like the block's gamma, the pair terms' and u's, free by then.
     """
     n_seq, n_steps, width = alpha.shape
     diags = chain[1]
+    u, terms, gamma = buffers
     n_states, frame = diags[0].size, u.shape[2]
+    block = gamma.size // (n_seq * width)
     shift = np.where(trusted, log_lik, 0.0) - math.log(_TERM_SCALE)
     alpha[~trusted] = -np.inf
-    _window_backward(log_b, lo, -shift, chain, u)
-    states = (slice(lo[0], lo[0] + width) if lo[0] == lo[-1]     # a window that never moves
-              else lo[:-1, None] + np.arange(width))
-    xi = []
-    for d, diag in enumerate(diags[:n_states]):
-        n = min(width, frame - d)           # columns whose pairs stay in the frame
-        term = log_b.reshape(-1)[:n_seq * (n_steps - 1) * n].reshape(n_seq, n_steps - 1, n)
-        np.add(alpha[:, :-1, :n], u[:, 1:, d:d + n], out=term)
-        term += np.append(diag, np.full(d, -np.inf))[states][..., :n]
-        _exp_flushed(term)
-        if d:
-            gamma[:, :-1, :n] += term
-        else:
-            gamma[:, :-1] = term
-        sums = (_state_sums("ktw->tw", (term,), lo[:-1], n_states)[:diag.size]
-                if n_steps > 1 else np.zeros(diag.size))
-        xi.append(sums / _TERM_SCALE)
-    np.subtract(alpha[:, -1], shift[:, None], out=gamma[:, -1])
-    _exp_flushed(gamma[:, -1])
-    gamma /= _TERM_SCALE
-    return gamma, xi
+
+    def finish(t0, t1):
+        pairs = min(t1, n_steps - 1) - t0          # of steps t0 .. t0 + pairs - 1
+        post = gamma[:n_seq * (t1 - t0) * width].reshape(n_seq, t1 - t0, width)
+        offsets = lo[t0:t1]
+        states = (slice(offsets[0], offsets[0] + width) if offsets[0] == offsets[-1]
+                  else offsets[:pairs, None] + np.arange(width))    # unless the window moves
+        xi = []
+        for d, diag in enumerate(diags[:n_states]):
+            n = min(width, frame - d)           # columns whose pairs stay in the frame
+            term = terms[:n_seq * pairs * n].reshape(n_seq, pairs, n)
+            np.add(alpha[:, t0:t0 + pairs, :n], u[:, 1:pairs + 1, d:d + n], out=term)
+            term += np.append(diag, np.full(d, -np.inf))[states][..., :n]
+            _exp_flushed(term)
+            if d:
+                post[:, :pairs, :n] += term
+            else:
+                post[:, :pairs] = term
+            sums = (_state_sums("ktw->tw", (term,), offsets[:pairs], n_states)[:diag.size]
+                    if pairs else np.zeros(diag.size))
+            xi.append(sums / _TERM_SCALE)
+        if t1 == n_steps:
+            np.subtract(alpha[:, -1], shift[:, None], out=post[:, -1])
+            _exp_flushed(post[:, -1])
+        post /= _TERM_SCALE
+        scratch = [a[:post.size].reshape(post.shape) for a in (terms, u.reshape(-1))]
+        add(t0, x[:, t0:t1], post, offsets, scratch, xi)
+
+    _window_backward(log_b, lo, -shift, chain, u, block, finish)
 
 
 def _split(x, params, log_pi, diags, spans, forced):
@@ -476,16 +512,20 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
                                              log_alpha)
     if dense_log_lik == -np.inf:
         raise ModelError("the sequence has zero likelihood under the model")
-    _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u)
     log_beta = np.full((n_steps, n_states), -np.inf)
     log_beta[-1] = 0.0
-    for diag in diags[:n_states]:
-        d = n_states - diag.size
-        np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
-                     out=log_beta[:-1, :diag.size])
+
+    def betas(t0, t1):
+        for diag in diags[:n_states]:
+            d = n_states - diag.size
+            np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
+                         out=log_beta[:-1, :diag.size])
+
+    _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u,
+                     n_steps, betas)
 
     cut, col, _, rest = _split(x, params, model.log_pi, diags, model._spans, model._forced)
-    work = np.empty(4 * (n_steps - cut) * (n_states - col))      # room for W = N
+    work = np.empty(_workspace_size(1, n_steps - cut, n_states - col, len(diags) - 1))
     arrays = _e_step_arrays(work, *rest, _WINDOW)
     lo, log_lik, trusted = _window_forward(*rest, *arrays[:2])
     gamma = np.zeros((n_steps, n_states))
@@ -494,9 +534,10 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     if cut:
         sums[1][col - cut:col] += 1.0              # the forced moves
 
-    def scatter(x, posteriors, lo, scratch, xi):
+    def scatter(t0, x, posteriors, lo, scratch, xi):
+        steps = cut + t0 + np.arange(posteriors.shape[1])
         states = col + lo[:, None] + np.arange(posteriors.shape[2])
-        gamma[np.arange(cut, n_steps)[:, None], states] = posteriors[0]
+        gamma[steps[:, None], states] = posteriors[0]
         for total, term in zip(sums, xi):
             total[col:] += term
 
@@ -618,15 +659,16 @@ class _Statistics:
         self.second = np.zeros((n_states, n_dims, n_dims))  # about ref_means
         self.xi = [np.zeros(n_states - d) for d in range(min(n_diags, n_states))]
 
-    def add(self, x, gamma, lo, scratch, xi) -> None:
-        """Add the sums of posteriors ``gamma`` (K, T, W) of sequences ``x``
-        (K, T, M), whose row t holds states lo[t] .. lo[t] + W - 1, and their
-        pairwise sums ``xi``.  ``scratch`` holds two arrays shaped like
-        ``gamma`` to work in."""
+    def add(self, t0, x, gamma, lo, scratch, xi) -> None:
+        """Add the sums of posteriors ``gamma`` (K, B, W) of sequences ``x``
+        (K, B, M) at steps t0 .. t0 + B - 1, whose row t holds states lo[t]
+        .. lo[t] + W - 1, and their pairwise sums ``xi``.  ``scratch`` holds
+        two arrays shaped like ``gamma`` to work in."""
         for total, term in zip(self.xi, xi):
             total += term
         n_states, width = self.mass.size, gamma.shape[2]
-        self.gamma0[lo[0]:lo[0] + width] += gamma[:, 0, :].sum(axis=0)
+        if not t0:
+            self.gamma0[lo[0]:lo[0] + width] += gamma[:, 0, :].sum(axis=0)
         self.mass += _state_sums("ktw->tw", (gamma,), lo, n_states)
         self.first += _state_sums("ktw,ktm->twm", (gamma, x), lo, n_states)
         if lo[0] == lo[-1]:
@@ -672,28 +714,52 @@ class _Statistics:
         return tail
 
 
+def _e_step_sizes(n_seq, n_steps, width, frame):
+    """Elements of the E-step's arrays for K = ``n_seq`` sequences of T =
+    ``n_steps`` steps at rows of W = ``width`` states: log b and alpha (K, T,
+    W) for the whole chain, then u (K, min(B + 1, T), F), F = ``frame``, and
+    the pair terms and gamma (K, B, W) for a block of B <= T steps.  A chain
+    of one block (B = T) forms its pair terms in log b's array."""
+    block = min(max(1, _POSTERIOR_ELEMENTS // (n_seq * width)), n_steps)
+    chain, rows = n_seq * n_steps * width, n_seq * block * width
+    return chain, chain, n_seq * min(block + 1, n_steps) * frame, rows * (block < n_steps), rows
+
+
+def _workspace_size(n_seq, n_steps, n_states, band):
+    """Elements of a workspace for the E-steps of chunks of ``n_seq``
+    sequences over a chain of ``n_steps`` steps and ``n_states`` states, at
+    rows of the window and, for one sequence at a time, of W = N."""
+    width = min(_WINDOW, n_states)
+    return max(sum(_e_step_sizes(n_seq, n_steps, width, min(width + band, n_states))),
+               sum(_e_step_sizes(1, n_steps, n_states, n_states)))
+
+
 def _e_step_arrays(work, x, params, chain, width):
     """The E-step's arrays for sequences ``x`` (K, T, M) of the chain
     ``chain`` of N states, at rows of W = min(``width``, N) states, carved
-    in turn from the flat ``work``: log b, alpha and gamma (K, T, W), and u
-    (K, T, F), F = min(W + band, N)."""
+    in turn from the flat ``work`` (see :func:`_e_step_sizes`): log b and
+    alpha (K, T, W), u (K, rows, F), F = min(W + band, N), and flat pair
+    terms and gamma.  The pair terms of a chain of one block are log b's
+    array."""
     n_seq, n_steps, _ = x.shape
     n_states, diags = params[0].shape[0], chain[1]
     width = min(width, n_states)
     frame = min(width + len(diags) - 1, n_states)
-    size = n_seq * n_steps * width
-    log_b, alpha, gamma = work[:3 * size].reshape(3, n_seq, n_steps, width)
-    u = work[3 * size:3 * size + n_seq * n_steps * frame].reshape(n_seq, n_steps, frame)
-    return log_b, alpha, u, gamma
+    sizes = _e_step_sizes(n_seq, n_steps, width, frame)
+    log_b, alpha, u, terms, gamma = (work[end - size:end]
+                                     for size, end in zip(sizes, accumulate(sizes)))
+    log_b, alpha = (a.reshape(n_seq, n_steps, width) for a in (log_b, alpha))
+    return (log_b, alpha, u.reshape(n_seq, -1, frame), terms if terms.size else log_b.reshape(-1),
+            gamma)
 
 
 def _finish_chunk(add, work, rest, arrays, lo, trusted, log_lik, trial_ids) -> int:
     """Finish the E-step of one chunk of sequences from the windowed
     forward in ``arrays`` (from :func:`_e_step_arrays`) of their chain
     ``rest`` (x, params, chain) past the forced prefix, as :func:`_split`
-    gives it: hand the posteriors to ``add(x, gamma, lo, scratch, xi)``
-    (see :meth:`_Statistics.add`).  A chunk in which no window is certified
-    has none to hand on.
+    gives it: hand the posteriors to ``add(t0, x, gamma, lo, scratch, xi)``
+    a block of steps at a time (see :func:`_posteriors`).  A chunk in which
+    no window is certified has none to hand on.
 
     A sequence that fails its certificate is redone with W = N, one at a
     time and in the flat workspace ``work``, and its entry of ``log_lik``
@@ -702,10 +768,8 @@ def _finish_chunk(add, work, rest, arrays, lo, trusted, log_lik, trial_ids) -> i
     likelihood.
     """
     x, params, chain = rest
-    log_b, alpha, u, gamma = arrays
     if trusted.any():
-        gamma, xi = _posteriors(log_b, alpha, lo, log_lik, trusted, chain, u, gamma)
-        add(x, gamma, lo, (log_b, alpha), xi)
+        _posteriors(*arrays[:2], lo, log_lik, trusted, x, chain, arrays[2:], add)
     bad = np.flatnonzero(~trusted)
     for k in bad:
         single = (x[k:k + 1], params, (chain[0][k:k + 1],) + chain[1:])
@@ -763,17 +827,17 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
     trials ``trial_ids``, from the given parameters.  Returns the final
     (log_pi, log band diagonals, means, covs) and the trace.
 
-    The E-step works in four arrays carved from one workspace allocated
-    here (see :func:`_e_step_arrays`): the window's log emissions, which
-    then hold the posterior terms; its log forward variables; the backward
-    variables, with the band's columns past the window; and the posteriors.
+    The E-step works in arrays carved from one workspace (see
+    :func:`_e_step_arrays`): the window's log emissions and log forward
+    variables for the whole chain, and for a block of steps the backward
+    variables, with the band's columns past the window, the pair terms and
+    the posteriors.  It also holds one sequence's E-step at W = N, the
+    fallback's.  The first chunk allocates it, by :func:`_workspace_size`,
+    and a later one only if its chain past the forced prefix needs more.
     """
     n_seq, n_steps, _ = x.shape
-    width = min(_WINDOW, n_steps)
-    frame = min(width + len(log_diags) - 1, n_steps)
-    chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * width)))
-    # the workspace also holds one sequence's E-step at W = N, the fallback's
-    work = np.empty(n_steps * max(chunk * (3 * width + frame), 4 * n_steps))
+    chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * min(_WINDOW, n_steps))))
+    work = np.empty(0)
     starts = range(0, n_seq, chunk)
     log_lik = np.empty(n_seq)
     trace: list[float] = []
@@ -788,6 +852,9 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
         for begin in starts:
             part = slice(begin, begin + chunk)
             cut, col, _, rest = _split(x[part], params, log_pi, log_diags, spans, forced)
+            size = _workspace_size(len(rest[0]), n_steps - cut, n_steps - col, len(log_diags) - 1)
+            if work.size < size:        # the first chain, or a later one that needs more
+                work = np.empty(size)
             arrays = _e_step_arrays(work, *rest, _WINDOW)
             lo, log_lik[part], trusted = _window_forward(*rest, *arrays[:2])
             if cut:

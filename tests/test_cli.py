@@ -454,6 +454,17 @@ def test_synthetic_config_of_no_finite_step_count_exits_with_2(tmp_path, setting
     assert not (tmp_path / "d").exists()
 
 
+def test_synthetic_config_of_more_steps_than_an_array_holds_exits_with_2(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("dt = 1e-300\n")
+    result = run_cli("generate", "--config", cfg, "--out", tmp_path / "d")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert len(result.stderr.splitlines()) == 1
+    assert "more steps than an array can hold" in result.stderr
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "classify", "forecast"])
 def test_output_in_missing_directory_exits_with_1(workspace, tmp_path, command):
     recording = workspace / "data" / "df2-class1-trial000.csv"

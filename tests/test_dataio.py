@@ -44,6 +44,7 @@ def test_config_step_count():
     dict(duration_s=0.001),
     dict(duration_s=math.inf),
     dict(dt=1e-320),            # duration_s / dt overflows
+    dict(dt=1e-300),            # 5e300 steps: finite, but no array holds them
 ])
 def test_config_validation(kwargs):
     with pytest.raises(UsageError):

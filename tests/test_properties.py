@@ -274,7 +274,8 @@ def test_e_step_equals_path_enumeration(case, data):
     # moves and 1e200 readings give histories of zero likelihood, which
     # have no posteriors.  Each history is cut to at most 4096 paths, and
     # each runs densely and with windows of 2 states, as does a walk along
-    # a drawn path of the model with its means spaced apart.
+    # a drawn path of the model with its means spaced apart, both with the
+    # posteriors in one block and a step at a time behind the backward pass.
     model, histories, _ = case
     n_states = model.n_states
     n_steps = min(int(math.log(4096, n_states)), n_states) if n_states > 1 else 1
@@ -287,8 +288,10 @@ def test_e_step_equals_path_enumeration(case, data):
         log_lik, gamma, xi = enum_posteriors(values, hmm)
         log_beta = enum_log_backward(values, hmm)
         finite = np.isfinite(log_beta)
-        for window in (64, 2):
-            with mock.patch.object(lrhmm.training, "_WINDOW", window):
+        for window, elements in ((64, None), (2, None), (64, 1), (2, 1)):
+            with mock.patch.object(lrhmm.training, "_WINDOW", window), \
+                    mock.patch.object(lrhmm.training, "_POSTERIOR_ELEMENTS",
+                                      elements or lrhmm.training._POSTERIOR_ELEMENTS):
                 cache = forward_backward(ObservationSequence(values, 0.025), hmm)
             assert abs(cache.log_likelihood - log_lik) < 1e-9
             assert np.abs(cache.gamma - gamma).max() < 1e-9

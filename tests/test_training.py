@@ -361,22 +361,37 @@ def test_training_memory_does_not_grow_with_the_number_of_sequences():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
-def test_training_memory_is_bounded_by_the_e_step_workspace():
-    # At T = 800 a chunk holds 3 sequences, so one (chunk, T, N) array is
-    # 3 * 800 * 800 float64 <= 2**21 * 8 bytes.  A one-iteration fit over
-    # two chunks allocates the E-step's four such arrays once, and all else
-    # it allocates at a time fits in one more.
+def _fit_peak(n_seqs):
+    """The tracemalloc peak of a one-iteration fit of ``n_seqs`` noisy
+    sine recordings of 800 steps."""
     rng = np.random.default_rng(22)
     wave = np.sin(np.linspace(0.0, 12.0, 800))[:, None]
     seqs = [ObservationSequence(wave + rng.normal(0.0, 0.05, (800, 1)), 0.025,
-                                trial_id=k) for k in range(6)]
+                                trial_id=k) for k in range(n_seqs)]
     tracemalloc.start()
     try:
         baum_welch(seqs, TrainingConfig(max_iterations=1))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (4 + 1) * 2 ** 21 * 8
+
+
+def test_training_memory_is_bounded_by_the_e_step_workspace():
+    # At T = 800 the 6 recordings form one chunk, whose E-step keeps log b
+    # and alpha (6, 800, 64) for the whole chain and u, the pair terms and
+    # gamma for blocks of 341 steps: 7.7 MiB.  The workspace also holds one
+    # sequence's E-step at W = N, (800, 800) log b and alpha and blocks of
+    # 163 steps: 1 672 000 float64, 12.8 MiB, which it allocates once.  All
+    # else the fit allocates at a time fits in 1.2 MiB more.
+    assert _fit_peak(6) <= 14 * 2 ** 20
+
+
+def test_benchmark_sized_fit_keeps_its_e_step_to_two_chain_arrays():
+    # 29 recordings at T = 800, as the long-horizon benchmark trains: one
+    # chunk whose log b and alpha (29, 800, 64) take 22.7 MiB; u, the pair
+    # terms and gamma for blocks of 70 steps take 3.0 MiB more.  Holding
+    # u, the terms and gamma for the whole chain, it peaked at 47.7 MiB.
+    assert _fit_peak(29) <= 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +556,96 @@ def test_fits_do_not_depend_on_the_emission_block_length(monkeypatch, band):
         for name in ("log_pi", "means", "covariances"):
             assert getattr(other, name).tobytes() == getattr(model, name).tobytes(), name
         assert [d.tobytes() for d in other.log_A_band] == [d.tobytes() for d in model.log_A_band]
+
+
+def _posterior_blocks(monkeypatch):
+    """A list that gets (t0, steps, W) of each block of posteriors that an
+    E-step adds to a fit's statistics."""
+    blocks = []
+    add = lrhmm.training._Statistics.add
+
+    def recording(self, t0, x, gamma, *args):
+        blocks.append((t0, gamma.shape[1], gamma.shape[2]))
+        return add(self, t0, x, gamma, *args)
+
+    monkeypatch.setattr(lrhmm.training._Statistics, "add", recording)
+    return blocks
+
+
+def _with_blocks_of(monkeypatch, steps, n_seq, width, run):
+    """``run()`` with posterior blocks of ``steps`` steps (the whole chain
+    if None) for chunks of ``n_seq`` sequences at rows of ``width`` states."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lrhmm.training, "_POSTERIOR_ELEMENTS",
+                      steps * n_seq * width if steps else 2 ** 40)
+        return run()
+
+
+def _assert_same_fit_and_forward(fits, caches):
+    (_, trace), cache = fits[-1], caches[-1]
+    for fit, other in zip(fits[:-1], caches[:-1]):
+        # the forward does not depend on the blocks; the statistics add
+        # each block's sums in turn, so they may round apart
+        assert fit[1] == trace
+        _assert_same_fit(fit, fits[-1])
+        assert other.gamma.tobytes() == cache.gamma.tobytes()
+        assert other.log_beta.tobytes() == cache.log_beta.tobytes()
+        with np.errstate(divide="ignore"):
+            for sums, ref in zip(other.log_xi_sums, cache.log_xi_sums):
+                np.testing.assert_allclose(np.exp(sums), np.exp(ref), rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("band", [1, 2])
+def test_fits_do_not_depend_on_the_posterior_block_length(monkeypatch, band):
+    # One E-step from the initial model of 4 T = 200 recordings, in rows of
+    # 64 states, with the posteriors formed 1 and 3 steps at a time behind
+    # the backward pass, and for the whole chain at once; and forward-
+    # backward on one recording the same ways.  The channels are mixed and
+    # set at level 10, so that no mean or covariance is near zero.
+    mix = np.array([[1.0, 0.0], [0.5, 1.0]])
+    seqs = [ObservationSequence(10.0 + s.values @ mix.T, s.dt, trial_id=s.trial_id)
+            for s in _crank_recordings(1, 200, n_sequences=4, n_dims=2)]
+    config = TrainingConfig(max_iterations=1, band_width=band)
+    model = initialize_model(seqs, config)
+    blocks = _posterior_blocks(monkeypatch)
+    fits, caches, counts = [], [], []
+    for steps in (1, 3, None):
+        blocks.clear()
+        fits.append(_with_blocks_of(monkeypatch, steps, 4, 64,
+                                    lambda: baum_welch(seqs, config)))
+        counts.append([b[1] for b in blocks])
+        caches.append(_with_blocks_of(monkeypatch, steps, 1, 64,
+                                      lambda: forward_backward(seqs[0], model)))
+    # blocks are laid from the chain's end, so the first one is short
+    assert counts == [[1] * 200, [3] * 66 + [2], [200]]
+    _assert_same_fit_and_forward(fits, caches)
+
+
+def test_fallback_fits_do_not_depend_on_the_posterior_block_length(monkeypatch):
+    # One-iteration T = 800 fits of 3 class-1 and 3 class-2 recordings, set
+    # at level 10, from the initial model of 6 class-2 ones: the class-1
+    # recordings fail their windows' certificates and are redone at W = N =
+    # 800, in blocks of 163 steps as shipped.  Blocks of 1 and 3 steps at
+    # W = N (2 and 6 for the windowed chunk) and of the whole chain give the
+    # same fit, and forward-backward the same posteriors.
+    class_1, class_2 = _crank_recordings(1, 800, n_sequences=3), _crank_recordings(2, 800)
+    seqs = [ObservationSequence(10.0 + s.values, s.dt, trial_id=k)
+            for k, s in enumerate(class_1 + class_2)]
+    model_2 = initialize_model(seqs[3:], TrainingConfig())
+    seqs = seqs[:6]
+    config = TrainingConfig(max_iterations=1)
+    blocks = _posterior_blocks(monkeypatch)
+    baum_welch(seqs, config, initial_model=model_2)
+    assert [b[:2] for b in blocks if b[2] == 800] == 3 * (
+        [(t0, 163) for t0 in range(637, 0, -163)] + [(0, 148)])
+    fits, caches = [], []
+    for steps in (1, 3, None):
+        fits.append(_with_blocks_of(monkeypatch, steps, 1, 800,
+                                    lambda: baum_welch(seqs, config, initial_model=model_2)))
+        caches.append(_with_blocks_of(monkeypatch, steps, 1, 800,
+                                      lambda: forward_backward(seqs[0], model_2)))
+    assert fits[0][1].estep_fallbacks == 3
+    _assert_same_fit_and_forward(fits, caches)
 
 
 def test_a_chunk_with_no_certified_window_has_only_dense_posteriors(monkeypatch):
