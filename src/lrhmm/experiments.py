@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise UsageError("history_durations must be non-empty")
         if any(not d > 0 for d in self.history_durations):
             raise UsageError("history durations must be positive")
+        if self.rng_seed < 0:
+            raise UsageError("rng_seed must be >= 0")
         if (self.synthetic is None) == (self.data_dir is None):
             raise UsageError("set exactly one of 'synthetic' and 'data_dir'")
         if self.synthetic is not None and len(self.synthetic) != 2:

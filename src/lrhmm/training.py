@@ -4,16 +4,18 @@ The model has as many states as the training sequences have time steps, so
 the initializer can seed each state's emission from the cross-sequence
 statistics of the matching step.  All recursions run over the transition
 band only.  The steps of a band-1 chain's forced prefix hold every
-sequence at one state with posterior exactly 1, so the E-step adds their
-statistics in closed form and runs on the rest of the chain only.  There
-it runs the exact log-space forward recursion over a sliding window of the
-states that hold the forward mass, then the backward recursion as the same
-forward on the reversed chain, over the same window, and takes the
-posteriors from both in log space.  A sequence is redone with the window
-as wide as that chain (W = N) when the mass its window dropped could show
-in its results.  Expectation quantities are accumulated over
-sequences in a canonical order (sorted by ``trial_id``) so that training
-results do not depend on how the caller happened to order the input list.
+sequence at one state with posterior exactly 1, so the E-step hands them on
+as one block of those posteriors and runs the recursions on the rest of the
+chain only.  There it runs the exact log-space forward recursion over a
+sliding window of the states that hold the forward mass, then the
+backward recursion as the same forward on the reversed chain, over the
+same window, and takes the posteriors from both in log space.  A sequence
+is redone with the window as wide as that chain (W = N) when the mass its
+window dropped could show in its results.  One driver, :func:`_e_step`,
+runs all of this for training and :func:`forward_backward` alike.
+Expectation quantities are accumulated over sequences in a canonical order
+(sorted by ``trial_id``) so that training results do not depend on how the
+caller happened to order the input list.
 
 Training memory is bounded per chunk of sequences, not per data set: each
 EM iteration runs the E-step on a few sequences at a time and keeps only
@@ -25,7 +27,6 @@ chain's end, as the backward recursion reaches them.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -113,6 +114,8 @@ class TrainingConfig:
             raise UsageError("loglik_rel_tolerance must be finite and > 0")
         if not 0 < self.covariance_floor_eps < math.inf:
             raise UsageError("covariance_floor_eps must be finite and > 0")
+        if self.rng_seed < 0:
+            raise UsageError("rng_seed must be >= 0")
         if self.band_width < 1:
             raise UsageError("band_width must be >= 1")
 
@@ -357,7 +360,7 @@ def _window_backward(log_b, lo, start, chain, u, block, finish):
         return finish(t0, t1)
     lo, high = lo.tolist(), high.tolist() + [0, 0]
 
-    def copy(s, row, base, scores):
+    def store(s, row, base, scores):
         nonlocal t0, t1
         t = n_steps - 1 - s
         states = row[:, ::-1]
@@ -375,7 +378,7 @@ def _window_backward(log_b, lo, start, chain, u, block, finish):
     blocks = ((n_states - lo[t] - width, log_b[:, t:t + 1, ::-1])
               for t in range(n_steps - 1, -1, -1))
     _forward(blocks, log_pi, reversed_diags, ranges, np.empty((n_seq, 2, n_states)),
-             after=copy)
+             after=store)
 
 
 def _posteriors(log_b, alpha, lo, log_lik, trusted, x, chain, buffers, add):
@@ -524,24 +527,17 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
     _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u,
                      n_steps, betas)
 
-    cut, col, _, rest = _split(x, params, model.log_pi, diags, model._spans, model._forced)
-    work = np.empty(_workspace_size(1, n_steps - cut, n_states - col, len(diags) - 1))
-    arrays = _e_step_arrays(work, *rest, _WINDOW)
-    lo, log_lik, trusted = _window_forward(*rest, *arrays[:2])
     gamma = np.zeros((n_steps, n_states))
-    gamma[np.arange(cut), col - cut + np.arange(cut)] = 1.0
     sums = [np.zeros(diag.size) for diag in diags[:n_states]]
-    if cut:
-        sums[1][col - cut:col] += 1.0              # the forced moves
 
     def scatter(t0, x, posteriors, lo, scratch, xi):
-        steps = cut + t0 + np.arange(posteriors.shape[1])
-        states = col + lo[:, None] + np.arange(posteriors.shape[2])
-        gamma[steps[:, None], states] = posteriors[0]
+        steps = t0 + np.arange(posteriors.shape[1])
+        gamma[steps[:, None], lo[:, None] + np.arange(posteriors.shape[2])] = posteriors[0]
         for total, term in zip(sums, xi):
-            total[col:] += term
+            total[total.size - term.size:] += term
 
-    _finish_chunk(scatter, work, rest, arrays, lo, trusted, log_lik, (seq.trial_id,))
+    log_lik, _, _ = _e_step(scatter, np.empty(0), x, params, model.log_pi, diags, model._spans,
+                            model._forced, (seq.trial_id,))
     with np.errstate(divide="ignore"):
         log_xi = tuple(np.log(total) for total in sums) + diags[len(sums):]   # and the empty
     return ForwardBackwardCache(log_alpha[0], log_beta, gamma, log_xi, float(log_lik[0]))
@@ -662,10 +658,11 @@ class _Statistics:
     def add(self, t0, x, gamma, lo, scratch, xi) -> None:
         """Add the sums of posteriors ``gamma`` (K, B, W) of sequences ``x``
         (K, B, M) at steps t0 .. t0 + B - 1, whose row t holds states lo[t]
-        .. lo[t] + W - 1, and their pairwise sums ``xi``.  ``scratch`` holds
-        two arrays shaped like ``gamma`` to work in."""
+        .. lo[t] + W - 1, and their pairwise sums ``xi``, each aligned to the
+        end of its band diagonal.  ``scratch`` holds two arrays shaped like
+        ``gamma`` to work in."""
         for total, term in zip(self.xi, xi):
-            total += term
+            total[total.size - term.size:] += term
         n_states, width = self.mass.size, gamma.shape[2]
         if not t0:
             self.gamma0[lo[0]:lo[0] + width] += gamma[:, 0, :].sum(axis=0)
@@ -686,32 +683,6 @@ class _Statistics:
                 self.second[:, m, p] += term
                 if p != m:
                     self.second[:, p, m] += term
-
-    def add_forced(self, x, first) -> None:
-        """Add the statistics of sequences ``x`` (K, c, M) held at state
-        first + t at step t with posterior exactly 1, each moving on one
-        state per step, the last move into state first + c."""
-        n_seq, cut, _ = x.shape
-        states = slice(first, first + cut)
-        self.gamma0[first] += n_seq
-        self.mass[states] += n_seq
-        self.xi[1][states] += n_seq
-        self.first[states] += x.sum(axis=0)
-        diff = x - self.ref_means[states]
-        self.second[states] += np.einsum("ktm,ktp->tmp", diff, diff)
-
-    def tail(self, cut, col) -> "_Statistics":
-        """The statistics of states ``col`` on, as views of these, for the
-        chain from step ``cut`` on: its step 0 is the chain's only if cut
-        is 0, so otherwise its gamma0 goes to an array of its own."""
-        if not cut:
-            return self
-        tail = copy.copy(self)
-        tail.ref_means, tail.mass, tail.first, tail.second = (
-            part[col:] for part in (self.ref_means, self.mass, self.first, self.second))
-        tail.gamma0 = np.zeros(tail.mass.size)
-        tail.xi = [sums[col:] for sums in self.xi]
-        return tail
 
 
 def _e_step_sizes(n_seq, n_steps, width, frame):
@@ -753,33 +724,55 @@ def _e_step_arrays(work, x, params, chain, width):
             gamma)
 
 
-def _finish_chunk(add, work, rest, arrays, lo, trusted, log_lik, trial_ids) -> int:
-    """Finish the E-step of one chunk of sequences from the windowed
-    forward in ``arrays`` (from :func:`_e_step_arrays`) of their chain
-    ``rest`` (x, params, chain) past the forced prefix, as :func:`_split`
-    gives it: hand the posteriors to ``add(t0, x, gamma, lo, scratch, xi)``
-    a block of steps at a time (see :func:`_posteriors`).  A chunk in which
-    no window is certified has none to hand on.
+def _e_step(add, work, x, params, log_pi, diags, spans, forced, trial_ids):
+    """The E-step of sequences ``x`` (K, T, M) of trials ``trial_ids`` under
+    the model of ``params`` (means, Cholesky factors, log normalisers),
+    ``log_pi``, band diagonals ``diags``, and ``spans`` and ``forced`` from
+    :func:`core._live_spans`.  It hands the posteriors to ``add(t0, x,
+    gamma, lo, scratch, xi)`` (see :meth:`_Statistics.add`) a block of steps
+    at a time, in the steps and states of the whole chain: first the forced
+    run that :func:`_split` cuts, as one block of c steps at W = 1 with
+    gamma_t = 1 at state s0 + t and one move per step on diagonal 1, then
+    the chain past it, as :func:`_posteriors` forms it.
 
-    A sequence that fails its certificate is redone with W = N, one at a
-    time and in the flat workspace ``work``, and its entry of ``log_lik``
-    (K,) is replaced by the exact value.  Returns the number of such
-    sequences.  Raises ModelError, naming the trial, if a sequence has zero
+    The arrays are carved from the flat ``work``, or from a new workspace
+    of :func:`_workspace_size` if the chain needs more.  A sequence whose
+    window fails its certificate is redone with W = N, one at a time.
+    Returns the log-likelihoods (K,), the number of such sequences and the
+    workspace.  Raises ModelError, naming the trial, if a sequence has zero
     likelihood.
     """
-    x, params, chain = rest
-    if trusted.any():
-        _posteriors(*arrays[:2], lo, log_lik, trusted, x, chain, arrays[2:], add)
+    cut, col, _, (rest, params, chain) = _split(x, params, log_pi, diags, spans, forced)
+    n_seq, n_steps, _ = rest.shape
+    n_states = params[0].shape[0]
+    size = _workspace_size(n_seq, n_steps, n_states, len(diags) - 1)
+    if work.size < size:        # the first chain, or a later one that needs more
+        work = np.empty(size)
+    if cut:
+        ones = np.ones((n_seq, cut, 1))
+        moves = np.zeros(diags[1].size + cut - col)     # diagonal 1 from state s0 on
+        moves[:cut] = n_seq
+        add(0, x[:, :cut], ones, np.arange(col - cut, col), np.empty((2,) + ones.shape),
+            [np.zeros(0), moves])
+
+    def shifted(t0, x, gamma, lo, scratch, xi):
+        add(cut + t0, x, gamma, col + lo, scratch, xi)
+
+    def run(x, chain, width):
+        arrays = _e_step_arrays(work, x, params, chain, width)
+        lo, log_lik, trusted = _window_forward(x, params, chain, *arrays[:2])
+        if trusted.any():
+            _posteriors(*arrays[:2], lo, log_lik, trusted, x, chain, arrays[2:], shifted)
+        return log_lik, trusted
+
+    log_lik, trusted = run(rest, chain, _WINDOW)
     bad = np.flatnonzero(~trusted)
     for k in bad:
-        single = (x[k:k + 1], params, (chain[0][k:k + 1],) + chain[1:])
-        dense = _e_step_arrays(work, *single, params[0].shape[0])
-        lo_k, log_lik[k:k + 1], ok = _window_forward(*single, *dense[:2])
+        log_lik[k:k + 1], ok = run(rest[k:k + 1], (chain[0][k:k + 1],) + chain[1:], n_states)
         if not ok[0]:
             raise ModelError(f"trial {trial_ids[k]} has zero likelihood under the model "
                              "entering the EM iteration")
-        _finish_chunk(add, work, single, dense, lo_k, ok, log_lik[k:k + 1], None)
-    return bad.size
+    return log_lik, bad.size, work
 
 
 def _m_step(stats: _Statistics, log_diags_old, eps_rel):
@@ -827,18 +820,13 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
     trials ``trial_ids``, from the given parameters.  Returns the final
     (log_pi, log band diagonals, means, covs) and the trace.
 
-    The E-step works in arrays carved from one workspace (see
-    :func:`_e_step_arrays`): the window's log emissions and log forward
-    variables for the whole chain, and for a block of steps the backward
-    variables, with the band's columns past the window, the pair terms and
-    the posteriors.  It also holds one sequence's E-step at W = N, the
-    fallback's.  The first chunk allocates it, by :func:`_workspace_size`,
-    and a later one only if its chain past the forced prefix needs more.
+    The E-step's workspace (see :func:`_e_step_arrays`) lives across chunks
+    and iterations: :func:`_e_step` allocates it for the first chunk, and
+    again only when a later chain past the forced prefix needs more.
     """
     n_seq, n_steps, _ = x.shape
     chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * min(_WINDOW, n_steps))))
     work = np.empty(0)
-    starts = range(0, n_seq, chunk)
     log_lik = np.empty(n_seq)
     trace: list[float] = []
     fallbacks = 0
@@ -849,33 +837,17 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
         params = (means, chols, _log_norms(chols))
         spans, forced = _live_spans(log_pi, log_diags)
         stats = _Statistics(means, len(log_diags), n_seq)
-        for begin in starts:
+        for begin in range(0, n_seq, chunk):
             part = slice(begin, begin + chunk)
-            cut, col, _, rest = _split(x[part], params, log_pi, log_diags, spans, forced)
-            size = _workspace_size(len(rest[0]), n_steps - cut, n_steps - col, len(log_diags) - 1)
-            if work.size < size:        # the first chain, or a later one that needs more
-                work = np.empty(size)
-            arrays = _e_step_arrays(work, *rest, _WINDOW)
-            lo, log_lik[part], trusted = _window_forward(*rest, *arrays[:2])
-            if cut:
-                stats.add_forced(x[part, :cut], col - cut)
-            pending = (stats.tail(cut, col).add, work, rest, arrays, lo, trusted, log_lik[part],
-                       trial_ids[part])
-            # an uncertified likelihood is replaced before the convergence test
-            if begin != starts[-1] or not trusted.all():
-                fallbacks += _finish_chunk(*pending)
-                pending = None
+            log_lik[part], bad, work = _e_step(stats.add, work, x[part], params, log_pi,
+                                               log_diags, spans, forced, trial_ids[part])
+            fallbacks += bad
         total = float(log_lik.sum())
         trace.append(total)
         if len(trace) > 1 and _relative_change(total, previous) < config.loglik_rel_tolerance:
             converged = True
             break
         previous = total
-
-        # The last chunk's posteriors wait for the convergence test, so a
-        # single-chunk fit skips them in its final iteration.
-        if pending is not None:
-            fallbacks += _finish_chunk(*pending)
         log_pi, log_diags, means, covs = _m_step(stats, log_diags,
                                                  config.covariance_floor_eps)
     return (log_pi, log_diags, means, covs,

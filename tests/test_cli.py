@@ -335,6 +335,20 @@ def test_non_finite_training_config_exits_with_2(workspace, tmp_path, key):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--label", 1, "--sensor", "df2"],
+    ["distance"],
+    ["accuracy-curve", "--durations", "0.05"],
+], ids=lambda command: command[0])
+def test_negative_seed_exits_with_2(workspace, tmp_path, command):
+    # these used to end in NumPy's ValueError traceback from default_rng
+    result = run_cli(*command, "--data", workspace / "data", "--seed", -1,
+                     "--out", tmp_path / "out")
+    assert result.returncode == 2
+    assert result.stderr == "error: rng_seed must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_positive_definite_em_covariance_exits_with_1(tmp_path):
     # the second channel is 3x the first at level 1e9: with a negligible
     # covariance floor an M-step covariance loses positive definiteness

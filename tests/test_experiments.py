@@ -60,6 +60,7 @@ def test_config_requires_exactly_one_data_source(tmp_path):
     dict(history_durations=(0.0,)),
     dict(scale_divisor=0.0),
     dict(n_workers=0),
+    dict(rng_seed=-1),
 ])
 def test_config_validation(kwargs):
     base = dict(synthetic=_synthetic_pair())

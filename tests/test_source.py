@@ -11,6 +11,18 @@ _MODULES = sorted(p for p in Path(lrhmm.__file__).parent.glob("*.py")
                   if p.name != "__init__.py")
 
 
+def _bound_names(node):
+    """The names that ``node`` binds other than by import: a def, a class,
+    an assignment target or an argument."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return [node.id]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    return []
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -26,6 +38,11 @@ def test_every_imported_name_is_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+    # a name bound again shadows the import, so a use of it may not be the
+    # import's: binding an imported name fails too
+    rebound = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)
+                     for name in _bound_names(node) if name in imported)
+    assert not rebound, f"{path.name} binds imported names again: {rebound}"
 
 
 def _private_definitions(tree):

@@ -159,22 +159,29 @@ def test_initialize_model_is_seeded():
     assert not np.array_equal(a.means, c.means)
 
 
-@pytest.mark.parametrize("n_steps", [10, 70])
-def test_training_sequence_with_zero_likelihood_is_a_model_error(n_steps):
+@pytest.mark.parametrize("n_steps, chunked", [(10, False), (70, False), (10, True)],
+                         ids=["10", "70", "10-chunked"])
+def test_training_sequence_with_zero_likelihood_is_a_model_error(monkeypatch, n_steps,
+                                                                  chunked):
     # A recording at 1e200 has zero likelihood under the initial model of
     # four N(0, 1) recordings, so its posteriors are 0 / 0.  They used to
     # pass the M-step's mass test as NaN, after RuntimeWarnings, and end in
     # a UsageError about non-finite emission parameters.  T = 70 runs the
     # windowed E-step.
     # The same start with -inf self-loops on its first half of states is
-    # forced for N / 2 + 1 steps, whose statistics the E-step adds in
-    # closed form; a single 1e200 reading inside them reaches the E-step
-    # past them only through its start, and must still end in the error.
+    # forced for N / 2 + 1 steps, whose posteriors the E-step hands on as
+    # one block of ones; a single 1e200 reading inside them reaches the
+    # E-step past them only through its start, and must still end in the
+    # error.  The recording's trial sorts between the others, so in chunks
+    # of one sequence its index in its chunk is not its index in the fit.
+    if chunked:
+        monkeypatch.setattr(lrhmm.training, "_ESTEP_ELEMENTS", 1)
     rng = np.random.default_rng(26)
-    seqs = _random_sequences(rng, 4, n_steps, 1)
-    far = ObservationSequence(np.full((n_steps, 1), 1e200), 0.025, trial_id=4)
+    seqs = [ObservationSequence(s.values, s.dt, trial_id=2 * s.trial_id)
+            for s in _random_sequences(rng, 4, n_steps, 1)]
+    far = ObservationSequence(np.full((n_steps, 1), 1e200), 0.025, trial_id=3)
     start = initialize_model(seqs, TrainingConfig())
-    with pytest.raises(ModelError, match="trial 4 has zero likelihood"):
+    with pytest.raises(ModelError, match="trial 3 has zero likelihood"):
         baum_welch(seqs + [far], TrainingConfig(), initial_model=start)
     stay, move = start.log_A_band
     half = n_steps // 2
@@ -184,8 +191,8 @@ def test_training_sequence_with_zero_likelihood_is_a_model_error(n_steps):
     assert forced._forced == half + 1
     glitch = np.array(seqs[0].values)
     glitch[half - 2] = 1e200
-    with pytest.raises(ModelError, match="trial 4 has zero likelihood"):
-        baum_welch(seqs + [ObservationSequence(glitch, 0.025, trial_id=4)], TrainingConfig(),
+    with pytest.raises(ModelError, match="trial 3 has zero likelihood"):
+        baum_welch(seqs + [ObservationSequence(glitch, 0.025, trial_id=3)], TrainingConfig(),
                    initial_model=forced)
 
 
@@ -226,13 +233,14 @@ def test_single_state_training_recovers_sample_statistics():
 
 def test_forced_steps_add_the_statistics_of_path_enumeration(monkeypatch):
     # A 6-state band-1 model with -inf self-loops on states 0-2 is forced
-    # for 4 steps, so an EM iteration adds the statistics of steps 0-2 in
-    # closed form and runs the E-step on steps 3-5 over states 3-5, whose
-    # statistics go to those states.  Its M-step must equal one taken from
-    # the posteriors of path enumeration.  The histories come from that
-    # model; EM starts from it with the forced rows' moves below 1, so that
-    # a forced move left out of the pair sums shows: its row would keep the
-    # old move rather than get 1.
+    # for 4 steps, so an EM iteration adds steps 0-2 as one block of
+    # posteriors 1 at states 0-2, one state per row, then runs the E-step
+    # on steps 3-5 over states 3-5, whose block goes to those steps and
+    # states.  Its M-step must equal one taken from the posteriors of path
+    # enumeration.  The histories come from that model; EM starts from it
+    # with the forced rows' moves below 1, so that a forced move left out
+    # of the pair sums shows: its row would keep the old move rather than
+    # get 1.
     rng = np.random.default_rng(27)
     n_states, n_dims = 6, 2
     base = random_banded_model(rng, n_states, n_dims)
@@ -243,9 +251,13 @@ def test_forced_steps_add_the_statistics_of_path_enumeration(monkeypatch):
     model = LrHmmModel(base.log_pi, [stay, move], base.means, base.covariances)
     assert model._forced == 4
     seqs = [sample_sequence(rng, sampler, n_states, trial_id=k) for k in range(5)]
-    widths = _posterior_widths(monkeypatch)
+    blocks = _posterior_blocks(monkeypatch)
     fitted, _ = baum_welch(seqs, TrainingConfig(max_iterations=1), initial_model=model)
-    assert widths == [3]
+    assert blocks == [(0, 3, 1), (3, 3, 3)]
+    for seq in seqs:
+        cache = forward_backward(seq, model)
+        assert cache.gamma[np.arange(3), np.arange(3)].tolist() == [1.0] * 3
+        assert cache.log_xi_sums[1][:3].tolist() == [0.0] * 3
 
     x = np.array([seq.values for seq in seqs])                      # (K, T, M)
     _, gamma, pairs = zip(*(enum_posteriors(seq.values, model) for seq in seqs))
@@ -880,6 +892,7 @@ def test_training_input_validation():
     dict(loglik_rel_tolerance=math.inf),
     dict(covariance_floor_eps=math.inf),
     dict(covariance_floor_eps=math.nan),
+    dict(rng_seed=-1),
 ])
 def test_training_config_validation(kwargs):
     with pytest.raises(UsageError):
