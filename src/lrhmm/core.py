@@ -307,17 +307,14 @@ class LrHmmModel:
 
 @dataclass(frozen=True, eq=False)
 class ForwardBackwardCache:
-    """Per-sequence E-step quantities.
+    """Per-sequence E-step quantities: what Baum-Welch reads of a sequence.
 
-    ``log_alpha`` and ``log_beta`` are the forward/backward log variables
-    (T, N); ``gamma`` holds state posteriors as probabilities with exact 0.0
+    ``gamma`` (T, N) holds state posteriors as probabilities with exact 0.0
     where the band makes a state unreachable; ``log_xi_sums`` holds the log
     pairwise transition posteriors summed over t = 1..T-1, laid out as the
-    model's ``log_A_band``.
+    model's ``log_A_band``; ``log_likelihood`` is the sequence's.
     """
 
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
     gamma: np.ndarray
     log_xi_sums: tuple
     log_likelihood: float

@@ -22,7 +22,9 @@ EM iteration runs the E-step on a few sequences at a time and keeps only
 their sufficient statistics.  Within a chunk only the window's log
 emissions and forward variables span the chain; the backward variables,
 pair terms and posteriors are formed a block of steps at a time, from the
-chain's end, as the backward recursion reaches them.
+chain's end, as the backward recursion reaches them.  Each E-step
+allocates its own arrays and releases them before a sequence is redone at
+W = N, so no E-step holds memory for another's.
 """
 
 from __future__ import annotations
@@ -490,45 +492,21 @@ def _split(x, params, log_pi, diags, spans, forced):
 
 
 def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBackwardCache:
-    """Run the forward-backward recursions for one sequence.
+    """Posteriors of one sequence under ``model``.
 
     The sequence may be shorter than the model horizon (truncated history);
-    it must not be longer.  Returns the log forward/backward variables, the
-    state posteriors, the log sums of pairwise transition posteriors over
-    t = 1..T-1 per band diagonal, and the forward log-likelihood (summed
-    over all states at the final step).  Posteriors come from the E-step
-    that training runs, as a chunk of one sequence, redone at W = N when
-    its window is not certified.  Raises ModelError if the sequence has
-    zero likelihood under the model: it has no posteriors.
+    it must not be longer.  Returns the state posteriors, the log sums of
+    pairwise transition posteriors over t = 1..T-1 per band diagonal, and
+    the forward log-likelihood (summed over all states at the final step).
+    They come from the E-step that training runs, as a chunk of one
+    sequence, redone at W = N when its window is not certified.  Raises
+    ModelError if the sequence has zero likelihood under the model: it has
+    no posteriors.
     """
     _check_scorable(seq, model)
     diags = model.log_A_band
-    x = seq.values[None]
-    params = (model.means, model._chols, model._log_norms)
-    n_steps, n_states = seq.n_steps, model.n_states
-
-    # log alpha and log beta at every state: beta_{T-1} = 0, and beta_t sums
-    # the terms log A_d + u_{t+1}(. + d) of the backward with start 0
-    every = ((0,) * n_steps, (n_states,) * n_steps)
-    log_b, log_alpha, u = np.empty((3, 1, n_steps, n_states))
-    _, (dense_log_lik,), _ = _window_forward(x, params, (model.log_pi, diags, every), log_b,
-                                             log_alpha)
-    if dense_log_lik == -np.inf:
-        raise ModelError("the sequence has zero likelihood under the model")
-    log_beta = np.full((n_steps, n_states), -np.inf)
-    log_beta[-1] = 0.0
-
-    def betas(t0, t1):
-        for diag in diags[:n_states]:
-            d = n_states - diag.size
-            np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
-                         out=log_beta[:-1, :diag.size])
-
-    _window_backward(log_b, np.zeros(n_steps, int), np.zeros(1), (None, diags, every), u,
-                     n_steps, betas)
-
-    gamma = np.zeros((n_steps, n_states))
-    sums = [np.zeros(diag.size) for diag in diags[:n_states]]
+    gamma = np.zeros((seq.n_steps, model.n_states))
+    sums = [np.zeros(diag.size) for diag in diags[:model.n_states]]
 
     def scatter(t0, x, posteriors, lo, scratch, xi):
         steps = t0 + np.arange(posteriors.shape[1])
@@ -536,11 +514,11 @@ def forward_backward(seq: ObservationSequence, model: LrHmmModel) -> ForwardBack
         for total, term in zip(sums, xi):
             total[total.size - term.size:] += term
 
-    log_lik, _, _ = _e_step(scatter, np.empty(0), x, params, model.log_pi, diags, model._spans,
-                            model._forced, (seq.trial_id,))
+    log_lik, _ = _e_step(scatter, seq.values[None], (model.means, model._chols, model._log_norms),
+                         model.log_pi, diags, model._spans, model._forced, (seq.trial_id,))
     with np.errstate(divide="ignore"):
         log_xi = tuple(np.log(total) for total in sums) + diags[len(sums):]   # and the empty
-    return ForwardBackwardCache(log_alpha[0], log_beta, gamma, log_xi, float(log_lik[0]))
+    return ForwardBackwardCache(gamma, log_xi, float(log_lik[0]))
 
 
 def _check_scorable(seq: ObservationSequence, model: LrHmmModel) -> None:
@@ -696,27 +674,20 @@ def _e_step_sizes(n_seq, n_steps, width, frame):
     return chain, chain, n_seq * min(block + 1, n_steps) * frame, rows * (block < n_steps), rows
 
 
-def _workspace_size(n_seq, n_steps, n_states, band):
-    """Elements of a workspace for the E-steps of chunks of ``n_seq``
-    sequences over a chain of ``n_steps`` steps and ``n_states`` states, at
-    rows of the window and, for one sequence at a time, of W = N."""
-    width = min(_WINDOW, n_states)
-    return max(sum(_e_step_sizes(n_seq, n_steps, width, min(width + band, n_states))),
-               sum(_e_step_sizes(1, n_steps, n_states, n_states)))
-
-
-def _e_step_arrays(work, x, params, chain, width):
+def _e_step_arrays(x, params, chain, width):
     """The E-step's arrays for sequences ``x`` (K, T, M) of the chain
     ``chain`` of N states, at rows of W = min(``width``, N) states, carved
-    in turn from the flat ``work`` (see :func:`_e_step_sizes`): log b and
+    in turn from one new flat array (see :func:`_e_step_sizes`): log b and
     alpha (K, T, W), u (K, rows, F), F = min(W + band, N), and flat pair
     terms and gamma.  The pair terms of a chain of one block are log b's
-    array."""
+    array.  One allocation per E-step, not one per array: at small T the
+    E-step's fixed cost per call sets the pace."""
     n_seq, n_steps, _ = x.shape
     n_states, diags = params[0].shape[0], chain[1]
     width = min(width, n_states)
     frame = min(width + len(diags) - 1, n_states)
     sizes = _e_step_sizes(n_seq, n_steps, width, frame)
+    work = np.empty(sum(sizes))
     log_b, alpha, u, terms, gamma = (work[end - size:end]
                                      for size, end in zip(sizes, accumulate(sizes)))
     log_b, alpha = (a.reshape(n_seq, n_steps, width) for a in (log_b, alpha))
@@ -724,7 +695,7 @@ def _e_step_arrays(work, x, params, chain, width):
             gamma)
 
 
-def _e_step(add, work, x, params, log_pi, diags, spans, forced, trial_ids):
+def _e_step(add, x, params, log_pi, diags, spans, forced, trial_ids):
     """The E-step of sequences ``x`` (K, T, M) of trials ``trial_ids`` under
     the model of ``params`` (means, Cholesky factors, log normalisers),
     ``log_pi``, band diagonals ``diags``, and ``spans`` and ``forced`` from
@@ -735,19 +706,14 @@ def _e_step(add, work, x, params, log_pi, diags, spans, forced, trial_ids):
     gamma_t = 1 at state s0 + t and one move per step on diagonal 1, then
     the chain past it, as :func:`_posteriors` forms it.
 
-    The arrays are carved from the flat ``work``, or from a new workspace
-    of :func:`_workspace_size` if the chain needs more.  A sequence whose
-    window fails its certificate is redone with W = N, one at a time.
-    Returns the log-likelihoods (K,), the number of such sequences and the
-    workspace.  Raises ModelError, naming the trial, if a sequence has zero
-    likelihood.
+    A sequence whose window fails its certificate is redone with W = N, one
+    at a time, once the chunk's arrays are released: each run allocates
+    its own (see :func:`_e_step_arrays`).  Returns the log-likelihoods (K,)
+    and the number of such sequences.  Raises ModelError, naming the trial,
+    if a sequence has zero likelihood.
     """
     cut, col, _, (rest, params, chain) = _split(x, params, log_pi, diags, spans, forced)
-    n_seq, n_steps, _ = rest.shape
-    n_states = params[0].shape[0]
-    size = _workspace_size(n_seq, n_steps, n_states, len(diags) - 1)
-    if work.size < size:        # the first chain, or a later one that needs more
-        work = np.empty(size)
+    n_seq, n_states = len(rest), params[0].shape[0]
     if cut:
         ones = np.ones((n_seq, cut, 1))
         moves = np.zeros(diags[1].size + cut - col)     # diagonal 1 from state s0 on
@@ -759,7 +725,7 @@ def _e_step(add, work, x, params, log_pi, diags, spans, forced, trial_ids):
         add(cut + t0, x, gamma, col + lo, scratch, xi)
 
     def run(x, chain, width):
-        arrays = _e_step_arrays(work, x, params, chain, width)
+        arrays = _e_step_arrays(x, params, chain, width)
         lo, log_lik, trusted = _window_forward(x, params, chain, *arrays[:2])
         if trusted.any():
             _posteriors(*arrays[:2], lo, log_lik, trusted, x, chain, arrays[2:], shifted)
@@ -770,9 +736,8 @@ def _e_step(add, work, x, params, log_pi, diags, spans, forced, trial_ids):
     for k in bad:
         log_lik[k:k + 1], ok = run(rest[k:k + 1], (chain[0][k:k + 1],) + chain[1:], n_states)
         if not ok[0]:
-            raise ModelError(f"trial {trial_ids[k]} has zero likelihood under the model "
-                             "entering the EM iteration")
-    return log_lik, bad.size, work
+            raise ModelError(f"trial {trial_ids[k]} has zero likelihood under the model")
+    return log_lik, bad.size
 
 
 def _m_step(stats: _Statistics, log_diags_old, eps_rel):
@@ -819,14 +784,9 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
     """The EM loop of :func:`baum_welch` over sequences ``x`` (K, T, M) of
     trials ``trial_ids``, from the given parameters.  Returns the final
     (log_pi, log band diagonals, means, covs) and the trace.
-
-    The E-step's workspace (see :func:`_e_step_arrays`) lives across chunks
-    and iterations: :func:`_e_step` allocates it for the first chunk, and
-    again only when a later chain past the forced prefix needs more.
     """
     n_seq, n_steps, _ = x.shape
     chunk = min(n_seq, max(1, _ESTEP_ELEMENTS // (n_steps * min(_WINDOW, n_steps))))
-    work = np.empty(0)
     log_lik = np.empty(n_seq)
     trace: list[float] = []
     fallbacks = 0
@@ -839,8 +799,8 @@ def _expectation_maximization(x, trial_ids, log_pi, log_diags, means, covs, conf
         stats = _Statistics(means, len(log_diags), n_seq)
         for begin in range(0, n_seq, chunk):
             part = slice(begin, begin + chunk)
-            log_lik[part], bad, work = _e_step(stats.add, work, x[part], params, log_pi,
-                                               log_diags, spans, forced, trial_ids[part])
+            log_lik[part], bad = _e_step(stats.add, x[part], params, log_pi, log_diags, spans,
+                                         forced, trial_ids[part])
             fallbacks += bad
         total = float(log_lik.sum())
         trace.append(total)
@@ -864,8 +824,9 @@ def baum_welch(sequences, config: TrainingConfig,
     it; the loop stops when the relative change drops below
     ``config.loglik_rel_tolerance`` or after ``config.max_iterations``
     iterations.  Raises :class:`DegenerateStateError` if a state loses all
-    posterior mass, and ModelError, naming the trial, if a sequence has
-    zero likelihood under the model entering an iteration.
+    posterior mass, and ModelError ("trial ... has zero likelihood under
+    the model") if a sequence has zero likelihood under the model entering
+    an iteration.
 
     Returns the fitted model and a :class:`TrainingTrace`.  The trace's
     log-likelihood list is non-decreasing (up to tiny rounding); permuting

@@ -22,8 +22,8 @@ from lrhmm import (LrHmmModel, ModelError, ObservationSequence, forecast, forwar
                    viterbi)
 from lrhmm.core import _logsumexp
 from lrhmm.inference import _set_log_likelihoods
-from helpers import (band_diagonals, dense_log_a, enum_log_backward, enum_posteriors,
-                     reference_extension, reference_forward, reference_viterbi)
+from helpers import (_oracle_log_b, band_diagonals, dense_log_a, enum_log_backward,
+                     enum_posteriors, reference_extension, reference_forward, reference_viterbi)
 
 # in-band probabilities: exact zeros (structural -inf in log space) or
 # weights that stay normal floats after normalisation
@@ -262,6 +262,31 @@ def _spaced_walk(model, data, n_steps):
     return LrHmmModel(model.log_pi, model.log_A_band, means, model.covariances), means[path]
 
 
+def _dense_log_backward(values, hmm):
+    """Log backward variables (T, N) of a history under ``hmm``, from the
+    E-step's backward pass at W = N over every state at every step, with
+    start 0: beta_{T-1} = 0, and its ``finish`` hook sums beta_t over the
+    terms log A_d + u_{t+1}(. + d).  The pass reads the oracle's densities,
+    which path enumeration sums too: where log b reaches -1e6, the emission
+    kernel's densities differ from them by an ulp, 5e-10 each."""
+    n_steps, n_states = len(values), hmm.n_states
+    log_b = _oracle_log_b(values, hmm)[None]
+    every = ([0] * n_steps, [n_states] * n_steps)
+    u = np.empty((1, n_steps, n_states))
+    log_beta = np.full((n_steps, n_states), -np.inf)
+    log_beta[-1] = 0.0
+
+    def finish(t0, t1):
+        for diag in hmm.log_A_band[:n_states]:
+            d = n_states - diag.size
+            np.logaddexp(log_beta[:-1, :diag.size], diag + u[0, 1:, d:],
+                         out=log_beta[:-1, :diag.size])
+
+    lrhmm.training._window_backward(log_b, np.zeros(n_steps, int), np.zeros(1),
+                                    (None, hmm.log_A_band, every), u, n_steps, finish)
+    return log_beta
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.one_of(holey_models_and_histories(), forced_prefix_models_and_histories(4)),
        st.data())
@@ -276,6 +301,7 @@ def test_e_step_equals_path_enumeration(case, data):
     # each runs densely and with windows of 2 states, as does a walk along
     # a drawn path of the model with its means spaced apart, both with the
     # posteriors in one block and a step at a time behind the backward pass.
+    # The backward pass at W = N over every state gives log beta itself.
     model, histories, _ = case
     n_states = model.n_states
     n_steps = min(int(math.log(4096, n_states)), n_states) if n_states > 1 else 1
@@ -288,6 +314,9 @@ def test_e_step_equals_path_enumeration(case, data):
         log_lik, gamma, xi = enum_posteriors(values, hmm)
         log_beta = enum_log_backward(values, hmm)
         finite = np.isfinite(log_beta)
+        dense_log_beta = _dense_log_backward(values, hmm)
+        assert np.array_equal(np.isfinite(dense_log_beta), finite)
+        assert np.abs(dense_log_beta[finite] - log_beta[finite]).max() < 1e-9
         for window, elements in ((64, None), (2, None), (64, 1), (2, 1)):
             with mock.patch.object(lrhmm.training, "_WINDOW", window), \
                     mock.patch.object(lrhmm.training, "_POSTERIOR_ELEMENTS",
@@ -296,5 +325,3 @@ def test_e_step_equals_path_enumeration(case, data):
             assert abs(cache.log_likelihood - log_lik) < 1e-9
             assert np.abs(cache.gamma - gamma).max() < 1e-9
             assert np.abs(np.exp(dense_log_a(cache.log_xi_sums, n_states)) - xi).max() < 1e-9
-            assert np.array_equal(np.isfinite(cache.log_beta), finite)
-            assert np.abs(cache.log_beta[finite] - log_beta[finite]).max() < 1e-9

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 import lrhmm.training
 from lrhmm import (
@@ -19,6 +18,7 @@ from lrhmm import (
     generate_synthetic,
     initialize_model,
     log_likelihood,
+    prefix_log_likelihoods,
     validate_model,
 )
 from helpers import (
@@ -60,10 +60,10 @@ def test_forward_backward_matches_enumeration():
 
         assert abs(cache.log_likelihood - enum_log_likelihood(seq.values, model)) < 1e-9
 
-        # every prefix likelihood falls out of the same forward table
+        # every prefix likelihood, from one forward pass over the sequence
+        prefix_lls = prefix_log_likelihoods(seq, model, np.arange(1, n_steps + 1))
         for t in range(n_steps):
-            prefix_ll = float(logsumexp(cache.log_alpha[t]))
-            assert abs(prefix_ll - enum_log_likelihood(seq.values[:t + 1], model)) < 1e-9
+            assert abs(prefix_lls[t] - enum_log_likelihood(seq.values[:t + 1], model)) < 1e-9
 
         # state posteriors, by brute force over complete paths
         gamma_ref = np.zeros((n_steps, n_states))
@@ -364,26 +364,26 @@ def test_training_memory_does_not_grow_with_the_number_of_sequences():
     for n_seqs in (3, 12):
         seqs = [ObservationSequence(wave + rng.normal(0.0, 0.05, (800, 1)), 0.025,
                                     trial_id=k) for k in range(n_seqs)]
-        tracemalloc.start()
-        try:
-            baum_welch(seqs, TrainingConfig(max_iterations=1))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_traced_peak(lambda: baum_welch(seqs, TrainingConfig(max_iterations=1)))[0])
     assert peaks[1] <= 1.5 * peaks[0]
 
 
 def _fit_peak(n_seqs):
-    """The tracemalloc peak of a one-iteration fit of ``n_seqs`` noisy
-    sine recordings of 800 steps."""
+    """The tracemalloc peak and the trace of a one-iteration fit of
+    ``n_seqs`` noisy sine recordings of 800 steps."""
     rng = np.random.default_rng(22)
     wave = np.sin(np.linspace(0.0, 12.0, 800))[:, None]
     seqs = [ObservationSequence(wave + rng.normal(0.0, 0.05, (800, 1)), 0.025,
                                 trial_id=k) for k in range(n_seqs)]
+    return _traced_peak(lambda: baum_welch(seqs, TrainingConfig(max_iterations=1))[1])
+
+
+def _traced_peak(run):
+    """The tracemalloc peak of ``run()``, and what it returns."""
     tracemalloc.start()
     try:
-        baum_welch(seqs, TrainingConfig(max_iterations=1))
-        return tracemalloc.get_traced_memory()[1]
+        out = run()
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
 
@@ -391,11 +391,14 @@ def _fit_peak(n_seqs):
 def test_training_memory_is_bounded_by_the_e_step_workspace():
     # At T = 800 the 6 recordings form one chunk, whose E-step keeps log b
     # and alpha (6, 800, 64) for the whole chain and u, the pair terms and
-    # gamma for blocks of 341 steps: 7.7 MiB.  The workspace also holds one
-    # sequence's E-step at W = N, (800, 800) log b and alpha and blocks of
-    # 163 steps: 1 672 000 float64, 12.8 MiB, which it allocates once.  All
-    # else the fit allocates at a time fits in 1.2 MiB more.
-    assert _fit_peak(6) <= 14 * 2 ** 20
+    # gamma for blocks of 341 steps: 7.7 MiB.  Every recording fails its
+    # window's certificate, so each is then redone at W = N, after the
+    # chunk's arrays are released: (800, 800) log b and alpha and blocks of
+    # 163 steps, 1 672 000 float64 or 12.8 MiB.  All else the fit allocates
+    # at a time fits in 1.2 MiB more.
+    peak, trace = _fit_peak(6)
+    assert trace.estep_fallbacks == 6
+    assert peak <= 14 * 2 ** 20
 
 
 def test_benchmark_sized_fit_keeps_its_e_step_to_two_chain_arrays():
@@ -403,7 +406,27 @@ def test_benchmark_sized_fit_keeps_its_e_step_to_two_chain_arrays():
     # chunk whose log b and alpha (29, 800, 64) take 22.7 MiB; u, the pair
     # terms and gamma for blocks of 70 steps take 3.0 MiB more.  Holding
     # u, the terms and gamma for the whole chain, it peaked at 47.7 MiB.
-    assert _fit_peak(29) <= 32 * 2 ** 20
+    assert _fit_peak(29)[0] <= 32 * 2 ** 20
+
+
+def test_a_fit_with_no_fallback_holds_no_dense_arrays():
+    # 6 crank recordings at T = 800 certify their windows, so their E-step
+    # holds only the chunk's arrays, 7.7 MiB: it peaked at 8.9 MiB, and at
+    # 13.95 MiB while every fit kept room for one sequence at W = N.
+    seqs = _crank_recordings(1, 800)
+    peak, (_, trace) = _traced_peak(lambda: baum_welch(seqs, TrainingConfig(max_iterations=1)))
+    assert trace.estep_fallbacks == 0
+    assert peak <= 10 * 2 ** 20
+
+
+def test_forward_backward_memory_is_that_of_one_e_step():
+    # One of those recordings under their initial model: its E-step's
+    # arrays beside the (800, 800) gamma of 4.9 MiB peak at 7.9 MiB.  With
+    # dense forward and backward tables as well it peaked at 38.6 MiB.
+    seqs = _crank_recordings(1, 800)
+    model = initialize_model(seqs, TrainingConfig())
+    peak, _ = _traced_peak(lambda: forward_backward(seqs[0], model))
+    assert peak <= 10 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -528,21 +551,18 @@ def test_windowed_e_step_fits_as_in_log_space(monkeypatch, n_steps, n_dims, band
 def test_fallback_memory_stays_near_an_own_class_fit():
     # One-iteration T = 800 fits of 12 recordings from the initial model of
     # class 2, whose windows the 6 class-1 recordings of the mixed set fail
-    # to certify.  They are redone at W = N one at a time, in the E-step's
-    # workspace, so they add little to the own-class fit's peak.
+    # to certify.  They are redone at W = N one at a time, each in arrays of
+    # its own allocated once the chunk's are released, so they add little
+    # to the own-class fit's peak.
     model_2 = initialize_model(_crank_recordings(2, 800), TrainingConfig())
     class_1 = _crank_recordings(1, 800)
     class_2 = _crank_recordings(2, 800, n_sequences=12)
     peaks, fallbacks = [], []
     for group in (class_2, class_1 + class_2[:6]):
         seqs = [ObservationSequence(s.values, s.dt, trial_id=k) for k, s in enumerate(group)]
-        tracemalloc.start()
-        try:
-            _, trace = baum_welch(seqs, TrainingConfig(max_iterations=1),
-                                  initial_model=model_2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peak, (_, trace) = _traced_peak(lambda: baum_welch(
+            seqs, TrainingConfig(max_iterations=1), initial_model=model_2))
+        peaks.append(peak)
         fallbacks.append(trace.estep_fallbacks)
     assert fallbacks == [0, 6]
     assert peaks[1] <= 1.5 * peaks[0]
@@ -601,7 +621,6 @@ def _assert_same_fit_and_forward(fits, caches):
         assert fit[1] == trace
         _assert_same_fit(fit, fits[-1])
         assert other.gamma.tobytes() == cache.gamma.tobytes()
-        assert other.log_beta.tobytes() == cache.log_beta.tobytes()
         with np.errstate(divide="ignore"):
             for sums, ref in zip(other.log_xi_sums, cache.log_xi_sums):
                 np.testing.assert_allclose(np.exp(sums), np.exp(ref), rtol=1e-12, atol=1e-300)
